@@ -7,13 +7,13 @@ prediction files.
 """
 
 from .errors import DataFormatError, NumericError, ShapeError
-from .tensor import DTYPE, Graph, Tensor, backward, forward_op
+from .tensor import DTYPE, Graph, Tensor, backward
 from .optim import AdamState, adam_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DTYPE", "Graph", "Tensor", "backward", "forward_op",
+    "DTYPE", "Graph", "Tensor", "backward",
     "AdamState", "adam_step",
     "DataFormatError", "NumericError", "ShapeError",
 ]

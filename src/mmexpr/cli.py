@@ -16,11 +16,12 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .data import (
     FeatureRegistry,
-    load_labels,
-    load_manifest,
-    read_feature_file,
     impute_missing,
     imputation_plan,
+    load_feature_track,
+    load_labels,
+    load_manifest,
+    load_video,
     write_feature_file,
 )
 from .ensemble import read_predictions, vote, write_predictions
@@ -78,33 +79,13 @@ def cmd_prepare(args) -> int:
     report = {}
     total_imputed = 0
     for video in manifest.videos:
-        track = load_labels(video.label_file, video_id=video.video_id)
-        if track.n_frames != video.n_frames:
-            raise DataFormatError(
-                f"video {video.video_id!r}: labels cover {track.n_frames} frames, "
-                f"manifest says {video.n_frames}")
+        load_labels(video.label_file, video_id=video.video_id, n_frames=video.n_frames)
         with open(video.label_file, "rb") as fh:
             atomic_write_bytes(os.path.join(labels_dir, f"{video.video_id}.csv"), fh.read())
         repairs = {}
         feature_paths = {}
-        for name, path in sorted(video.features.items()):
-            feat = read_feature_file(path, video_id=video.video_id)
-            if feat.feature_set != name:
-                raise DataFormatError(
-                    f"video {video.video_id!r}: file {path} holds feature set "
-                    f"{feat.feature_set!r}, expected {name!r}")
-            if name not in registry:
-                raise DataFormatError(
-                    f"video {video.video_id!r}: feature set {name!r} not in the registry "
-                    "(pass --config with its registry entry)")
-            if feat.dim != registry.dim(name):
-                raise DataFormatError(
-                    f"video {video.video_id!r}: feature set {name!r} has dim {feat.dim}, "
-                    f"registry expects {registry.dim(name)}")
-            if feat.n_frames != video.n_frames:
-                raise DataFormatError(
-                    f"video {video.video_id!r}: feature set {name!r} covers "
-                    f"{feat.n_frames} frames, manifest says {video.n_frames}")
+        for name in sorted(video.features):
+            feat = load_feature_track(video, name, registry)
             plan = imputation_plan(feat.present)
             repaired = impute_missing(feat)
             # the written file persists the repair; the report keeps the audit
@@ -180,8 +161,6 @@ def cmd_predict(args) -> int:
     if not ids:
         raise DataFormatError(f"split {args.split!r} is empty")
     registry = config.registry()
-    from .data import load_video
-
     model = None
     for vid in ids:
         video = load_video(manifest.video(vid), registry,
@@ -202,34 +181,33 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _labels_for(manifest, ids):
-    labels = {}
+def _score(manifest_path: str, split, pred_dir: str, out_path: str):
+    """Score the prediction files in ``pred_dir`` against the manifest's labels.
+
+    Scores the split when one is given, else every manifest video with a
+    prediction file in ``pred_dir``; writes the report to ``out_path``.
+    """
+    manifest = load_manifest(manifest_path)
+    if split:
+        ids = manifest.split_ids(split)
+    else:
+        ids = [v.video_id for v in manifest.videos
+               if os.path.exists(os.path.join(pred_dir, f"{v.video_id}.csv"))]
+        if not ids:
+            raise DataFormatError(f"no prediction files found in {pred_dir}")
+    labels, predictions = {}, {}
     for vid in ids:
         entry = manifest.video(vid)
-        track = load_labels(entry.label_file, video_id=vid)
-        if track.n_frames != entry.n_frames:
-            raise DataFormatError(
-                f"video {vid!r}: labels cover {track.n_frames} frames, "
-                f"manifest says {entry.n_frames}")
-        labels[vid] = track.labels
-    return labels
+        labels[vid] = load_labels(entry.label_file, video_id=vid, n_frames=entry.n_frames).labels
+        path = os.path.join(pred_dir, f"{vid}.csv")
+        predictions[vid] = read_predictions(path, video_id=vid).labels
+    report, cm = evaluate_tracks(labels, predictions)
+    write_json(out_path, report.to_json(cm))
+    return report, cm
 
 
 def cmd_evaluate(args) -> int:
-    manifest = load_manifest(args.manifest)
-    if args.split:
-        ids = manifest.split_ids(args.split)
-    else:
-        ids = [v.video_id for v in manifest.videos
-               if os.path.exists(os.path.join(args.predictions, f"{v.video_id}.csv"))]
-        if not ids:
-            raise DataFormatError(f"no prediction files found in {args.predictions}")
-    predictions = {}
-    for vid in ids:
-        path = os.path.join(args.predictions, f"{vid}.csv")
-        predictions[vid] = read_predictions(path, video_id=vid).labels
-    report, cm = evaluate_tracks(_labels_for(manifest, ids), predictions)
-    write_json(args.out, report.to_json(cm))
+    report, cm = _score(args.manifest, args.split, args.predictions, args.out)
     print(f"macro_f1 {report.macro_f1:.5f} over {cm.total} frames; report at {args.out}")
     return 0
 
@@ -268,14 +246,8 @@ def cmd_ensemble(args) -> int:
     print(f"fused {len(ids)} videos from {len(member_dirs)} members into {args.out}")
 
     if args.manifest:
-        manifest = load_manifest(args.manifest)
-        eval_ids = manifest.split_ids(args.split) if args.split else ids
-        predictions = {vid: read_predictions(os.path.join(args.out, f"{vid}.csv"),
-                                             video_id=vid).labels
-                       for vid in eval_ids}
-        report, cm = evaluate_tracks(_labels_for(manifest, eval_ids), predictions)
         report_path = os.path.join(args.out, "report.json")
-        write_json(report_path, report.to_json(cm))
+        report, _ = _score(args.manifest, args.split, args.out, report_path)
         print(f"ensemble macro_f1 {report.macro_f1:.5f}; report at {report_path}")
     return 0
 

@@ -55,12 +55,9 @@ class FeatureRegistry:
     def __init__(self, extra: dict | None = None):
         entries = {name: FeatureSpec(dim, mod) for name, (dim, mod) in DEFAULT_FEATURE_SETS.items()}
         for name, spec in (extra or {}).items():
-            if isinstance(spec, FeatureSpec):
-                entries[name] = spec
-            else:
-                if spec["modality"] not in (VISUAL, AUDIO):
-                    raise DataFormatError(f"feature set {name!r}: modality must be visual or audio")
-                entries[name] = FeatureSpec(int(spec["dim"]), spec["modality"])
+            if spec["modality"] not in (VISUAL, AUDIO):
+                raise DataFormatError(f"feature set {name!r}: modality must be visual or audio")
+            entries[name] = FeatureSpec(int(spec["dim"]), spec["modality"])
         self._entries = entries
 
     def __contains__(self, name):
@@ -70,16 +67,14 @@ class FeatureRegistry:
         try:
             return self._entries[name]
         except KeyError:
-            raise KeyError(f"unknown feature set {name!r}") from None
+            raise DataFormatError(
+                f"unknown feature set {name!r} (declare it in the config's 'registry')") from None
 
     def dim(self, name) -> int:
         return self.spec(name).dim
 
     def modality(self, name) -> str:
         return self.spec(name).modality
-
-    def names(self):
-        return tuple(self._entries)
 
 
 @dataclass
@@ -92,9 +87,6 @@ class LabelTrack:
     @property
     def n_frames(self) -> int:
         return len(self.labels)
-
-    def valid_mask(self) -> np.ndarray:
-        return self.labels != INVALID_LABEL
 
 
 @dataclass
@@ -117,12 +109,17 @@ class FeatureTrack:
 
 # -- label CSV ------------------------------------------------------------------
 
-def load_labels(path: str, video_id: str | None = None) -> LabelTrack:
+def load_labels(path: str, video_id: str | None = None,
+                n_frames: int | None = None) -> LabelTrack:
     """Read a ``frame,label`` CSV into a dense track over frames 1..max(frame).
 
     Frames missing from the file come back as -1. Bad labels, non-integer
-    fields and duplicate frames are rejected with their line number.
+    fields and duplicate frames are rejected with their line number. Given
+    the manifest's ``n_frames``, a frame past it is rejected while parsing,
+    before anything is sized from it, and the track must end at that frame.
     """
+    if video_id is None:
+        video_id = os.path.splitext(os.path.basename(path))[0]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -144,6 +141,9 @@ def load_labels(path: str, video_id: str | None = None) -> LabelTrack:
                 raise DataFormatError(f"{path}: line {lineno}: non-integer frame or label") from None
             if frame < 1:
                 raise DataFormatError(f"{path}: line {lineno}: frame index {frame} < 1")
+            if n_frames is not None and frame > n_frames:
+                raise DataFormatError(f"{path}: line {lineno}: frame index {frame} past the "
+                                      f"manifest's {n_frames} frames")
             if label != INVALID_LABEL and not 0 <= label < NUM_CLASSES:
                 raise DataFormatError(
                     f"{path}: line {lineno}: label {label} outside {{-1, 0..{NUM_CLASSES - 1}}}")
@@ -153,11 +153,12 @@ def load_labels(path: str, video_id: str | None = None) -> LabelTrack:
     if not rows:
         raise DataFormatError(f"{path}: no label rows")
     n = max(rows)
+    if n_frames is not None and n != n_frames:
+        raise DataFormatError(f"video {video_id!r}: label file {path} covers {n} frames, "
+                              f"manifest says {n_frames}")
     labels = np.full(n, INVALID_LABEL, dtype=np.int64)
     for frame, label in rows.items():
         labels[frame - 1] = label
-    if video_id is None:
-        video_id = os.path.splitext(os.path.basename(path))[0]
     return LabelTrack(video_id=video_id, labels=labels)
 
 
@@ -230,6 +231,10 @@ def read_feature_file(path: str, video_id: str | None = None) -> FeatureTrack:
     present = np.unpackbits(bitmap, bitorder="little", count=n).astype(bool)
     matrix = data.reshape(n, dim).copy()
     matrix[~present] = 0.0
+    if not np.isfinite(matrix).all():
+        frame = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]) + 1
+        raise DataFormatError(f"{path}: feature set {name!r} has a non-finite value "
+                              f"in present frame {frame}")
     if video_id is None:
         video_id = os.path.splitext(os.path.basename(path))[0]
     return FeatureTrack(video_id=video_id, feature_set=name, matrix=matrix, present=present)
@@ -282,12 +287,12 @@ def assemble_inputs(tracks: list[FeatureTrack], visual_names, audio_names,
                     registry: FeatureRegistry) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate per-frame vectors into one visual and one audio matrix.
 
-    Column order follows the given name order. All tracks must be repaired
-    (every row finite), aligned in length, and registered with matching dims.
+    Column order follows the given name order. Tracks come checked and
+    repaired (``load_feature_track``, ``impute_missing``); this checks only
+    the selection: registered names of the right modality, each loaded, all
+    of one length.
     """
-    by_name = {}
-    for t in tracks:
-        by_name[t.feature_set] = t
+    by_name = {t.feature_set: t for t in tracks}
     lengths = {t.feature_set: t.n_frames for t in tracks}
     if len(set(lengths.values())) > 1:
         raise DataFormatError(f"track lengths differ: {lengths}")
@@ -295,19 +300,11 @@ def assemble_inputs(tracks: list[FeatureTrack], visual_names, audio_names,
     def gather(names, modality):
         parts = []
         for name in names:
-            if name not in registry:
-                raise DataFormatError(f"unknown feature set {name!r}")
             if registry.modality(name) != modality:
                 raise DataFormatError(f"feature set {name!r} is not {modality}")
             if name not in by_name:
                 raise DataFormatError(f"no track loaded for feature set {name!r}")
-            t = by_name[name]
-            if t.dim != registry.dim(name):
-                raise DataFormatError(
-                    f"feature set {name!r}: dim {t.dim} != registry dim {registry.dim(name)}")
-            if not np.isfinite(t.matrix).all():
-                raise DataFormatError(f"feature set {name!r}: non-finite values after repair")
-            parts.append(t.matrix)
+            parts.append(by_name[name].matrix)
         if not parts:
             raise DataFormatError(f"no {modality} feature sets selected")
         return np.concatenate(parts, axis=1)
@@ -324,10 +321,6 @@ class SegmentSpan:
     index: int
     start: int
     end: int
-
-    @property
-    def window(self) -> int:
-        return self.end - self.start + 1
 
 
 def segment_video(n_frames: int, seg_len: int, stride: int) -> list[SegmentSpan]:
@@ -369,12 +362,11 @@ class Segment:
 
 @dataclass
 class VideoData:
-    """A fully assembled video: labels plus the concatenated modality matrices."""
+    """A fully assembled video: labels plus the visual-then-audio input matrix."""
 
     video_id: str
-    labels: np.ndarray   # (n,) int64
-    visual: np.ndarray   # (n, Dv) float32
-    audio: np.ndarray    # (n, Da) float32
+    labels: np.ndarray    # (n,) int64
+    features: np.ndarray  # (n, Dv + Da) float32
 
     @property
     def n_frames(self) -> int:
@@ -382,15 +374,14 @@ class VideoData:
 
     @property
     def input_dim(self) -> int:
-        return self.visual.shape[1] + self.audio.shape[1]
+        return self.features.shape[1]
 
     def segments(self, seg_len: int, stride: int) -> list[Segment]:
-        fused = np.concatenate([self.visual, self.audio], axis=1)
         out = []
         for span in segment_video(self.n_frames, seg_len, stride):
             sl = slice(span.start - 1, span.end)
             out.append(Segment(self.video_id, span.index, span.start, span.end,
-                               fused[sl], self.labels[sl],
+                               self.features[sl], self.labels[sl],
                                self.labels[sl] != INVALID_LABEL))
         return out
 
@@ -411,11 +402,14 @@ class Manifest:
     splits: dict  # split name -> list of video ids
     path: str = ""
 
+    def __post_init__(self):
+        self._by_id = {v.video_id: v for v in self.videos}
+
     def video(self, video_id: str) -> ManifestVideo:
-        for v in self.videos:
-            if v.video_id == video_id:
-                return v
-        raise KeyError(f"video {video_id!r} not in manifest")
+        try:
+            return self._by_id[video_id]
+        except KeyError:
+            raise KeyError(f"video {video_id!r} not in manifest") from None
 
     def split_ids(self, split: str) -> list:
         if split not in self.splits:
@@ -455,31 +449,38 @@ def load_manifest(path: str) -> Manifest:
     return Manifest(videos=videos, splits=splits, path=path)
 
 
+def load_feature_track(entry: ManifestVideo, name: str,
+                       registry: FeatureRegistry) -> FeatureTrack:
+    """Read one feature set of a manifest video, checked against the entry and registry.
+
+    The set name inside the file, registry membership and dim, and the frame
+    count are checked here; the reader itself checks the format and that
+    present rows are finite. The track comes back unrepaired.
+    """
+    if name not in entry.features:
+        raise DataFormatError(f"video {entry.video_id!r}: no file for feature set {name!r}")
+    path = entry.features[name]
+    track = read_feature_file(path, video_id=entry.video_id)
+    if track.feature_set != name:
+        raise DataFormatError(
+            f"video {entry.video_id!r}: file {path} holds feature set "
+            f"{track.feature_set!r}, expected {name!r}")
+    if track.dim != registry.dim(name):
+        raise DataFormatError(
+            f"video {entry.video_id!r}: feature set {name!r} has dim {track.dim}, "
+            f"registry expects {registry.dim(name)}")
+    if track.n_frames != entry.n_frames:
+        raise DataFormatError(
+            f"video {entry.video_id!r}: feature set {name!r} covers "
+            f"{track.n_frames} frames, manifest says {entry.n_frames}")
+    return track
+
+
 def load_video(entry: ManifestVideo, registry: FeatureRegistry,
                visual_names, audio_names) -> VideoData:
     """Load, validate, repair and assemble one video's tracks."""
-    track = load_labels(entry.label_file, video_id=entry.video_id)
-    if track.n_frames != entry.n_frames:
-        raise DataFormatError(
-            f"video {entry.video_id!r}: label file covers {track.n_frames} frames, "
-            f"manifest says {entry.n_frames}")
-    tracks = []
-    for name in list(visual_names) + list(audio_names):
-        if name not in entry.features:
-            raise DataFormatError(f"video {entry.video_id!r}: no file for feature set {name!r}")
-        ft = read_feature_file(entry.features[name], video_id=entry.video_id)
-        if ft.feature_set != name:
-            raise DataFormatError(
-                f"video {entry.video_id!r}: file {entry.features[name]} holds feature set "
-                f"{ft.feature_set!r}, expected {name!r}")
-        if ft.n_frames != entry.n_frames:
-            raise DataFormatError(
-                f"video {entry.video_id!r}: feature set {name!r} has {ft.n_frames} frames, "
-                f"manifest says {entry.n_frames}")
-        if ft.dim != registry.dim(name):
-            raise DataFormatError(
-                f"video {entry.video_id!r}: feature set {name!r} dim {ft.dim} != "
-                f"registry dim {registry.dim(name)}")
-        tracks.append(impute_missing(ft))
+    track = load_labels(entry.label_file, video_id=entry.video_id, n_frames=entry.n_frames)
+    tracks = [impute_missing(load_feature_track(entry, name, registry))
+              for name in list(visual_names) + list(audio_names)]
     visual, audio = assemble_inputs(tracks, visual_names, audio_names, registry)
-    return VideoData(entry.video_id, track.labels, visual, audio)
+    return VideoData(entry.video_id, track.labels, np.concatenate([visual, audio], axis=1))

@@ -67,23 +67,20 @@ def vote(tracks: list) -> PredictionTrack:
         if t.n_frames != first.n_frames:
             raise ShapeError(f"video {first.video_id!r}: member frame counts differ: "
                              f"{first.n_frames} vs {t.n_frames}")
-    all_labels = np.stack([t.labels for t in tracks])  # (members, n)
     stacked = np.stack([t.probs for t in tracks])      # (members, n, 8)
     # summing each member column in sorted order makes the mean (and therefore
     # every tie-break) bitwise invariant to member ordering
     mean_probs = np.sort(stacked, axis=0).sum(axis=0) / len(tracks)  # (n, 8)
     n = first.n_frames
-    fused = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        tally = np.bincount(all_labels[:, i], minlength=NUM_CLASSES)
-        top = tally.max()
-        tied = np.flatnonzero(tally == top)
-        if len(tied) == 1:
-            fused[i] = tied[0]
-        else:
-            # highest mean probability among tied labels; argmax takes the
-            # lowest index on an exact tie
-            fused[i] = tied[np.argmax(mean_probs[i, tied])]
+    tally = np.zeros((n, NUM_CLASSES), np.int64)
+    rows = np.arange(n)
+    for t in tracks:
+        tally[rows, t.labels] += 1
+    # tied top labels keep their mean probability (>= 0), the rest get -1;
+    # argmax then picks the plurality label, or the tied label with the
+    # highest mean probability, taking the lowest index on an exact tie
+    tied = tally == tally.max(axis=1, keepdims=True)
+    fused = np.where(tied, mean_probs, -1.0).argmax(axis=1)
     return PredictionTrack(first.video_id, fused, mean_probs)
 
 

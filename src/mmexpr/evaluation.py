@@ -22,9 +22,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def support(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
 
 @dataclass
 class MetricReport:

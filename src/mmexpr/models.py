@@ -11,7 +11,7 @@ its dropout is what differentiates the two RDrop passes on the LSTM path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,20 @@ from .errors import ShapeError
 from .tensor import DTYPE, Graph, Tensor
 
 NUM_CLASSES = 8
+
+
+def settings_from_json(cls, doc: dict):
+    """A dataclass of scalar settings from ``doc``.
+
+    Absent keys take the field default; present values are coerced to the
+    default's type.
+    """
+    defaults = cls()
+    values = {}
+    for f in fields(cls):
+        default = getattr(defaults, f.name)
+        values[f.name] = type(default)(doc.get(f.name, default))
+    return cls(**values)
 
 
 @dataclass
@@ -86,23 +100,14 @@ class ModelConfig:
         cfg = cls()
         cfg.encoder = doc.get("encoder", cfg.encoder)
         cfg.d_model = int(doc.get("d_model", cfg.d_model))
-        lstm = doc.get("lstm", {})
-        cfg.lstm = LstmSettings(hidden=int(lstm.get("hidden", 256)),
-                                layers=int(lstm.get("layers", 1)))
-        trm = doc.get("transformer", {})
-        cfg.transformer = TransformerSettings(
-            layers=int(trm.get("layers", 4)),
-            heads=int(trm.get("heads", 4)),
-            dropout=float(trm.get("dropout", 0.3)),
-            ffn_dim=int(trm.get("ffn_dim", 2048)),
-            positional_encoding=bool(trm.get("positional_encoding", True)),
-        )
-        cfg.head = tuple(int(h) for h in doc.get("head", [512, 256]))
-        cfg.classes = int(doc.get("classes", NUM_CLASSES))
+        cfg.lstm = settings_from_json(LstmSettings, doc.get("lstm", {}))
+        cfg.transformer = settings_from_json(TransformerSettings, doc.get("transformer", {}))
+        cfg.head = tuple(int(h) for h in doc.get("head", cfg.head))
+        cfg.classes = int(doc.get("classes", cfg.classes))
         seg = doc.get("segment", {})
-        cfg.seg_len = int(seg.get("l", 128))
+        cfg.seg_len = int(seg.get("l", cfg.seg_len))
         cfg.stride = int(seg.get("p", cfg.seg_len))
-        cfg.head_dropout = float(doc.get("head_dropout", 0.3))
+        cfg.head_dropout = float(doc.get("head_dropout", cfg.head_dropout))
         return cfg.validate()
 
 
@@ -127,11 +132,6 @@ class FusionLayer:
                            name=f"{prefix}.bias")
         params[self.weight.name] = self.weight
         params[self.bias.name] = self.bias
-
-    def fuse(self, g: Graph, visual: Tensor, audio: Tensor) -> Tensor:
-        if visual.shape[0] != audio.shape[0]:
-            raise ShapeError(f"fuse: frame counts differ: {visual.shape} vs {audio.shape}")
-        return self.apply(g, g.concat([visual, audio], axis=1))
 
     def apply(self, g: Graph, fused_inputs: Tensor) -> Tensor:
         if fused_inputs.shape[-1] != self.input_dim:
@@ -391,11 +391,6 @@ class ExpressionModel:
 
     # -- forward passes --
 
-    def _encode(self, g, fused, video_id, seg_index, rng, train):
-        if isinstance(self.encoder, LstmEncoder):
-            return self.encoder.encode_segment(g, video_id, seg_index, fused)
-        return self.encoder.forward(g, fused, rng=rng, train=train)
-
     def two_pass_logits(self, g: Graph, features: np.ndarray, video_id: str,
                         seg_index: int, rng) -> tuple:
         """Two stochastic forward passes over one segment (train mode).
@@ -419,7 +414,10 @@ class ExpressionModel:
                     seg_index: int) -> Tensor:
         """Deterministic single pass (no dropout anywhere)."""
         fused = self.fusion.apply(g, Tensor(features))
-        encoded = self._encode(g, fused, video_id, seg_index, rng=None, train=False)
+        if isinstance(self.encoder, LstmEncoder):
+            encoded = self.encoder.encode_segment(g, video_id, seg_index, fused)
+        else:
+            encoded = self.encoder.forward(g, fused, rng=None, train=False)
         return self.head.forward(g, encoded, rng=None, train=False)
 
     def reset_video_state(self):

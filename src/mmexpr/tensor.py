@@ -21,13 +21,6 @@ from .errors import ShapeError
 
 DTYPE = np.float32
 
-OP_KINDS = (
-    "matmul", "add", "mul", "scale", "concat", "sigmoid", "tanh", "relu",
-    "softmax", "log_softmax", "dropout", "layer_norm", "slice", "transpose",
-    "sum", "mean",
-)
-
-
 class Tensor:
     """Dense float32 array, optionally tracked for gradients.
 
@@ -51,10 +44,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def detach(self) -> "Tensor":
-        """Copy of the values, cut off from any graph."""
-        return Tensor(self.data.copy())
 
     def item(self) -> float:
         return float(self.data)
@@ -175,11 +164,6 @@ class Graph:
 
     def backward(self, loss: Tensor):
         backward(loss, self)
-
-
-def forward_op(graph: Graph, kind: str, inputs, **attrs) -> Tensor:
-    """Functional alias for ``Graph.apply``."""
-    return graph.apply(kind, inputs, **attrs)
 
 
 def backward(loss: Tensor, graph: Graph) -> None:

@@ -33,7 +33,7 @@ from .data import (
 from .errors import DataFormatError, NumericError
 from .evaluation import evaluate_tracks
 from .fileio import atomic_write_text, write_json
-from .models import ExpressionModel, ModelConfig
+from .models import ExpressionModel, ModelConfig, settings_from_json
 from .optim import AdamState, adam_step, collect_grads, zero_grads
 from .tensor import DTYPE, Graph, Tensor
 
@@ -52,10 +52,7 @@ class TrainingSettings:
 
     @classmethod
     def from_json(cls, doc):
-        out = cls(lr=float(doc.get("lr", 1e-4)), epochs=int(doc.get("epochs", 25)),
-                  alpha=float(doc.get("alpha", 5.0)),
-                  batch_segments=int(doc.get("batch_segments", 8)),
-                  batch_videos=int(doc.get("batch_videos", 4)))
+        out = settings_from_json(cls, doc)
         if out.alpha < 0:
             raise DataFormatError("training.alpha must be >= 0")
         if out.epochs < 1 or out.batch_segments < 1 or out.batch_videos < 1:

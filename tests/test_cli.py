@@ -8,13 +8,17 @@ import pytest
 
 from mmexpr.cli import main
 from mmexpr.data import (
+    FeatureTrack,
     load_labels,
     load_manifest,
+    load_video,
     read_feature_file,
     write_feature_file,
 )
 from mmexpr.ensemble import PredictionTrack, write_predictions
+from mmexpr.errors import DataFormatError
 from mmexpr.fileio import read_json, write_json
+from mmexpr.training import ExperimentConfig
 
 
 def run_cli(*argv):
@@ -130,6 +134,87 @@ class TestPrepare:
         assert code == 2
         err = capsys.readouterr().err
         assert "dim 8" in err and "expects 9" in err
+
+
+def write_one_video_dataset(root, mutate):
+    """A 4-frame video "v" with synthvis (dim 8) and synthaud (dim 4) tracks.
+
+    ``mutate`` edits the label rows and tracks before they are written.
+    Returns the manifest and config paths.
+    """
+    rng = np.random.default_rng(0)
+    files = {
+        "labels": [(f, f - 1) for f in range(1, 5)],
+        "synthvis": FeatureTrack("v", "synthvis", rng.normal(size=(4, 8)).astype(np.float32),
+                                 np.ones(4, bool)),
+        "synthaud": FeatureTrack("v", "synthaud", rng.normal(size=(4, 4)).astype(np.float32),
+                                 np.ones(4, bool)),
+    }
+    mutate(files)
+    (root / "v.csv").write_text(
+        "frame,label\n" + "".join(f"{f},{l}\n" for f, l in files["labels"]))
+    for name in ("synthvis", "synthaud"):
+        write_feature_file(files[name], str(root / f"v.{name}.mmft"))
+    write_json(str(root / "manifest.json"), {
+        "videos": [{"id": "v", "n_frames": 4, "label_file": "v.csv",
+                    "features": {n: f"v.{n}.mmft" for n in ("synthvis", "synthaud")}}],
+        "splits": {"train": ["v"], "val": ["v"]}})
+    write_json(str(root / "config.json"), small_config_doc())
+    return root / "manifest.json", root / "config.json"
+
+
+def _resized_track(name, frames, dim):
+    return FeatureTrack("v", name, np.zeros((frames, dim), np.float32), np.ones(frames, bool))
+
+
+def _nan_in_present_row(files):
+    files["synthvis"].matrix[1, 2] = np.nan
+
+
+def _rename_set(files):
+    files["synthvis"].feature_set = "other"
+
+
+MALFORMED = [
+    pytest.param(_rename_set, "holds feature set 'other', expected 'synthvis'",
+                 id="set-name-in-file"),
+    pytest.param(lambda f: f.update(synthvis=_resized_track("synthvis", 5, 8)),
+                 "covers 5 frames, manifest says 4", id="feature-frame-count"),
+    pytest.param(lambda f: f.update(synthvis=_resized_track("synthvis", 4, 9)),
+                 "has dim 9, registry expects 8", id="registry-dim"),
+    pytest.param(_nan_in_present_row, "non-finite value in present frame 2",
+                 id="nan-in-present-row"),
+    pytest.param(lambda f: f.update(labels=[(1, 0), (2, 1), (3, 2)]),
+                 "covers 3 frames, manifest says 4", id="labels-short"),
+    pytest.param(lambda f: f.update(labels=[(1, 0), (20_000_000, 1)]),
+                 "line 3: frame index 20000000 past the manifest's 4 frames",
+                 id="label-frame-past-n-frames"),
+]
+
+
+class TestSharedChecks:
+    """load_video and prepare reject each malformed input with one message."""
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED)
+    def test_load_video_and_prepare_agree(self, tmp_path, capsys, mutate, message):
+        manifest_path, config_path = write_one_video_dataset(tmp_path, mutate)
+        config = ExperimentConfig.from_json(read_json(str(config_path)))
+        entry = load_manifest(str(manifest_path)).video("v")
+        with pytest.raises(DataFormatError, match=message) as caught:
+            load_video(entry, config.registry(), config.visual_features, config.audio_features)
+        assert run_cli("prepare", "--manifest", manifest_path, "--out", tmp_path / "out",
+                       "--config", config_path) == 2
+        assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+    def test_unmutated_dataset_loads_and_prepares(self, tmp_path):
+        manifest_path, config_path = write_one_video_dataset(tmp_path, lambda files: None)
+        config = ExperimentConfig.from_json(read_json(str(config_path)))
+        entry = load_manifest(str(manifest_path)).video("v")
+        video = load_video(entry, config.registry(), config.visual_features,
+                           config.audio_features)
+        assert video.features.shape == (4, 12)
+        assert run_cli("prepare", "--manifest", manifest_path, "--out", tmp_path / "out",
+                       "--config", config_path) == 0
 
 
 class TestTrainPredictEvaluate:

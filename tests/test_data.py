@@ -231,8 +231,8 @@ class TestSegmentation:
 
     def test_video_segments_carry_labels_and_mask(self):
         labels = np.array([0, 1, -1, 2, 3])
-        video = VideoData("v", labels,
-                          np.ones((5, 2), np.float32), np.zeros((5, 1), np.float32))
+        video = VideoData("v", labels, np.hstack([np.ones((5, 2), np.float32),
+                                                  np.zeros((5, 1), np.float32)]))
         segs = video.segments(seg_len=3, stride=3)
         assert [(s.start, s.end) for s in segs] == [(1, 3), (4, 5)]
         assert segs[0].labels.tolist() == [0, 1, -1]

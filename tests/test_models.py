@@ -41,7 +41,7 @@ class TestFusionLayer:
         g = Graph()
         vis = Tensor(np.arange(8.0).reshape(2, 4))
         aud = Tensor(np.arange(4.0).reshape(2, 2) + 100)
-        out = layer.fuse(g, vis, aud)
+        out = layer.apply(g, g.concat([vis, aud], axis=1))
         np.testing.assert_array_equal(out.data, np.hstack([vis.data, aud.data]))
 
     def test_zero_weight_maps_every_frame_to_bias(self):

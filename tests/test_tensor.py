@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmexpr import AdamState, Graph, ShapeError, Tensor, adam_step, backward, forward_op
+from mmexpr import AdamState, Graph, ShapeError, Tensor, adam_step, backward
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 
 from tests import _reference as ref
@@ -63,7 +63,7 @@ class TestForward:
     def test_unknown_kind_rejected(self):
         g = Graph()
         with pytest.raises(ValueError, match="unknown op"):
-            forward_op(g, "conv", (Tensor(np.zeros(2)),))
+            g.apply("conv", (Tensor(np.zeros(2)),))
 
     def test_bias_add_broadcast(self):
         g = Graph()
