@@ -6,6 +6,7 @@ dimension, and the data as raw 32-bit floats in row-major order.
 """
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -55,13 +56,20 @@ def load_checkpoint(path: str) -> dict:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", view, offset)
             offset += 4
-            name = bytes(view[offset:offset + name_len]).decode("utf-8")
+            try:
+                name = bytes(view[offset:offset + name_len]).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
             offset += name_len
             (rank,) = struct.unpack_from("<I", view, offset)
             offset += 4
             dims = struct.unpack_from(f"<{rank}I", view, offset)
             offset += 4 * rank
-            n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            n = math.prod(dims)
+            if offset + 4 * n > len(raw):
+                raise DataFormatError(
+                    f"{path}: truncated checkpoint: parameter {name!r} of shape {dims} "
+                    f"needs {4 * n} bytes, {len(raw) - offset} left")
             data = np.frombuffer(view, dtype="<f4", count=n, offset=offset)
             offset += 4 * n
             params[name] = data.reshape(dims).copy()

@@ -39,6 +39,9 @@ class PredictionTrack:
         if n:
             if self.labels.min() < 0 or self.labels.max() >= NUM_CLASSES:
                 raise ValueError("prediction label outside 0..7")
+            # both checks below read False for NaN, so non-finite values go first
+            if not np.isfinite(self.probs).all():
+                raise ValueError("non-finite probability")
             if self.probs.min() < 0:
                 raise ValueError("negative probability")
             sums = self.probs.sum(axis=1)

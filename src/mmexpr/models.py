@@ -172,29 +172,18 @@ class LstmEncoder:
 
         Returns (per-frame hidden outputs of the top layer, new per-layer state).
         """
-        frames_in = x
-        h_dim = self.hidden
+        frames = x
         new_states = []
         for li, (w_in, w_state, bias) in enumerate(self.weights):
             if carry is None:
-                h = Tensor(np.zeros((1, h_dim), DTYPE))
-                c = Tensor(np.zeros((1, h_dim), DTYPE))
+                h = Tensor(np.zeros((1, self.hidden), DTYPE))
+                c = Tensor(np.zeros((1, self.hidden), DTYPE))
             else:
                 h, c = carry[li]
-            pre = _affine(g, frames_in, w_in, bias)  # input projection for all frames at once
-            frames_out = []
-            for t in range(pre.shape[0]):
-                z = g.add(g.slice(pre, 0, t, t + 1), g.matmul(h, w_state))
-                gate_in = g.sigmoid(g.slice(z, 1, 0, h_dim))
-                gate_forget = g.sigmoid(g.slice(z, 1, h_dim, 2 * h_dim))
-                candidate = g.tanh(g.slice(z, 1, 2 * h_dim, 3 * h_dim))
-                gate_out = g.sigmoid(g.slice(z, 1, 3 * h_dim, 4 * h_dim))
-                c = g.add(g.mul(gate_forget, c), g.mul(gate_in, candidate))
-                h = g.mul(gate_out, g.tanh(c))
-                frames_out.append(h)
-            frames_in = g.concat(frames_out, axis=0) if len(frames_out) > 1 else frames_out[0]
-            new_states.append((h, c))
-        return frames_in, new_states
+            pre = _affine(g, frames, w_in, bias)  # input projection for all frames at once
+            frames, c = g.lstm_seq(pre, w_state, h, c)
+            new_states.append((Tensor(frames.data[-1:]), c))
+        return frames, new_states
 
     def encode_segment(self, g: Graph, video_id: str, seg_index: int, x: Tensor) -> Tensor:
         """Forward one segment of a video, enforcing segment order and carrying state."""

@@ -80,7 +80,7 @@ class Graph:
     def __init__(self, record: bool = True):
         self.nodes: list[Node] = []
         self.record = record
-        self._nan_checked: set[int] = set()
+        self._nan_checked: dict[int, Tensor] = {}
 
     # -- generic entry point -------------------------------------------------
 
@@ -102,15 +102,19 @@ class Graph:
         return out
 
     def _reject_nan(self, kind, t: Tensor):
-        # np.min propagates NaN, so one scan detects it; memoized per graph
-        # because parameters recur in every op of a step.
+        # np.min propagates NaN, so one scan detects it. Tensors that require
+        # grad (parameters, taped outputs) recur in many ops of a step and are
+        # memoized by id; the memo holds each one, so its id cannot pass to a
+        # later, unchecked tensor. Other inputs are scanned on every use, as
+        # holding them would keep every inference intermediate alive.
         key = id(t)
         if key in self._nan_checked:
             return
         if t.data.size and math.isnan(float(np.min(t.data))):
             raise ValueError(f"{kind}: NaN in input tensor"
                              + (f" {t.name!r}" if t.name else ""))
-        self._nan_checked.add(key)
+        if t.requires_grad:
+            self._nan_checked[key] = t
 
     # -- op shorthands --------------------------------------------------------
 
@@ -161,6 +165,17 @@ class Graph:
 
     def mean(self, x):
         return self.apply("mean", (x,))
+
+    def lstm_seq(self, pre, state_weight, h0, c0):
+        """LSTM recurrence over the frames of ``pre`` (the input projection plus
+        bias, gate order i, f, g, o).
+
+        Returns the (T, H) hidden sequence and the final cell state, a
+        grad-free (1, H) Tensor.
+        """
+        cell = np.empty(c0.shape, DTYPE)
+        hidden = self.apply("lstm_seq", (pre, state_weight, h0, c0), cell_out=cell)
+        return hidden, Tensor(cell)
 
     def backward(self, loss: Tensor):
         backward(loss, self)
@@ -294,14 +309,19 @@ def _op_concat(inputs, attrs):
     return np.concatenate([t.data for t in inputs], axis=axis), bw
 
 
+def _sigmoid(x, out=None):
+    """Logistic function as tanh(x / 2) / 2 + 1/2: one transcendental and no
+    overflow for any finite or infinite input."""
+    out = np.multiply(x, DTYPE(0.5), out=out)
+    np.tanh(out, out=out)
+    out *= DTYPE(0.5)
+    out += DTYPE(0.5)
+    return out
+
+
 def _op_sigmoid(inputs, attrs):
     (x,) = _arity(inputs, 1, "sigmoid")
-    xd = x.data
-    out = np.empty_like(xd)
-    pos = xd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(x.data)
 
     def bw(g):
         return (g * out * (1.0 - out),)
@@ -469,6 +489,76 @@ def _op_mean(inputs, attrs):
     return np.asarray(x.data.mean(dtype=DTYPE)), bw
 
 
+def _op_lstm_seq(inputs, attrs):
+    """LSTM over T frames: z_t = pre_t + h_{t-1} W, gates i, f, o = sigmoid and
+    g = tanh of z_t's quarters, c_t = f c_{t-1} + i g, h_t = o tanh(c_t).
+
+    The final cell state is written to ``attrs["cell_out"]`` when given. The
+    backward pass runs BPTT once over the kept gates and forms the recurrent
+    weight's gradient as one (H, T) @ (T, 4H) product.
+    """
+    pre, weight, h0, c0 = _arity(inputs, 4, "lstm_seq")
+    h_dim = weight.shape[0] if weight.data.ndim == 2 else 0
+    if (pre.data.ndim != 2 or pre.shape[0] == 0 or h_dim == 0
+            or weight.shape != (h_dim, 4 * h_dim) or pre.shape[1] != 4 * h_dim
+            or h0.shape != (1, h_dim) or c0.shape != (1, h_dim)):
+        raise ShapeError(
+            f"lstm_seq: expects pre (T>0, 4H), state weight (H, 4H), h0 and c0 (1, H); "
+            f"got {pre.shape}, {weight.shape}, {h0.shape}, {c0.shape}")
+    steps = pre.shape[0]
+    pre_d, wd = pre.data, weight.data
+    gates = np.empty((steps, 4, h_dim), DTYPE)   # activated i, f, g, o per frame
+    hidden = np.empty((steps + 1, h_dim), DTYPE)  # row t holds h_{t-1}
+    cells = np.empty((steps + 1, h_dim), DTYPE)   # row t holds c_{t-1}
+    tanh_c = np.empty((steps, h_dim), DTYPE)
+    hidden[0] = h0.data[0]
+    cells[0] = c0.data[0]
+    z = np.empty((4, h_dim), DTYPE)
+    z_flat = z.reshape(-1)
+    for t in range(steps):
+        np.matmul(hidden[t], wd, out=z_flat)
+        z_flat += pre_d[t]
+        a = gates[t]
+        _sigmoid(z, out=a)  # one call for all four rows; g's row is redone as tanh
+        np.tanh(z[2], out=a[2])
+        c = cells[t + 1]
+        np.multiply(a[1], cells[t], out=c)
+        c += a[0] * a[2]
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(a[3], tanh_c[t], out=hidden[t + 1])
+    cell_out = attrs.get("cell_out")
+    if cell_out is not None:
+        cell_out[...] = cells[-1:]
+    needs = tuple(t.requires_grad for t in inputs)
+
+    def bw(g):
+        i, f, cand, o = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+        deriv = gates * (1.0 - gates)  # sigmoid'; the candidate row is replaced by tanh'
+        deriv[:, 2] = 1.0 - cand * cand
+        # dz for (i, f, g) is dc times these; dz for o is dh times o_factor
+        c_factor = np.stack([cand, cells[:-1], i], axis=1) * deriv[:, :3]
+        o_factor = tanh_c * deriv[:, 3]
+        h_to_c = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((steps, 4, h_dim), DTYPE)
+        dh = np.zeros(h_dim, DTYPE)
+        dc = np.zeros(h_dim, DTYPE)
+        w_t = wd.T
+        for t in range(steps - 1, -1, -1):
+            dh += g[t]
+            dc += dh * h_to_c[t]
+            np.multiply(c_factor[t], dc, out=dz[t, :3])
+            np.multiply(o_factor[t], dh, out=dz[t, 3])
+            dc *= f[t]
+            dh = dz[t].reshape(-1) @ w_t
+        dz = dz.reshape(steps, 4 * h_dim)
+        return (dz if needs[0] else None,
+                hidden[:-1].T @ dz if needs[1] else None,
+                dh.reshape(1, h_dim) if needs[2] else None,
+                dc.reshape(1, h_dim) if needs[3] else None)
+
+    return hidden[1:], bw
+
+
 def _arity(inputs, n, kind):
     if len(inputs) != n:
         raise ShapeError(f"{kind}: expects {n} input(s), got {len(inputs)}")
@@ -492,4 +582,5 @@ _OP_TABLE = {
     "transpose": _op_transpose,
     "sum": _op_sum,
     "mean": _op_mean,
+    "lstm_seq": _op_lstm_seq,
 }

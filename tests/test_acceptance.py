@@ -102,6 +102,14 @@ class TestCriterion1GradientSuite:
                  lambda g, t, r: g.slice(t["x"], 0, 1, 5), lambda p: p["x"][1:5])
         add_case("transpose", lambda r: {"x": r.normal(size=(4, 6))},
                  lambda g, t, r: g.transpose(t["x"]), lambda p: p["x"].T)
+        # the oracle's identity input weight and zero bias make its input
+        # projection pass the op's pre-activations through unchanged
+        add_case("lstm_seq",
+                 lambda r: {"pre": r.normal(size=(5, 16)), "w": r.normal(size=(4, 16)),
+                            "h0": r.uniform(-1, 1, (1, 4)), "c0": r.normal(size=(1, 4))},
+                 lambda g, t, r: g.lstm_seq(t["pre"], t["w"], t["h0"], t["c0"])[0],
+                 lambda p: ref.lstm_forward(p["pre"], [(np.eye(16), p["w"], np.zeros(16))],
+                                            h0=[p["h0"]], c0=[p["c0"]])[0])
 
         for name, make_params, build_graph, reference in op_cases:
             for _ in range(20):

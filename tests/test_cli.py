@@ -328,6 +328,30 @@ class TestExitCodes:
         assert run_cli("evaluate", "--predictions", tmp_path,
                        "--manifest", missing, "--out", tmp_path / "r.json") == 2
 
+    def test_nan_probability_exits_2(self, synth_dir, tmp_path, capsys):
+        manifest = load_manifest(str(synth_dir / "manifest.json"))
+        member_dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in member_dirs:
+            os.makedirs(d)
+            for entry in manifest.videos:
+                labels = load_labels(entry.label_file).labels
+                probs = np.full((len(labels), 8), 1 / 8)
+                write_predictions(PredictionTrack(entry.video_id, labels, probs),
+                                  str(d / f"{entry.video_id}.csv"))
+        bad = member_dirs[1] / f"{manifest.videos[0].video_id}.csv"
+        lines = bad.read_text().splitlines()
+        lines[1] = "1,0,nan,0,0,0,0,0,0,0"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("evaluate", "--predictions", member_dirs[1],
+                       "--manifest", synth_dir / "manifest.json",
+                       "--out", tmp_path / "r.json") == 2
+        assert "non-finite probability" in capsys.readouterr().err
+        spec_path = tmp_path / "ensemble.json"
+        write_json(str(spec_path), {"members": [str(d) for d in member_dirs]})
+        assert run_cli("ensemble", "--spec", spec_path, "--out", tmp_path / "fused") == 2
+        assert "non-finite probability" in capsys.readouterr().err
+
     def test_numeric_failure_is_3(self, synth_dir, tmp_path, capsys):
         doc = small_config_doc(manifest=str(synth_dir / "manifest.json"),
                                out=str(tmp_path / "run"), epochs=2, lr=1e25)

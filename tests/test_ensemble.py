@@ -123,6 +123,13 @@ class TestPredictionTrackInvariants:
         with pytest.raises(ValueError, match="negative"):
             PredictionTrack("v", np.array([0]), row[None, :] / row.sum())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        probs = np.full((2, 8), 1 / 8)
+        probs[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PredictionTrack("v", np.array([0, 0]), probs)
+
     def test_from_probs_argmax_consistent(self):
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(8), size=10)
@@ -163,6 +170,13 @@ class TestPredictionFiles:
         lines[2] = lines[2].replace(",", ";", 1)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="line 3"):
+            read_predictions(str(path))
+
+    def test_nan_probability_rejected(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text(",".join(["frame", "pred"] + [f"prob_{c}" for c in range(8)])
+                        + "\n1,0,nan,0,0,0,0,0,0,0\n")
+        with pytest.raises(DataFormatError, match="non-finite"):
             read_predictions(str(path))
 
     def test_frame_indices_must_be_dense(self, tmp_path):

@@ -1,9 +1,12 @@
 """Models: fusion semantics, LSTM carryover, transformer independence, head."""
 
+import os
+
 import numpy as np
 import pytest
 
 from mmexpr import Graph, Tensor, backward
+from mmexpr.checkpoint import load_checkpoint
 from mmexpr.data import segment_video
 from mmexpr.models import (
     ClassificationHead,
@@ -140,6 +143,40 @@ class TestLstmEncoder:
         enc.encode_segment(g, "v", 2, Tensor(x))
         again = enc.encode_segment(g, "v", 1, Tensor(x)).data
         np.testing.assert_array_equal(first, again)
+
+    def test_segment_tape_holds_one_fused_op_per_layer(self):
+        rng = np.random.default_rng(8)
+        enc = LstmEncoder(4, LstmSettings(hidden=5, layers=2), rng, {})
+        x = Tensor(rng.normal(size=(7, 4)))
+        for seg_index in (1, 2):
+            g = Graph()
+            enc.encode_segment(g, "v", seg_index, x)
+            assert [n.kind for n in g.nodes] == ["matmul", "add", "lstm_seq"] * 2
+
+    def test_per_frame_checkpoint_predicts_the_same(self):
+        """``fixtures/lstm_per_frame.*`` were written by the per-frame LSTM
+        graph (slice, sigmoid, tanh, mul and add nodes per frame) that the
+        fused ``lstm_seq`` op replaced: a two-layer checkpoint, ten frames of
+        features, and that code's encoder outputs and logits over three
+        carried segments of four frames."""
+        base = os.path.join(os.path.dirname(__file__), "fixtures", "lstm_per_frame")
+        stored = np.load(base + ".npz")
+        cfg = ModelConfig(encoder="lstm", d_model=8, head=(6, 4), seg_len=4, stride=4)
+        cfg.lstm = LstmSettings(hidden=6, layers=2)
+        model = build_model(cfg, input_dim=5, seed=0).load_state(load_checkpoint(base + ".ckpt"))
+        features = stored["features"]
+        logits, encoded = [], []
+        for span in segment_video(len(features), 4, 4):
+            g = Graph(record=False)
+            x = features[span.start - 1:span.end]
+            logits.append(model.eval_logits(g, x, "v", span.index).data)
+            fused = model.fusion.apply(g, Tensor(x))
+            encoded.append(model.encoder.encode_segment(g, "w", span.index, fused).data)
+        np.testing.assert_allclose(np.vstack(encoded), stored["encoded"], rtol=0, atol=1e-5)
+        np.testing.assert_allclose(np.vstack(logits), stored["logits"], rtol=0, atol=1e-5)
+        expected = ref.model_logits({k: p.data for k, p in model.parameters().items()},
+                                    "lstm", features, lstm_layers=2)
+        np.testing.assert_allclose(np.vstack(logits), expected, rtol=0, atol=1e-5)
 
 
 class TestTransformerEncoder:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmexpr import AdamState, Graph, ShapeError, Tensor, adam_step, backward
+from mmexpr import AdamState, DataFormatError, Graph, ShapeError, Tensor, adam_step, backward
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 
 from tests import _reference as ref
@@ -59,6 +59,55 @@ class TestForward:
         bad = Tensor(np.array([1.0, np.nan]))
         with pytest.raises(ValueError, match="NaN"):
             g.relu(bad)
+
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_nan_rejected_in_every_fresh_tensor(self, requires_grad):
+        # each clean tensor is checked, then dropped; its id is free for the
+        # NaN tensor made next, so an id-keyed memo must hold what it checked
+        g = Graph(record=False)
+        raised = 0
+        for _ in range(200):
+            g.relu(Tensor(np.array([1.0, 2.0]), requires_grad=requires_grad))
+            try:
+                g.relu(Tensor(np.array([1.0, np.nan]), requires_grad=requires_grad))
+            except ValueError:
+                raised += 1
+        assert raised == 200
+
+    def test_lstm_seq_saturated_gates_stay_finite(self):
+        rng = np.random.default_rng(9)
+        steps, hidden = 6, 4
+        signs = rng.choice([-1.0, 1.0], (steps, 4 * hidden))
+        pre = Tensor(signs * rng.uniform(31.0, 80.0, (steps, 4 * hidden)), requires_grad=True)
+        # |h W| <= 0.4 keeps every pre-activation |z| above 30
+        weight = Tensor(rng.uniform(-0.1, 0.1, (hidden, 4 * hidden)), requires_grad=True)
+        h0 = Tensor(rng.uniform(-1, 1, (1, hidden)), requires_grad=True)
+        c0 = Tensor(rng.normal(size=(1, hidden)), requires_grad=True)
+        g = Graph()
+        out, cell = g.lstm_seq(pre, weight, h0, c0)
+        assert np.isfinite(out.data).all() and np.isfinite(cell.data).all()
+        expected, states = ref.lstm_forward(
+            pre.data, [(np.eye(4 * hidden), weight.data, np.zeros(4 * hidden))],
+            h0=[h0.data], c0=[c0.data])
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(cell.data[0], states[0][1], rtol=0, atol=1e-5)
+        backward(g.sum(out), g)
+        for t in (pre, weight, h0, c0):
+            assert np.isfinite(t.grad).all()
+
+    def test_lstm_seq_shape_checks(self):
+        g = Graph()
+        ok = (Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 8))),
+              Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
+        g.lstm_seq(*ok)
+        for i, bad in enumerate((np.zeros((3, 6)), np.zeros((2, 6)), np.zeros((1, 3)),
+                                 np.zeros(2))):
+            args = list(ok)
+            args[i] = Tensor(bad)
+            with pytest.raises(ShapeError, match="lstm_seq"):
+                g.lstm_seq(*args)
+        with pytest.raises(ShapeError, match="T>0"):
+            g.lstm_seq(Tensor(np.zeros((0, 8))), *ok[1:])
 
     def test_unknown_kind_rejected(self):
         g = Graph()
@@ -314,6 +363,23 @@ class TestCheckpoint:
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(str(path))
+
+    def test_payload_shorter_than_dims_rejected(self, tmp_path):
+        raw = checkpoint_bytes({"w": np.ones((8, 8), np.float32)})
+        # rewrite the first dim from 8 to 9: the header now asks for 72 floats
+        dims_at = 4 + 8 + 4 + 1 + 4
+        path = tmp_path / "dims.ckpt"
+        path.write_bytes(raw[:dims_at] + (9).to_bytes(4, "little") + raw[dims_at + 4:])
+        with pytest.raises(DataFormatError, match="dims.ckpt"):
+            load_checkpoint(str(path))
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        raw = checkpoint_bytes({"w": np.ones(2, np.float32)})
+        name_at = 4 + 8 + 4
+        path = tmp_path / "name.ckpt"
+        path.write_bytes(raw[:name_at] + b"\xff" + raw[name_at + 1:])
+        with pytest.raises(DataFormatError, match="name.ckpt"):
             load_checkpoint(str(path))
 
     def test_truncation_rejected(self, tmp_path):
