@@ -6,7 +6,7 @@ training with Adam, macro-F1 evaluation, and vote-based ensembling of
 prediction files.
 """
 
-from .errors import DataFormatError, NumericError, ShapeError
+from .errors import DataFormatError, NonFiniteError, NumericError, ShapeError
 from .tensor import DTYPE, Graph, Tensor, backward
 from .optim import AdamState, adam_step
 
@@ -15,5 +15,5 @@ __version__ = "0.1.0"
 __all__ = [
     "DTYPE", "Graph", "Tensor", "backward",
     "AdamState", "adam_step",
-    "DataFormatError", "NumericError", "ShapeError",
+    "DataFormatError", "NonFiniteError", "NumericError", "ShapeError",
 ]

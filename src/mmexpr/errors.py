@@ -11,3 +11,7 @@ class DataFormatError(ValueError):
 
 class NumericError(RuntimeError):
     """A numeric failure (NaN/Inf) was detected during computation."""
+
+
+class NonFiniteError(ValueError):
+    """An op input holds NaN; raised by the tape before the op runs."""

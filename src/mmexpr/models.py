@@ -269,30 +269,26 @@ class TransformerEncoder:
             return g.dropout(x, self.dropout, rng=rng)
         return x
 
-    def forward(self, g: Graph, x: Tensor, rng=None, train: bool = False,
-                return_attention: bool = False):
+    def _split_heads(self, g, x, layer, role, axes):
+        """The ``role`` projection of ``x`` as a (heads, ...) stack laid out by ``axes``."""
+        projected = _affine(g, x, layer[role + "_w"], layer[role + "_b"])
+        return g.transpose(g.reshape(projected, (x.shape[0], self.heads, self.head_dim)), axes)
+
+    def forward(self, g: Graph, x: Tensor, rng=None, train: bool = False):
         window = x.shape[0]
         if window > self.seg_len:
             raise ShapeError(f"segment window {window} exceeds segment length "
                              f"{self.seg_len}")
         if self.pe is not None:
             x = g.add(x, Tensor(self.pe[:window]))
-        attention_maps = []
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
         for layer in self.layers:
-            q = _affine(g, x, layer["query_w"], layer["query_b"])
-            k = _affine(g, x, layer["key_w"], layer["key_b"])
-            v = _affine(g, x, layer["value_w"], layer["value_b"])
-            contexts = []
-            for h in range(self.heads):
-                lo, hi = h * self.head_dim, (h + 1) * self.head_dim
-                qh = g.slice(q, 1, lo, hi)
-                kh = g.slice(k, 1, lo, hi)
-                vh = g.slice(v, 1, lo, hi)
-                attention = g.softmax(g.scale(g.matmul(qh, g.transpose(kh)), inv_sqrt))
-                attention_maps.append(attention)
-                contexts.append(g.matmul(self._drop(g, attention, rng, train), vh))
-            merged = g.concat(contexts, axis=1)
+            q = self._split_heads(g, x, layer, "query", (1, 0, 2))  # (H, L, d_h)
+            k = self._split_heads(g, x, layer, "key", (1, 2, 0))    # (H, d_h, L)
+            v = self._split_heads(g, x, layer, "value", (1, 0, 2))  # (H, L, d_h)
+            attention = g.softmax(g.scale(g.matmul(q, k), inv_sqrt))
+            context = g.matmul(self._drop(g, attention, rng, train), v)
+            merged = g.reshape(g.transpose(context, (1, 0, 2)), (window, self.d_model))
             projected = self._drop(g, _affine(g, merged, layer["out_w"], layer["out_b"]),
                                    rng, train)
             x = g.layer_norm(g.add(x, projected), layer["norm1_gain"], layer["norm1_shift"])
@@ -301,8 +297,6 @@ class TransformerEncoder:
             ffn = self._drop(g, _affine(g, mid, layer["ffn_out_w"], layer["ffn_out_b"]),
                              rng, train)
             x = g.layer_norm(g.add(x, ffn), layer["norm2_gain"], layer["norm2_shift"])
-        if return_attention:
-            return x, attention_maps
         return x
 
     @property

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 DTYPE = np.float32
 
@@ -111,8 +111,8 @@ class Graph:
         if key in self._nan_checked:
             return
         if t.data.size and math.isnan(float(np.min(t.data))):
-            raise ValueError(f"{kind}: NaN in input tensor"
-                             + (f" {t.name!r}" if t.name else ""))
+            raise NonFiniteError(f"{kind}: NaN in input tensor"
+                                 + (f" {t.name!r}" if t.name else ""))
         if t.requires_grad:
             self._nan_checked[key] = t
 
@@ -133,12 +133,6 @@ class Graph:
     def concat(self, tensors, axis: int = 0):
         return self.apply("concat", tuple(tensors), axis=axis)
 
-    def sigmoid(self, x):
-        return self.apply("sigmoid", (x,))
-
-    def tanh(self, x):
-        return self.apply("tanh", (x,))
-
     def relu(self, x):
         return self.apply("relu", (x,))
 
@@ -154,17 +148,14 @@ class Graph:
     def layer_norm(self, x, gain, shift, eps: float = 1e-5):
         return self.apply("layer_norm", (x, gain, shift), eps=eps)
 
-    def slice(self, x, axis: int, start: int, stop: int):
-        return self.apply("slice", (x,), axis=axis, start=start, stop=stop)
+    def reshape(self, x, shape):
+        return self.apply("reshape", (x,), shape=shape)
 
     def transpose(self, x, axes=None):
         return self.apply("transpose", (x,), axes=axes)
 
     def sum(self, x):
         return self.apply("sum", (x,))
-
-    def mean(self, x):
-        return self.apply("mean", (x,))
 
     def lstm_seq(self, pre, state_weight, h0, c0):
         """LSTM recurrence over the frames of ``pre`` (the input projection plus
@@ -228,17 +219,21 @@ def backward(loss: Tensor, graph: Graph) -> None:
 
 
 def _op_matmul(inputs, attrs):
+    """(m, k) @ (k, n), or a stack of them: (B, m, k) @ (B, k, n)."""
     a, b = _arity(inputs, 2, "matmul")
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim:
+        raise ShapeError(
+            f"matmul: expects two 2-D or two 3-D operands, got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: batch sizes differ: {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     na, nb = a.requires_grad, b.requires_grad
 
     def bw(g):
-        ga = g @ bd.T if na else None
-        gb = ad.T @ g if nb else None
+        ga = g @ bd.swapaxes(-1, -2) if na else None
+        gb = ad.swapaxes(-1, -2) @ g if nb else None
         return ga, gb
 
     return ad @ bd, bw
@@ -317,26 +312,6 @@ def _sigmoid(x, out=None):
     out *= DTYPE(0.5)
     out += DTYPE(0.5)
     return out
-
-
-def _op_sigmoid(inputs, attrs):
-    (x,) = _arity(inputs, 1, "sigmoid")
-    out = _sigmoid(x.data)
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return out, bw
-
-
-def _op_tanh(inputs, attrs):
-    (x,) = _arity(inputs, 1, "tanh")
-    out = np.tanh(x.data)
-
-    def bw(g):
-        return (g * (1.0 - out * out),)
-
-    return out, bw
 
 
 def _op_relu(inputs, attrs):
@@ -431,24 +406,18 @@ def _op_layer_norm(inputs, attrs):
     return normed * gain.data + shift.data, bw
 
 
-def _op_slice(inputs, attrs):
-    (x,) = _arity(inputs, 1, "slice")
-    axis, start, stop = int(attrs["axis"]), int(attrs["start"]), int(attrs["stop"])
-    ndim = x.data.ndim
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"slice: axis {axis} out of range for shape {x.shape}")
-    axis %= ndim
-    if not 0 <= start < stop <= x.shape[axis]:
-        raise ShapeError(f"slice: range [{start}, {stop}) invalid for shape {x.shape} axis {axis}")
-    index = tuple(slice(None) if i != axis else slice(start, stop) for i in range(ndim))
+def _op_reshape(inputs, attrs):
+    # the output may be a view of the input; no op writes into its inputs
+    (x,) = _arity(inputs, 1, "reshape")
+    shape = tuple(int(n) for n in attrs["shape"])
+    if min(shape, default=0) < 0 or math.prod(shape) != x.size:
+        raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}")
     xshape = x.shape
 
     def bw(g):
-        gx = np.zeros(xshape, dtype=DTYPE)
-        gx[index] = g
-        return (gx,)
+        return (g.reshape(xshape),)
 
-    return x.data[index].copy(), bw
+    return x.data.reshape(shape), bw
 
 
 def _op_transpose(inputs, attrs):
@@ -476,17 +445,6 @@ def _op_sum(inputs, attrs):
         return (np.full(shape, g, dtype=DTYPE),)
 
     return np.asarray(x.data.sum(dtype=DTYPE)), bw
-
-
-def _op_mean(inputs, attrs):
-    (x,) = _arity(inputs, 1, "mean")
-    shape = x.shape
-    inv_n = DTYPE(1.0 / x.size)
-
-    def bw(g):
-        return (np.full(shape, g * inv_n, dtype=DTYPE),)
-
-    return np.asarray(x.data.mean(dtype=DTYPE)), bw
 
 
 def _op_lstm_seq(inputs, attrs):
@@ -571,16 +529,13 @@ _OP_TABLE = {
     "mul": _op_mul,
     "scale": _op_scale,
     "concat": _op_concat,
-    "sigmoid": _op_sigmoid,
-    "tanh": _op_tanh,
     "relu": _op_relu,
     "softmax": _op_softmax,
     "log_softmax": _op_log_softmax,
     "dropout": _op_dropout,
     "layer_norm": _op_layer_norm,
-    "slice": _op_slice,
+    "reshape": _op_reshape,
     "transpose": _op_transpose,
     "sum": _op_sum,
-    "mean": _op_mean,
     "lstm_seq": _op_lstm_seq,
 }

@@ -30,7 +30,7 @@ from .data import (
     save_labels,
     write_feature_file,
 )
-from .errors import DataFormatError, NumericError
+from .errors import DataFormatError, NonFiniteError, NumericError
 from .evaluation import evaluate_tracks
 from .fileio import atomic_write_text, write_json
 from .models import ExpressionModel, ModelConfig, settings_from_json
@@ -319,11 +319,8 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
                     g.concat(firsts, axis=0) if len(firsts) > 1 else firsts[0],
                     g.concat(seconds, axis=0) if len(seconds) > 1 else seconds[0],
                     np.concatenate(labels), np.concatenate(masks), alpha)
-            except ValueError as exc:
-                if "NaN" in str(exc):
-                    raise NumericError(
-                        f"NaN at epoch {epoch} batch {batch_idx}: {exc}") from exc
-                raise
+            except NonFiniteError as exc:
+                raise NumericError(f"NaN at epoch {epoch} batch {batch_idx}: {exc}") from exc
             if loss is None:
                 continue  # every frame masked; the batch contributes nothing
             value = loss.item()

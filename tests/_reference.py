@@ -239,7 +239,8 @@ def model_logits(params, encoder, x, *, lstm_layers=1, trm_layers=4, heads=4,
 def split_dropout_masks(flat, trm_layers, heads, head_stages):
     """Group a tape-ordered flat mask list into (enc, head) structures per pass.
 
-    Tape order per pass is: for each encoder layer, att heads then proj, mid,
+    Tape order per pass is: for each encoder layer, one (heads, L, L)
+    attention mask, unstacked here to att0..att{heads-1}, then proj, mid,
     out; then the head's per-stage masks. The LSTM encoder contributes no
     masks. The LSTM path shares one encode, so its flat list holds only the
     two head groups.
@@ -249,7 +250,9 @@ def split_dropout_masks(flat, trm_layers, heads, head_stages):
     def enc_group():
         groups = []
         for _ in range(trm_layers):
-            d = {f"att{h}": next(it) for h in range(heads)}
+            att = next(it)
+            assert att.ndim == 3 and att.shape[0] == heads, f"attention mask {att.shape}"
+            d = {f"att{h}": att[h] for h in range(heads)}
             d["proj"] = next(it)
             d["mid"] = next(it)
             d["out"] = next(it)

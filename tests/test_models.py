@@ -203,13 +203,54 @@ class TestTransformerEncoder:
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
         enc, _ = self.make(rng)
-        g = Graph(record=False)
-        _, maps = enc.forward(g, Tensor(rng.normal(size=(7, 8))), return_attention=True)
-        assert len(maps) == 2 * 2  # layers * heads
+        g = Graph()
+        enc.forward(g, Tensor(rng.normal(size=(7, 8))))
+        maps = [n.output for n in g.nodes if n.kind == "softmax"]
+        assert len(maps) == 2  # one (heads, L, L) stack per layer
         for att in maps:
-            assert att.shape == (7, 7)
+            assert att.shape == (2, 7, 7)
             np.testing.assert_allclose(att.data.sum(axis=-1), 1.0, atol=1e-5)
             assert (att.data >= 0).all()
+
+    def test_layer_tape_runs_all_heads_as_one_stack(self):
+        rng = np.random.default_rng(14)
+        enc, _ = self.make(rng, layers=2, heads=2, dropout=0.3)
+        x = Tensor(rng.normal(size=(6, 8)))
+        g = Graph()
+        for _ in range(2):  # two training passes, as RDrop runs them
+            enc.forward(g, x, rng=rng, train=True)
+        split = ["matmul", "add", "reshape", "transpose"]
+        layer = (split * 3
+                 + ["matmul", "scale", "softmax", "dropout", "matmul", "transpose", "reshape"]
+                 + ["matmul", "add", "dropout", "add", "layer_norm"]
+                 + ["matmul", "add", "relu", "dropout", "matmul", "add", "dropout", "add",
+                    "layer_norm"])
+        assert [n.kind for n in g.nodes] == layer * 2 * 2
+        softmax_out = {id(n.output) for n in g.nodes if n.kind == "softmax"}
+        attention_drops = [n for n in g.nodes
+                           if n.kind == "dropout" and id(n.inputs[0]) in softmax_out]
+        assert len(softmax_out) == len(attention_drops) == 2 * 2
+        assert all(n.attrs["mask_used"].shape == (2, 6, 6) for n in attention_drops)
+
+    def test_per_head_checkpoint_predicts_the_same(self):
+        """``fixtures/trm_per_head.*`` were written by the per-head attention
+        code (slice, transpose, matmul, softmax and dropout nodes per head,
+        then a concat) that the (heads, L, d_h) stack replaced: a two-layer,
+        two-head checkpoint, eight frames of features, that code's eval logits
+        for a full five-frame window and a short three-frame one, and its two
+        training-pass logits on the full window under dropout seed 11."""
+        base = os.path.join(os.path.dirname(__file__), "fixtures", "trm_per_head")
+        stored = np.load(base + ".npz")
+        cfg = tiny_config("transformer", seg_len=5, stride=5, d_model=8, ffn_dim=12,
+                          head=(6, 4))
+        model = build_model(cfg, input_dim=5, seed=0).load_state(load_checkpoint(base + ".ckpt"))
+        full, short = stored["features"][:5], stored["features"][5:]
+        for features, key in ((full, "eval_full"), (short, "eval_short")):
+            logits = model.eval_logits(Graph(record=False), features, "v", 1).data
+            np.testing.assert_allclose(logits, stored[key], rtol=0, atol=1e-6)
+        first, second = model.two_pass_logits(Graph(), full, "v", 1, np.random.default_rng(11))
+        np.testing.assert_allclose(first.data, stored["two_pass_first"], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(second.data, stored["two_pass_second"], rtol=0, atol=1e-6)
 
     def test_permutation_equivariance_without_positions(self):
         rng = np.random.default_rng(10)

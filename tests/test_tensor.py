@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mmexpr import AdamState, DataFormatError, Graph, ShapeError, Tensor, adam_step, backward
+from mmexpr import (AdamState, DataFormatError, Graph, NonFiniteError, ShapeError, Tensor,
+                    adam_step, backward)
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 
 from tests import _reference as ref
@@ -57,8 +58,9 @@ class TestForward:
     def test_nan_input_rejected(self):
         g = Graph()
         bad = Tensor(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="NaN") as caught:
             g.relu(bad)
+        assert isinstance(caught.value, NonFiniteError)
 
     @pytest.mark.parametrize("requires_grad", [False, True])
     def test_nan_rejected_in_every_fresh_tensor(self, requires_grad):
@@ -109,6 +111,25 @@ class TestForward:
         with pytest.raises(ShapeError, match="T>0"):
             g.lstm_seq(Tensor(np.zeros((0, 8))), *ok[1:])
 
+    def test_reshape_size_mismatch_rejected(self):
+        g = Graph()
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(g.reshape(x, (3, 1, 2)).data, x.data.reshape(3, 1, 2))
+        for shape in ((4, 2), (7,), (-2, -3)):
+            with pytest.raises(ShapeError, match="reshape"):
+                g.reshape(x, shape)
+
+    def test_matmul_rank_and_batch_checks(self):
+        g = Graph()
+        with pytest.raises(ShapeError, match="2-D or two 3-D"):
+            g.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3, 4))))
+        with pytest.raises(ShapeError, match="2-D or two 3-D"):
+            g.matmul(Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 1, 3, 4))))
+        with pytest.raises(ShapeError, match=r"batch sizes differ: \(2, 2, 3\) @ \(3, 3, 4\)"):
+            g.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 4))))
+        with pytest.raises(ShapeError, match="inner dimensions"):
+            g.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 4, 4))))
+
     def test_unknown_kind_rejected(self):
         g = Graph()
         with pytest.raises(ValueError, match="unknown op"):
@@ -120,12 +141,17 @@ class TestForward:
         np.testing.assert_array_equal(out.data, np.tile(np.arange(4.0), (3, 1)))
 
     def test_concat_and_slice_roundtrip(self):
+        # concat's backward slices the output gradient back into its inputs
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 5))
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         g = Graph()
-        cat = g.concat([Tensor(a), Tensor(b)], axis=1)
-        back = g.slice(cat, axis=1, start=2, stop=7)
-        np.testing.assert_allclose(back.data, b.astype(np.float32))
+        cat = g.concat([ta, tb], axis=1)
+        np.testing.assert_allclose(cat.data[:, 2:7], b.astype(np.float32))
+        c = rng.normal(size=(3, 7)).astype(np.float32)
+        backward(g.sum(g.mul(cat, Tensor(c))), g)
+        np.testing.assert_array_equal(ta.grad, c[:, :2])
+        np.testing.assert_array_equal(tb.grad, c[:, 2:7])
 
 
 class TestBackwardBasics:
@@ -134,12 +160,6 @@ class TestBackwardBasics:
         x = Tensor(np.random.default_rng(0).normal(size=(3, 5)), requires_grad=True)
         backward(g.sum(x), g)
         np.testing.assert_array_equal(x.grad, np.ones((3, 5), np.float32))
-
-    def test_mean_of_squares_gradient(self):
-        g = Graph()
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        backward(g.mean(g.mul(x, x)), g)
-        np.testing.assert_allclose(x.grad, [2 / 3, 4 / 3, 2.0], rtol=1e-6)
 
     def test_non_scalar_loss_rejected(self):
         g = Graph()
@@ -153,7 +173,8 @@ class TestBackwardBasics:
         g = Graph()
         x = leaf(rng, 4, 3)
         w = leaf(rng, 3, 2)
-        loss = g.sum(g.tanh(g.matmul(x, w)))
+        c = Tensor(rng.normal(size=(4, 2)))
+        loss = g.sum(g.mul(g.softmax(g.matmul(x, w)), c))
         backward(loss, g)
         first = (x.grad.copy(), w.grad.copy())
         backward(loss, g)
@@ -171,7 +192,7 @@ class TestBackwardBasics:
         g = Graph()
         x, w = leaf(rng, 3, 3), leaf(rng, 3, 3)
         h = g.relu(g.matmul(x, w))
-        g.sum(g.add(h, g.tanh(h)))
+        g.sum(g.add(h, g.softmax(h)))
         seen = {id(x), id(w)}
         for node in g.nodes:
             for t in node.inputs:
@@ -222,8 +243,6 @@ class TestGradientsVsFiniteDifferences:
                  trials=5, seed=13)
 
     @pytest.mark.parametrize("kind,np_fn", [
-        ("sigmoid", ref.sigmoid),
-        ("tanh", lambda x: np.tanh(np.asarray(x, dtype=np.float64))),
         ("softmax", ref.softmax),
         ("log_softmax", ref.log_softmax),
     ])
@@ -269,8 +288,8 @@ class TestGradientsVsFiniteDifferences:
         def build(g, t, rng):
             c = rng.normal(size=(7, 3))
             cat = g.concat([g.transpose(t["a"]), t["b"]], axis=0)
-            out = g.slice(cat, axis=0, start=1, stop=8)
-            loss = g.sum(g.mul(out, Tensor(c)))
+            # the loss weighs rows 1..7 of the concat: a zero-padded weight slices
+            loss = g.sum(g.mul(cat, Tensor(np.pad(c, ((1, 1), (0, 0))))))
 
             def f(p):
                 cat = np.concatenate([p["a"].T, p["b"]], axis=0)
@@ -278,11 +297,6 @@ class TestGradientsVsFiniteDifferences:
             return loss, f
         fd_check(build, lambda rng: {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(5, 3))},
                  trials=5, seed=18)
-
-    def test_mean(self):
-        def build(g, t, rng):
-            return g.mean(g.mul(t["x"], t["x"])), lambda p: float((p["x"] ** 2).mean())
-        fd_check(build, lambda rng: {"x": rng.normal(size=(3, 4))}, trials=5, seed=19)
 
     def test_affine_softmax_cross_entropy_graph(self):
         # five leaf parameters feeding affine -> softmax -> CE, vs 64-bit FD
@@ -292,12 +306,12 @@ class TestGradientsVsFiniteDifferences:
             onehot[np.arange(4), labels] = 1.0
 
             h = g.add(g.matmul(t["x"], t["w1"]), t["b1"])
-            logits = g.add(g.matmul(g.tanh(h), t["w2"]), t["b2"])
+            logits = g.add(g.matmul(g.softmax(h), t["w2"]), t["b2"])
             picked = g.mul(g.log_softmax(logits), Tensor(onehot))
             loss = g.scale(g.sum(picked), -0.25)
 
             def f(p):
-                h = np.tanh(p["x"] @ p["w1"] + p["b1"])
+                h = ref.softmax(p["x"] @ p["w1"] + p["b1"])
                 lp = ref.log_softmax(h @ p["w2"] + p["b2"])
                 return float(-(lp * onehot).sum() / 4)
             return loss, f
