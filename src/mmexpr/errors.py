@@ -14,4 +14,4 @@ class NumericError(RuntimeError):
 
 
 class NonFiniteError(ValueError):
-    """An op input holds NaN; raised by the tape before the op runs."""
+    """An op input holds NaN or an infinity; raised by the tape before the op runs."""

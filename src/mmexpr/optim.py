@@ -1,11 +1,20 @@
 """Adam optimizer with bias correction, operating on named parameter dicts."""
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import DTYPE, Tensor
+from .tensor import DTYPE
+
+# Elements per block: 256 KB of float32 per array, so the five arrays a block
+# touches (param, grad, m, v, scratch) stay in L2 across the update's passes.
+BLOCK = 1 << 16
+
+_WORKERS = len(os.sched_getaffinity(0))
+_pool = None  # helper threads, created on the first multi-worker update
 
 
 @dataclass
@@ -28,8 +37,11 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
     """Apply one bias-corrected Adam update in place.
 
     ``params`` maps name -> Tensor, ``grads`` maps name -> ndarray of the same
-    shape. Deterministic given inputs; updates run in the dict's iteration
-    order with pure elementwise arithmetic.
+    shape. Every parameter's ``data`` must be C-contiguous, since it is updated
+    through a flat view. The arrays are walked in blocks of ``BLOCK`` elements
+    shared over the available cores; every step of the update is a correctly
+    rounded float32 elementwise op, so the result is bitwise equal to applying
+    the formula to whole arrays, whatever the split.
     """
     for name, p in params.items():
         g = grads.get(name)
@@ -38,35 +50,80 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
         if g.shape != p.data.shape:
             raise ShapeError(
                 f"adam_step: grad shape {g.shape} != param shape {p.data.shape} for {name!r}")
+        if not p.data.flags.c_contiguous:
+            raise ShapeError(f"adam_step: parameter {name!r} is not C-contiguous")
 
     state.step += 1
     t = state.step
     b1 = DTYPE(state.beta1)
     b2 = DTYPE(state.beta2)
+    one = DTYPE(1)
     corr1 = DTYPE(1.0 - state.beta1 ** t)
     corr2 = DTYPE(1.0 - state.beta2 ** t)
-    lr = DTYPE(state.lr)
-    eps = DTYPE(state.eps)
+    coeffs = (b1, one - b1, b2, one - b2, corr2, DTYPE(state.eps), DTYPE(state.lr) / corr1)
+    _run_blocks(_blocks(params, grads, state), coeffs, _WORKERS)
+    return state
 
-    one = DTYPE(1)
+
+def _blocks(params: dict, grads: dict, state: AdamState) -> list:
+    """(param, grad, m, v) flat views of at most ``BLOCK`` elements each.
+
+    Creates a parameter's moments on first use.
+    """
+    blocks = []
     for name, p in params.items():
-        g = np.asarray(grads[name], dtype=DTYPE)
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        # in-place moment updates; one scratch buffer for the step itself
+        flat = (p.data.reshape(-1),
+                np.ascontiguousarray(grads[name], dtype=DTYPE).reshape(-1),
+                m.reshape(-1), state.v[name].reshape(-1))
+        blocks.extend(tuple(a[i:i + BLOCK] for a in flat)
+                      for i in range(0, p.data.size, BLOCK))
+    return blocks
+
+
+def _run_blocks(blocks: list, coeffs: tuple, workers: int) -> None:
+    """Update each block once, on the calling thread and ``workers - 1`` helpers.
+
+    All of them take blocks from one shared iterator (``next`` on a list
+    iterator is atomic under the GIL), so a core that is busy elsewhere, e.g.
+    with BLAS threads still spinning after backward, simply takes fewer.
+    """
+    global _pool
+    shared = iter(blocks)
+    helpers = []
+    if workers > 1:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="adam")
+        helpers = [_pool.submit(_update, shared, coeffs) for _ in range(workers - 1)]
+    try:
+        _update(shared, coeffs)
+    finally:
+        for helper in helpers:
+            helper.result()
+
+
+def _update(blocks, coeffs: tuple) -> None:
+    """The whole-array formula's float32 ops, in its order, one block at a time."""
+    b1, one_b1, b2, one_b2, corr2, eps, lr_corr1 = coeffs
+    scratch = np.empty(BLOCK, dtype=DTYPE)
+    for p, g, m, v in blocks:
+        s = scratch[:p.size]
         m *= b1
-        np.add(m, (one - b1) * g, out=m)
+        np.multiply(one_b1, g, out=s)
+        m += s
         v *= b2
-        np.add(v, (one - b2) * np.square(g), out=v)
-        step = np.asarray(np.sqrt(v / corr2), dtype=DTYPE)  # 0-d params stay arrays
-        step += eps
-        np.divide(m, step, out=step)
-        step *= lr / corr1
-        p.data -= step
-    return state
+        np.square(g, out=s)
+        s *= one_b2
+        v += s
+        np.divide(v, corr2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(m, s, out=s)
+        s *= lr_corr1
+        p -= s
 
 
 def collect_grads(params: dict) -> dict:
@@ -84,4 +141,4 @@ def zero_grads(params: dict) -> None:
         p.grad = None
 
 
-__all__ = ["AdamState", "adam_step", "collect_grads", "zero_grads", "Tensor"]
+__all__ = ["AdamState", "adam_step", "collect_grads", "zero_grads"]

@@ -80,7 +80,7 @@ class Graph:
     def __init__(self, record: bool = True):
         self.nodes: list[Node] = []
         self.record = record
-        self._nan_checked: dict[int, Tensor] = {}
+        self._finite_checked: dict[int, Tensor] = {}
 
     # -- generic entry point -------------------------------------------------
 
@@ -89,11 +89,11 @@ class Graph:
         if kind not in _OP_TABLE:
             raise ValueError(f"unknown op kind {kind!r}")
         inputs = tuple(inputs)
-        for t in inputs:
-            if not isinstance(t, Tensor):
-                raise TypeError(f"{kind}: inputs must be Tensors, got {type(t).__name__}")
-            self._reject_nan(kind, t)
         with np.errstate(over="ignore", invalid="ignore"):
+            for t in inputs:
+                if not isinstance(t, Tensor):
+                    raise TypeError(f"{kind}: inputs must be Tensors, got {type(t).__name__}")
+                self._reject_nonfinite(kind, t)
             out_data, backward_fn = _OP_TABLE[kind](inputs, attrs)
         requires = self.record and any(t.requires_grad for t in inputs)
         out = Tensor(out_data, requires_grad=requires)
@@ -101,20 +101,24 @@ class Graph:
             self.nodes.append(Node(kind, inputs, out, backward_fn, attrs))
         return out
 
-    def _reject_nan(self, kind, t: Tensor):
-        # np.min propagates NaN, so one scan detects it. Tensors that require
+    def _reject_nonfinite(self, kind, t: Tensor):
+        # One BLAS pass: x.x is NaN or inf if any element is, and otherwise
+        # finite unless it overflows, which the exact np.isfinite scan settles
+        # (the caller ignores the overflow warning). Tensor() stores C-order
+        # data, so the flat view is normally not a copy. Tensors that require
         # grad (parameters, taped outputs) recur in many ops of a step and are
         # memoized by id; the memo holds each one, so its id cannot pass to a
         # later, unchecked tensor. Other inputs are scanned on every use, as
         # holding them would keep every inference intermediate alive.
         key = id(t)
-        if key in self._nan_checked:
+        if key in self._finite_checked:
             return
-        if t.data.size and math.isnan(float(np.min(t.data))):
-            raise NonFiniteError(f"{kind}: NaN in input tensor"
+        flat = t.data.reshape(-1)
+        if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(flat).all():
+            raise NonFiniteError(f"{kind}: NaN or infinity in input tensor"
                                  + (f" {t.name!r}" if t.name else ""))
         if t.requires_grad:
-            self._nan_checked[key] = t
+            self._finite_checked[key] = t
 
     # -- op shorthands --------------------------------------------------------
 

@@ -334,3 +334,34 @@ def adam_scalar(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
         w -= lr * mh / (np.sqrt(vh) + eps)
         path.append(w)
     return path
+
+
+def adam_step_whole_array(params, grads, state):
+    """One float32 Adam update applied to whole arrays, in place.
+
+    The plain formula the blocked ``optim.adam_step`` must match bit for bit.
+    ``params`` maps name -> float32 ndarray; ``state`` is an ``AdamState``
+    whose ``step``, ``m`` and ``v`` are advanced here.
+    """
+    f32 = np.float32
+    state.step += 1
+    t = state.step
+    b1, b2, one = f32(state.beta1), f32(state.beta2), f32(1)
+    corr1 = f32(1.0 - state.beta1 ** t)
+    corr2 = f32(1.0 - state.beta2 ** t)
+    lr, eps = f32(state.lr), f32(state.eps)
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=f32)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        np.add(m, (one - b1) * g, out=m)
+        v *= b2
+        np.add(v, (one - b2) * np.square(g), out=v)
+        step = np.asarray(np.sqrt(v / corr2), dtype=f32)
+        step += eps
+        np.divide(m, step, out=step)
+        step *= lr / corr1
+        p -= step

@@ -1,11 +1,16 @@
 """Tensor core: forward semantics, autodiff vs finite differences, Adam, checkpoints."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
 from mmexpr import (AdamState, DataFormatError, Graph, NonFiniteError, ShapeError, Tensor,
                     adam_step, backward)
+from mmexpr import optim
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
+from mmexpr.optim import BLOCK
 
 from tests import _reference as ref
 
@@ -61,6 +66,22 @@ class TestForward:
         with pytest.raises(ValueError, match="NaN") as caught:
             g.relu(bad)
         assert isinstance(caught.value, NonFiniteError)
+
+    @pytest.mark.parametrize("op", ["softmax", "relu"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_input_rejected(self, op, bad):
+        # softmax would turn [1, inf] into [nan, nan]; relu would pass inf on
+        g = Graph()
+        with pytest.raises(NonFiniteError, match="NaN"):
+            getattr(g, op)(Tensor(np.array([1.0, bad])))
+
+    def test_large_finite_input_accepted(self):
+        # the sum of squares overflows float32; the exact scan must let it pass
+        big = np.array([[3e38, -3e38], [1.0, 0.0]], np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = Graph().relu(Tensor(big))
+        np.testing.assert_array_equal(out.data, np.maximum(big, 0))
 
     @pytest.mark.parametrize("requires_grad", [False, True])
     def test_nan_rejected_in_every_fresh_tensor(self, requires_grad):
@@ -352,6 +373,83 @@ class TestAdam:
         assert state.step == 1
         with pytest.raises(ShapeError, match="shape"):
             adam_step({"p": p}, {"p": np.ones(4, np.float32)}, state)
+
+    @pytest.mark.parametrize("shapes", [
+        [()], [(1,)], [(BLOCK - 1,)], [(BLOCK,)], [(BLOCK + 1,)], [(3, BLOCK + 5)],
+        [(7,), (BLOCK + 3,), (), (2, BLOCK)]], ids=str)
+    def test_blocked_update_bitwise_equals_whole_array(self, shapes):
+        rng = np.random.default_rng(41)
+        init = {f"w{i}": np.asarray(rng.standard_normal(s), np.float32)
+                for i, s in enumerate(shapes)}
+        params = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        expected = {k: a.copy() for k, a in init.items()}
+        state, ref_state = AdamState(lr=1e-3), AdamState(lr=1e-3)
+        for _ in range(3):
+            # gradients over eight decades, so m/v and the step cover many exponents
+            grads = {k: np.asarray(rng.standard_normal(a.shape)
+                                   * 10.0 ** rng.uniform(-6, 2, a.shape), np.float32)
+                     for k, a in init.items()}
+            adam_step(params, grads, state)
+            ref.adam_step_whole_array(expected, grads, ref_state)
+        assert state.step == ref_state.step == 3
+        for k, a in init.items():
+            assert params[k].data.shape == a.shape
+            assert not np.array_equal(params[k].data, a)
+            assert np.array_equal(params[k].data, expected[k])
+            assert np.array_equal(state.m[k], ref_state.m[k])
+            assert np.array_equal(state.v[k], ref_state.v[k])
+
+    def test_worker_split_gives_identical_bits(self):
+        rng = np.random.default_rng(42)
+        init = {f"w{i}": np.asarray(rng.standard_normal(s), np.float32)
+                for i, s in enumerate([(7,), (BLOCK + 3,), (), (3 * BLOCK - 1,)])}
+        grads = {k: np.asarray(rng.standard_normal(a.shape), np.float32)
+                 for k, a in init.items()}
+        coeffs = tuple(np.float32(c) for c in (0.9, 0.1, 0.999, 1e-3, 1e-3, 1e-8, 1e-2))
+        runs = []
+        # frequent thread switches, and one more thread than cores, so a block
+        # taken twice or never from the shared iterator would change the bits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, optim._WORKERS + 1):
+                params = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+                state = AdamState()
+                for _ in range(2):
+                    optim._run_blocks(optim._blocks(params, grads, state), coeffs, workers)
+                runs.append((params, state))
+        finally:
+            sys.setswitchinterval(interval)
+        p1, s1 = runs[0]
+        for p2, s2 in runs[1:]:
+            for k, a in init.items():
+                assert not np.array_equal(p1[k].data, a)
+                assert np.array_equal(p1[k].data, p2[k].data)
+                assert np.array_equal(s1.m[k], s2.m[k])
+                assert np.array_equal(s1.v[k], s2.v[k])
+
+    @pytest.mark.parametrize("bad", [None, np.ones(4, np.float32)], ids=["missing", "shape"])
+    def test_bad_grad_raises_before_any_update(self, bad):
+        first = Tensor(np.arange(3.0), requires_grad=True)
+        second = Tensor(np.arange(3.0), requires_grad=True)
+        grads = {"first": np.ones(3, np.float32)}
+        if bad is not None:
+            grads["second"] = bad
+        state = AdamState(lr=0.1)
+        with pytest.raises((KeyError, ShapeError)):
+            adam_step({"first": first, "second": second}, grads, state)
+        np.testing.assert_array_equal(first.data, np.arange(3.0))
+        assert state.step == 0 and not state.m and not state.v
+
+    def test_non_contiguous_param_rejected(self):
+        p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        p.data = p.data.T
+        before = p.data.copy()
+        state = AdamState(lr=0.1)
+        with pytest.raises(ShapeError, match="contiguous"):
+            adam_step({"p": p}, {"p": np.ones((3, 2), np.float32)}, state)
+        np.testing.assert_array_equal(p.data, before)
+        assert state.step == 0
 
 
 class TestCheckpoint:
