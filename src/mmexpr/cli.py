@@ -28,7 +28,7 @@ from .ensemble import read_predictions, vote, write_predictions
 from .errors import DataFormatError, NumericError, ShapeError
 from .evaluation import evaluate_tracks
 from .fileio import atomic_write_bytes, read_json, write_json
-from .models import ExpressionModel, ModelConfig
+from .models import ExpressionModel
 from .training import ExperimentConfig, predict_video, synth_dataset, train
 
 
@@ -45,31 +45,12 @@ def _resolve(base_file: str, path: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(base_file)), path)
 
 
-def _load_experiment_config(args) -> ExperimentConfig:
-    doc = read_json(args.config)
-    config = ExperimentConfig.from_json(doc)
-    config.manifest = _resolve(args.config, config.manifest)
-    config.output_dir = _resolve(args.config, config.output_dir)
-    if getattr(args, "manifest", None):
-        config.manifest = args.manifest
-    if getattr(args, "out", None):
-        config.output_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "encoder", None):
-        config.model.encoder = args.encoder
-        config.model.validate()
-    return config
-
-
 # -- commands ---------------------------------------------------------------------
 
 
 def cmd_prepare(args) -> int:
     manifest = load_manifest(args.manifest)
-    extra = {}
-    if args.config:
-        extra = read_json(args.config).get("registry", {})
+    extra = read_json(args.config).get("registry", {}) if args.config else {}
     registry = FeatureRegistry(extra=extra)
 
     out = args.out
@@ -134,7 +115,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_experiment_config(args)
+    config = ExperimentConfig.from_json(read_json(args.config))
+    config.manifest = args.manifest or _resolve(args.config, config.manifest)
+    config.output_dir = args.out or _resolve(args.config, config.output_dir)
+    if args.seed is not None:
+        config.seed = args.seed
+    if args.encoder:
+        config.model.encoder = args.encoder
+        config.model.validate()
 
     def show(record):
         print(f"epoch {record['epoch']:3d}: loss={record['train_loss']:.5f} "
@@ -145,29 +133,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_from_config_doc(doc: dict, input_dim: int) -> ExpressionModel:
-    model_cfg = ModelConfig.from_json(doc.get("model", {}))
-    return ExpressionModel(model_cfg, input_dim, np.random.default_rng(0))
-
-
 def cmd_predict(args) -> int:
     config_path = args.config or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)), "resolved_config.json")
     doc = read_json(config_path)
     config = ExperimentConfig.from_json(doc)
-    config.manifest = args.manifest
     manifest = load_manifest(args.manifest)
     ids = manifest.split_ids(args.split)
     if not ids:
         raise DataFormatError(f"split {args.split!r} is empty")
+    model = ExpressionModel.from_state(config.model, load_checkpoint(args.checkpoint))
     registry = config.registry()
-    model = None
     for vid in ids:
         video = load_video(manifest.video(vid), registry,
                            config.visual_features, config.audio_features)
-        if model is None:
-            model = _model_from_config_doc(doc, video.input_dim)
-            model.load_state(load_checkpoint(args.checkpoint))
         track = predict_video(model, video)
         write_predictions(track, os.path.join(args.out, f"{vid}.csv"))
     write_json(os.path.join(args.out, "resolved_config.json"), {

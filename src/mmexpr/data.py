@@ -53,15 +53,19 @@ class FeatureRegistry:
     """Immutable map from feature-set name to its expected dimension and modality."""
 
     def __init__(self, extra: dict | None = None):
+        """``extra`` maps set names to ``{"dim": int >= 1, "modality": "visual"|"audio"}``."""
         entries = {name: FeatureSpec(dim, mod) for name, (dim, mod) in DEFAULT_FEATURE_SETS.items()}
-        for name, spec in (extra or {}).items():
-            if spec["modality"] not in (VISUAL, AUDIO):
-                raise DataFormatError(f"feature set {name!r}: modality must be visual or audio")
-            entries[name] = FeatureSpec(int(spec["dim"]), spec["modality"])
+        extra = {} if extra is None else extra
+        if not isinstance(extra, dict):
+            raise DataFormatError(f"registry: expected an object, got {extra!r}")
+        for name, spec in extra.items():
+            if not (isinstance(spec, dict) and type(spec.get("dim")) is int and spec["dim"] >= 1
+                    and spec.get("modality") in (VISUAL, AUDIO)):
+                raise DataFormatError(
+                    f"registry entry {name!r} must be an object with an integer 'dim' >= 1 "
+                    f"and a 'modality' of 'visual' or 'audio', got {spec!r}")
+            entries[name] = FeatureSpec(spec["dim"], spec["modality"])
         self._entries = entries
-
-    def __contains__(self, name):
-        return name in self._entries
 
     def spec(self, name) -> FeatureSpec:
         try:

@@ -10,39 +10,86 @@ its dropout is what differentiates the two RDrop passes on the LSTM path.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field, fields
+import types
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ShapeError
+from .data import NUM_CLASSES
+from .errors import DataFormatError, ShapeError
 from .tensor import DTYPE, Graph, Tensor
 
-NUM_CLASSES = 8
+# field type -> (accepted JSON value types, their name in messages)
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"), str: ((str,), "a string"),
+               float: ((int, float), "a number"), list: ((list,), "an array"),
+               tuple: ((list,), "an array"), dict: ((dict,), "an object")}
 
 
-def settings_from_json(cls, doc: dict):
-    """A dataclass of scalar settings from ``doc``.
+def _read(value, hint, key: str):
+    """``value`` as a field of type ``hint``; a wrong JSON type names ``key``."""
+    if isinstance(hint, type) and issubclass(hint, JsonConfig):
+        return hint.from_json(value, key)
+    if isinstance(hint, types.UnionType):  # ``int | None``: the JSON holds the int
+        hint = get_args(hint)[0]
+    origin = get_origin(hint) or hint
+    accepted, name = _JSON_TYPES[origin]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and origin is not bool):
+        raise DataFormatError(f"{key or 'config'}: expected {name}, got {json.dumps(value)}")
+    if origin in (list, tuple):
+        return origin(_read(v, get_args(hint)[0], f"{key}[{i}]") for i, v in enumerate(value))
+    return float(value) if origin is float else value
 
-    Absent keys take the field default; present values are coerced to the
-    default's type.
+
+class JsonConfig:
+    """Dataclass base whose JSON form follows its fields.
+
+    A field is stored under its own name unless its ``json`` metadata gives a
+    dotted key path. Absent keys take the field default; a present value must
+    have the JSON type of its field, else ``DataFormatError`` names its key.
     """
-    defaults = cls()
-    values = {}
-    for f in fields(cls):
-        default = getattr(defaults, f.name)
-        values[f.name] = type(default)(doc.get(f.name, default))
-    return cls(**values)
+
+    def validate(self):
+        return self
+
+    def to_json(self) -> dict:
+        doc = {}
+        for f in fields(self):
+            *sections, name = f.metadata.get("json", f.name).split(".")
+            node = doc
+            for section in sections:
+                node = node.setdefault(section, {})
+            value = getattr(self, f.name)
+            node[name] = (value.to_json() if isinstance(value, JsonConfig)
+                          else json.loads(json.dumps(value)))
+        return doc
+
+    @classmethod
+    def from_json(cls, doc, key: str = ""):
+        hints = get_type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            node, where = doc, key
+            for part in f.metadata.get("json", f.name).split("."):
+                node = _read(node, dict, where).get(part, MISSING)
+                where = f"{where}.{part}" if where else part
+                if node is MISSING:
+                    break
+            else:
+                values[f.name] = _read(node, hints[f.name], where)
+        return cls(**values).validate()
 
 
 @dataclass
-class LstmSettings:
+class LstmSettings(JsonConfig):
     hidden: int = 256
     layers: int = 1
 
 
 @dataclass
-class TransformerSettings:
+class TransformerSettings(JsonConfig):
     layers: int = 4
     heads: int = 4
     dropout: float = 0.3
@@ -51,64 +98,51 @@ class TransformerSettings:
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(JsonConfig):
     """Resolved model architecture; defaults follow the reference training setup."""
 
     encoder: str = "lstm"
     d_model: int = 1024
     lstm: LstmSettings = field(default_factory=LstmSettings)
     transformer: TransformerSettings = field(default_factory=TransformerSettings)
-    head: tuple = (512, 256)
+    head: tuple[int, ...] = (512, 256)
     classes: int = NUM_CLASSES
-    seg_len: int = 128
-    stride: int = 128
+    seg_len: int = field(default=128, metadata={"json": "segment.l"})
+    stride: int | None = field(default=None, metadata={"json": "segment.p"})
     head_dropout: float = 0.3
+
+    def __post_init__(self):
+        if self.stride is None:  # p defaults to l: adjacent, non-overlapping windows
+            self.stride = self.seg_len
 
     def validate(self):
         if self.encoder not in ("lstm", "transformer"):
-            raise ValueError(f"encoder must be 'lstm' or 'transformer', got {self.encoder!r}")
+            raise DataFormatError(f"model.encoder must be lstm or transformer, got {self.encoder!r}")
+        trm = self.transformer
+        sizes = {"d_model": self.d_model, "lstm.hidden": self.lstm.hidden,
+                 "lstm.layers": self.lstm.layers, "transformer.layers": trm.layers,
+                 "transformer.heads": trm.heads, "transformer.ffn_dim": trm.ffn_dim,
+                 "segment.l": self.seg_len,
+                 **{f"head[{i}]": size for i, size in enumerate(self.head)}}
+        for key, size in sizes.items():
+            if size < 1:
+                raise DataFormatError(f"model.{key} must be >= 1, got {size}")
+        for key, rate in (("transformer.dropout", trm.dropout),
+                          ("head_dropout", self.head_dropout)):
+            if not 0.0 <= rate < 1.0:
+                raise DataFormatError(f"model.{key} must be in [0, 1), got {rate}")
+        if self.classes != NUM_CLASSES:
+            raise DataFormatError(f"model.classes must be {NUM_CLASSES}, got {self.classes}")
         if not 1 <= self.stride <= self.seg_len:
-            raise ValueError(f"stride {self.stride} must be in [1, segment length {self.seg_len}]")
+            raise DataFormatError(
+                f"stride {self.stride} must be in [1, segment length {self.seg_len}]")
         if self.encoder == "lstm" and self.stride != self.seg_len:
-            raise ValueError("the LSTM encoder requires stride == segment length "
-                             "(adjacent segments must not overlap)")
-        if self.encoder == "transformer" and self.d_model % self.transformer.heads:
-            raise ValueError(f"d_model {self.d_model} not divisible by "
-                             f"{self.transformer.heads} attention heads")
+            raise DataFormatError("the LSTM encoder requires stride == segment length "
+                                  "(adjacent segments must not overlap)")
+        if self.encoder == "transformer" and self.d_model % trm.heads:
+            raise DataFormatError(f"d_model {self.d_model} not divisible by "
+                                  f"{trm.heads} attention heads")
         return self
-
-    def to_json(self) -> dict:
-        return {
-            "encoder": self.encoder,
-            "d_model": self.d_model,
-            "lstm": {"hidden": self.lstm.hidden, "layers": self.lstm.layers},
-            "transformer": {
-                "layers": self.transformer.layers,
-                "heads": self.transformer.heads,
-                "dropout": self.transformer.dropout,
-                "ffn_dim": self.transformer.ffn_dim,
-                "positional_encoding": self.transformer.positional_encoding,
-            },
-            "head": list(self.head),
-            "classes": self.classes,
-            "segment": {"l": self.seg_len, "p": self.stride},
-            "head_dropout": self.head_dropout,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ModelConfig":
-        cfg = cls()
-        cfg.encoder = doc.get("encoder", cfg.encoder)
-        cfg.d_model = int(doc.get("d_model", cfg.d_model))
-        cfg.lstm = settings_from_json(LstmSettings, doc.get("lstm", {}))
-        cfg.transformer = settings_from_json(TransformerSettings, doc.get("transformer", {}))
-        cfg.head = tuple(int(h) for h in doc.get("head", cfg.head))
-        cfg.classes = int(doc.get("classes", cfg.classes))
-        seg = doc.get("segment", {})
-        cfg.seg_len = int(seg.get("l", cfg.seg_len))
-        cfg.stride = int(seg.get("p", cfg.seg_len))
-        cfg.head_dropout = float(doc.get("head_dropout", cfg.head_dropout))
-        return cfg.validate()
 
 
 def xavier(rng, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -146,6 +180,8 @@ class LstmEncoder:
     video, detached from the gradient graph (truncated backpropagation).
     Segment indices must arrive in order; index 1 resets the video's state.
     """
+
+    has_dropout = False  # the two RDrop passes share one encoding
 
     def __init__(self, input_dim: int, settings: LstmSettings, rng, params: dict):
         self.input_dim = input_dim
@@ -185,8 +221,9 @@ class LstmEncoder:
             new_states.append((Tensor(frames.data[-1:]), c))
         return frames, new_states
 
-    def encode_segment(self, g: Graph, video_id: str, seg_index: int, x: Tensor) -> Tensor:
-        """Forward one segment of a video, enforcing segment order and carrying state."""
+    def encode_segment(self, g: Graph, video_id: str, seg_index: int, x: Tensor,
+                       rng=None, train: bool = False) -> Tensor:
+        """Forward one segment in order, carrying state; ``rng`` and ``train`` go unused."""
         if seg_index == 1:
             carry = None
         else:
@@ -223,14 +260,14 @@ def sinusoidal_table(max_len: int, d_model: int) -> np.ndarray:
 class TransformerEncoder:
     """Post-norm transformer encoder applied to one segment at a time."""
 
+    has_dropout = True
+
     def __init__(self, d_model: int, seg_len: int, settings: TransformerSettings,
                  rng, params: dict):
         self.d_model = d_model
         self.seg_len = seg_len
         self.heads = settings.heads
         self.dropout = settings.dropout
-        if d_model % self.heads:
-            raise ValueError(f"d_model {d_model} not divisible by {self.heads} heads")
         self.head_dim = d_model // self.heads
         self.pe = sinusoidal_table(seg_len, d_model) if settings.positional_encoding else None
         # residual branches start small (1/sqrt(2 * layers)) so stacked post-norm
@@ -298,6 +335,14 @@ class TransformerEncoder:
                              rng, train)
             x = g.layer_norm(g.add(x, ffn), layer["norm2_gain"], layer["norm2_shift"])
         return x
+
+    def encode_segment(self, g: Graph, video_id: str, seg_index: int, x: Tensor,
+                       rng=None, train: bool = False) -> Tensor:
+        """Segments are independent: the video and index are not used."""
+        return self.forward(g, x, rng=rng, train=train)
+
+    def reset(self):
+        pass
 
     @property
     def output_dim(self) -> int:
@@ -372,40 +417,43 @@ class ExpressionModel:
             p.data = np.ascontiguousarray(arr)
         return self
 
+    @classmethod
+    def from_state(cls, config: ModelConfig, arrays: dict) -> "ExpressionModel":
+        """A model with the checkpoint ``arrays``, its input dim read from ``fusion.weight``."""
+        weight = arrays.get("fusion.weight")
+        if weight is None or weight.ndim != 2:
+            raise ShapeError("checkpoint has no 2-D 'fusion.weight' to take the input dim from")
+        return cls(config, weight.shape[0], np.random.default_rng(0)).load_state(arrays)
+
     # -- forward passes --
 
     def two_pass_logits(self, g: Graph, features: np.ndarray, video_id: str,
                         seg_index: int, rng) -> tuple:
         """Two stochastic forward passes over one segment (train mode).
 
-        The deterministic parts (fusion; the LSTM, which has no dropout) run
-        once and are shared; the stochastic parts run twice.
+        The deterministic parts (fusion; an encoder without dropout, such as
+        the LSTM) run once and are shared; the stochastic parts run twice.
         """
         fused = self.fusion.apply(g, Tensor(features))
-        if isinstance(self.encoder, LstmEncoder):
-            encoded = self.encoder.encode_segment(g, video_id, seg_index, fused)
-            first = self.head.forward(g, encoded, rng=rng, train=True)
-            second = self.head.forward(g, encoded, rng=rng, train=True)
-        else:
-            first = self.head.forward(
-                g, self.encoder.forward(g, fused, rng=rng, train=True), rng=rng, train=True)
-            second = self.head.forward(
-                g, self.encoder.forward(g, fused, rng=rng, train=True), rng=rng, train=True)
-        return first, second
+
+        def encode():
+            return self.encoder.encode_segment(g, video_id, seg_index, fused, rng=rng, train=True)
+
+        encoded = encode()
+        first = self.head.forward(g, encoded, rng=rng, train=True)
+        if self.encoder.has_dropout:
+            encoded = encode()
+        return first, self.head.forward(g, encoded, rng=rng, train=True)
 
     def eval_logits(self, g: Graph, features: np.ndarray, video_id: str,
                     seg_index: int) -> Tensor:
         """Deterministic single pass (no dropout anywhere)."""
-        fused = self.fusion.apply(g, Tensor(features))
-        if isinstance(self.encoder, LstmEncoder):
-            encoded = self.encoder.encode_segment(g, video_id, seg_index, fused)
-        else:
-            encoded = self.encoder.forward(g, fused, rng=None, train=False)
-        return self.head.forward(g, encoded, rng=None, train=False)
+        encoded = self.encoder.encode_segment(g, video_id, seg_index,
+                                              self.fusion.apply(g, Tensor(features)))
+        return self.head.forward(g, encoded)
 
     def reset_video_state(self):
-        if isinstance(self.encoder, LstmEncoder):
-            self.encoder.reset()
+        self.encoder.reset()
 
 
 def build_model(config: ModelConfig, input_dim: int, seed) -> ExpressionModel:

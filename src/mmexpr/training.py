@@ -33,43 +33,37 @@ from .data import (
 from .errors import DataFormatError, NonFiniteError, NumericError
 from .evaluation import evaluate_tracks
 from .fileio import atomic_write_text, write_json
-from .models import ExpressionModel, ModelConfig, settings_from_json
+from .models import ExpressionModel, JsonConfig, ModelConfig
 from .optim import AdamState, adam_step, collect_grads, zero_grads
 from .tensor import DTYPE, Graph, Tensor
 
 
 @dataclass
-class TrainingSettings:
+class TrainingSettings(JsonConfig):
     lr: float = 1e-4
     epochs: int = 25
     alpha: float = 5.0
     batch_segments: int = 8  # transformer steps consume segments across videos
     batch_videos: int = 4    # LSTM steps consume whole videos, segments in order
 
-    def to_json(self):
-        return {"lr": self.lr, "epochs": self.epochs, "alpha": self.alpha,
-                "batch_segments": self.batch_segments, "batch_videos": self.batch_videos}
-
-    @classmethod
-    def from_json(cls, doc):
-        out = settings_from_json(cls, doc)
-        if out.alpha < 0:
+    def validate(self):
+        if self.alpha < 0:
             raise DataFormatError("training.alpha must be >= 0")
-        if out.epochs < 1 or out.batch_segments < 1 or out.batch_videos < 1:
+        if self.epochs < 1 or self.batch_segments < 1 or self.batch_videos < 1:
             raise DataFormatError("training epochs and batch sizes must be >= 1")
-        return out
+        return self
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(JsonConfig):
     """Everything one run needs; defaults reproduce the reference settings."""
 
     manifest: str = ""
     output_dir: str = "run"
     seed: int = 1
-    visual_features: list = field(default_factory=list)
-    audio_features: list = field(default_factory=list)
-    registry_extra: dict = field(default_factory=dict)
+    visual_features: list[str] = field(default_factory=list, metadata={"json": "features.visual"})
+    audio_features: list[str] = field(default_factory=list, metadata={"json": "features.audio"})
+    registry_extra: dict = field(default_factory=dict, metadata={"json": "registry"})
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainingSettings = field(default_factory=TrainingSettings)
 
@@ -81,39 +75,12 @@ class ExperimentConfig:
             raise DataFormatError("config selects no visual feature sets")
         if not self.audio_features:
             raise DataFormatError("config selects no audio feature sets")
-        reg = self.registry()
-        for name in list(self.visual_features) + list(self.audio_features):
-            if name not in reg:
-                raise DataFormatError(f"config references unknown feature set {name!r}")
+        registry = self.registry()
+        for name in self.visual_features + self.audio_features:
+            registry.spec(name)  # raises on an unknown set
         self.model.validate()
+        self.training.validate()
         return self
-
-    def to_json(self) -> dict:
-        return {
-            "manifest": self.manifest,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "features": {"visual": list(self.visual_features),
-                         "audio": list(self.audio_features)},
-            "registry": dict(self.registry_extra),
-            "model": self.model.to_json(),
-            "training": self.training.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ExperimentConfig":
-        features = doc.get("features", {})
-        cfg = cls(
-            manifest=doc.get("manifest", ""),
-            output_dir=doc.get("output_dir", "run"),
-            seed=int(doc.get("seed", 1)),
-            visual_features=list(features.get("visual", [])),
-            audio_features=list(features.get("audio", [])),
-            registry_extra=dict(doc.get("registry", {})),
-            model=ModelConfig.from_json(doc.get("model", {})),
-            training=TrainingSettings.from_json(doc.get("training", {})),
-        )
-        return cfg.validate()
 
 
 # -- loss -----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mmexpr.checkpoint import load_checkpoint, save_checkpoint
 from mmexpr.cli import main
 from mmexpr.data import (
     FeatureTrack,
@@ -359,3 +360,81 @@ class TestExitCodes:
         write_json(str(cfg_path), doc)
         assert run_cli("train", "--config", cfg_path) == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+def _set(path, value):
+    """A config edit that sets the dotted ``path`` of the document to ``value``."""
+    def edit(doc):
+        *sections, key = path.split(".")
+        for section in sections:
+            doc = doc[section]
+        doc[key] = value
+    return edit
+
+
+BAD_CONFIGS = [
+    pytest.param(_set("model.transformer.heads", 0), "model.transformer.heads", id="heads-0"),
+    pytest.param(_set("model.lstm.hidden", 0), "model.lstm.hidden", id="hidden-0"),
+    pytest.param(_set("model", [1]), "model", id="model-not-object"),
+    pytest.param(_set("model.transformer.positional_encoding", "false"),
+                 "model.transformer.positional_encoding", id="positional-encoding-string"),
+    pytest.param(_set("model.d_model", 64.0), "model.d_model", id="float-for-int"),
+    pytest.param(_set("model.lstm.layers", True), "model.lstm.layers", id="bool-for-int"),
+    pytest.param(_set("model.segment", 16), "model.segment", id="segment-not-object"),
+    pytest.param(_set("model.head", [32, 0]), "model.head[1]", id="head-size-0"),
+    pytest.param(_set("model.head_dropout", 1.0), "model.head_dropout", id="dropout-1"),
+    pytest.param(_set("model.transformer.dropout", -0.1), "model.transformer.dropout",
+                 id="dropout-negative"),
+    pytest.param(_set("model.classes", 3), "model.classes", id="classes-3"),
+]
+
+
+class TestConfigChecks:
+    """Malformed configs exit 2 naming the key, before any output is written."""
+
+    @pytest.mark.parametrize("edit, key", BAD_CONFIGS)
+    def test_train_rejects_malformed_config(self, synth_dir, tmp_path, capsys, edit, key):
+        doc = small_config_doc(manifest=str(synth_dir / "manifest.json"),
+                               out=str(tmp_path / "run"), epochs=1)
+        edit(doc)
+        write_json(str(tmp_path / "bad.json"), doc)
+        assert run_cli("train", "--config", tmp_path / "bad.json") == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run" / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize("entry", [5, {"modality": "visual"},
+                                       {"dim": 0, "modality": "visual"}],
+                             ids=["not-object", "no-dim", "dim-0"])
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_registry_entry_rejected_naming_the_set(self, synth_dir, tmp_path, capsys,
+                                                    command, entry):
+        doc = small_config_doc(manifest=str(synth_dir / "manifest.json"),
+                               out=str(tmp_path / "run"), epochs=1)
+        doc["registry"]["synthvis"] = entry
+        write_json(str(tmp_path / "bad.json"), doc)
+        args = {"prepare": ["--manifest", synth_dir / "manifest.json", "--out", tmp_path / "p"],
+                "train": []}[command]
+        assert run_cli(command, "--config", tmp_path / "bad.json", *args) == 2
+        assert "registry entry 'synthvis'" in capsys.readouterr().err
+
+    def _predict(self, synth_dir, trained_run, tmp_path, arrays):
+        save_checkpoint(arrays, str(tmp_path / "edited.ckpt"))
+        return run_cli("predict", "--checkpoint", tmp_path / "edited.ckpt",
+                       "--config", trained_run / "resolved_config.json",
+                       "--manifest", synth_dir / "manifest.json",
+                       "--split", "val", "--out", tmp_path / "preds")
+
+    def test_predict_rejects_fusion_weight_of_other_feature_dims(self, synth_dir, trained_run,
+                                                                 tmp_path, capsys):
+        arrays = load_checkpoint(str(trained_run / "best.ckpt"))
+        arrays["fusion.weight"] = np.zeros((13, 64), np.float32)  # the config's sets give 12
+        assert self._predict(synth_dir, trained_run, tmp_path, arrays) == 2
+        assert "input dim 12 != layer dim 13" in capsys.readouterr().err
+
+    def test_predict_rejects_checkpoint_without_fusion_weight(self, synth_dir, trained_run,
+                                                              tmp_path, capsys):
+        arrays = load_checkpoint(str(trained_run / "best.ckpt"))
+        del arrays["fusion.weight"]
+        assert self._predict(synth_dir, trained_run, tmp_path, arrays) == 2
+        assert "fusion.weight" in capsys.readouterr().err
+        assert not (tmp_path / "preds").exists()

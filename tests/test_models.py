@@ -383,6 +383,28 @@ class TestExpressionModel:
             outs.append(model.eval_logits(g, feats, "v", 1).data)
         assert outs[0].tobytes() == outs[1].tobytes()
 
+    @pytest.mark.parametrize("encoder, encodings_per_two_passes",
+                             [("lstm", 1), ("transformer", 2)])
+    def test_encoders_answer_one_interface(self, encoder, encodings_per_two_passes):
+        model = build_model(tiny_config(encoder), input_dim=5, seed=2)
+        x = Tensor(np.random.default_rng(3).normal(size=(6, 16)))
+        g = Graph(record=False)
+        first = model.encoder.encode_segment(g, "v", 1, x).data.copy()
+        model.encoder.encode_segment(g, "v", 2, x, rng=np.random.default_rng(4), train=False)
+        model.reset_video_state()
+        again = model.encoder.encode_segment(g, "v", 1, x).data
+        assert first.shape == (6, model.encoder.output_dim)
+        assert first.tobytes() == again.tobytes()
+
+        calls = []
+        encode = model.encoder.encode_segment
+        model.encoder.encode_segment = lambda *a, **kw: calls.append(kw) or encode(*a, **kw)
+        model.reset_video_state()
+        rng = np.random.default_rng(5)
+        model.two_pass_logits(Graph(), x.data[:, :5], "v", 1, rng)
+        assert len(calls) == encodings_per_two_passes
+        assert all(kw["train"] and kw["rng"] is rng for kw in calls)
+
     def test_two_passes_differ_under_dropout(self):
         model = build_model(tiny_config("transformer"), input_dim=5, seed=5)
         rng = np.random.default_rng(6)
@@ -414,6 +436,13 @@ class TestExpressionModel:
     def test_lstm_requires_no_overlap(self):
         with pytest.raises(ValueError, match="stride == segment length"):
             ModelConfig(encoder="lstm", seg_len=8, stride=4).validate()
+
+    def test_stride_defaults_to_segment_length(self):
+        assert ModelConfig(seg_len=40).stride == 40
+        assert ModelConfig.from_json({"segment": {"l": 40}}).stride == 40
+        doc = tiny_config("transformer").to_json()
+        del doc["segment"]["p"]
+        assert ModelConfig.from_json(doc).stride == doc["segment"]["l"]
 
     def test_heads_must_divide_d_model(self):
         cfg = ModelConfig(encoder="transformer", d_model=10)
