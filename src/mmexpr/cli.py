@@ -50,7 +50,9 @@ def _resolve(base_file: str, path: str) -> str:
 
 def cmd_prepare(args) -> int:
     manifest = load_manifest(args.manifest)
-    extra = read_json(args.config).get("registry", {}) if args.config else {}
+    extra = {}
+    if args.config:
+        extra = ExperimentConfig.read_field(read_json(args.config), "registry_extra")
     registry = FeatureRegistry(extra=extra)
 
     out = args.out

@@ -19,8 +19,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import NUM_CLASSES
-from .errors import DataFormatError, ShapeError
-from .tensor import DTYPE, Graph, Tensor
+from .errors import DataFormatError, NonFiniteError, ShapeError
+from .tensor import DTYPE, Graph, Tensor, all_finite
 
 # field type -> (accepted JSON value types, their name in messages)
 _JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"), str: ((str,), "a string"),
@@ -68,18 +68,20 @@ class JsonConfig:
 
     @classmethod
     def from_json(cls, doc, key: str = ""):
-        hints = get_type_hints(cls)
-        values = {}
-        for f in fields(cls):
-            node, where = doc, key
-            for part in f.metadata.get("json", f.name).split("."):
-                node = _read(node, dict, where).get(part, MISSING)
-                where = f"{where}.{part}" if where else part
-                if node is MISSING:
-                    break
-            else:
-                values[f.name] = _read(node, hints[f.name], where)
-        return cls(**values).validate()
+        return cls(**{f.name: cls.read_field(doc, f.name, key) for f in fields(cls)}).validate()
+
+    @classmethod
+    def read_field(cls, doc, name: str, key: str = ""):
+        """Field ``name`` of the document ``doc`` (stored under ``key``): its
+        default when absent, else its value with the JSON type checked."""
+        f = cls.__dataclass_fields__[name]
+        node, where = doc, key
+        for part in f.metadata.get("json", name).split("."):
+            node = _read(node, dict, where).get(part, MISSING)
+            where = f"{where}.{part}" if where else part
+            if node is MISSING:
+                return f.default_factory() if f.default is MISSING else f.default
+        return _read(node, get_type_hints(cls)[name], where)
 
 
 @dataclass
@@ -150,10 +152,6 @@ def xavier(rng, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
     return rng.uniform(-limit, limit, shape or (fan_in, fan_out)).astype(DTYPE)
 
 
-def _affine(g: Graph, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    return g.add(g.matmul(x, weight), bias)
-
-
 class FusionLayer:
     """Concat-then-affine map from modality vectors to d_model (no activation)."""
 
@@ -170,7 +168,7 @@ class FusionLayer:
     def apply(self, g: Graph, fused_inputs: Tensor) -> Tensor:
         if fused_inputs.shape[-1] != self.input_dim:
             raise ShapeError(f"fuse: input dim {fused_inputs.shape[-1]} != layer dim {self.input_dim}")
-        return _affine(g, fused_inputs, self.weight, self.bias)
+        return g.affine(fused_inputs, self.weight, self.bias)
 
 
 class LstmEncoder:
@@ -216,7 +214,7 @@ class LstmEncoder:
                 c = Tensor(np.zeros((1, self.hidden), DTYPE))
             else:
                 h, c = carry[li]
-            pre = _affine(g, frames, w_in, bias)  # input projection for all frames at once
+            pre = g.affine(frames, w_in, bias)  # input projection for all frames at once
             frames, c = g.lstm_seq(pre, w_state, h, c)
             new_states.append((Tensor(frames.data[-1:]), c))
         return frames, new_states
@@ -308,7 +306,7 @@ class TransformerEncoder:
 
     def _split_heads(self, g, x, layer, role, axes):
         """The ``role`` projection of ``x`` as a (heads, ...) stack laid out by ``axes``."""
-        projected = _affine(g, x, layer[role + "_w"], layer[role + "_b"])
+        projected = g.affine(x, layer[role + "_w"], layer[role + "_b"])
         return g.transpose(g.reshape(projected, (x.shape[0], self.heads, self.head_dim)), axes)
 
     def forward(self, g: Graph, x: Tensor, rng=None, train: bool = False):
@@ -326,12 +324,12 @@ class TransformerEncoder:
             attention = g.softmax(g.scale(g.matmul(q, k), inv_sqrt))
             context = g.matmul(self._drop(g, attention, rng, train), v)
             merged = g.reshape(g.transpose(context, (1, 0, 2)), (window, self.d_model))
-            projected = self._drop(g, _affine(g, merged, layer["out_w"], layer["out_b"]),
+            projected = self._drop(g, g.affine(merged, layer["out_w"], layer["out_b"]),
                                    rng, train)
             x = g.layer_norm(g.add(x, projected), layer["norm1_gain"], layer["norm1_shift"])
-            mid = self._drop(g, g.relu(_affine(g, x, layer["ffn_in_w"], layer["ffn_in_b"])),
+            mid = self._drop(g, g.relu(g.affine(x, layer["ffn_in_w"], layer["ffn_in_b"])),
                              rng, train)
-            ffn = self._drop(g, _affine(g, mid, layer["ffn_out_w"], layer["ffn_out_b"]),
+            ffn = self._drop(g, g.affine(mid, layer["ffn_out_w"], layer["ffn_out_b"]),
                              rng, train)
             x = g.layer_norm(g.add(x, ffn), layer["norm2_gain"], layer["norm2_shift"])
         return x
@@ -377,8 +375,8 @@ class ClassificationHead:
         for w, b in self.stages:
             if train and self.dropout > 0.0:
                 x = g.dropout(x, self.dropout, rng=rng)
-            x = g.relu(_affine(g, x, w, b))
-        return _affine(g, x, self.out_w, self.out_b)
+            x = g.relu(g.affine(x, w, b))
+        return g.affine(x, self.out_w, self.out_b)
 
 
 class ExpressionModel:
@@ -414,7 +412,11 @@ class ExpressionModel:
             if arr.shape != p.data.shape:
                 raise ShapeError(f"parameter {name!r}: checkpoint shape {arr.shape} "
                                  f"!= model shape {p.data.shape}")
-            p.data = np.ascontiguousarray(arr)
+            with np.errstate(over="ignore"):
+                finite = all_finite(arr)
+            if not finite:
+                raise NonFiniteError(f"parameter {name!r}: NaN or infinity in checkpoint")
+            p.data = p.checked = np.ascontiguousarray(arr)
         return self
 
     @classmethod

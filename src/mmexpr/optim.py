@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
-from .tensor import DTYPE
+from .errors import NonFiniteError, ShapeError
+from .tensor import DTYPE, all_finite
 
 # Elements per block: 256 KB of float32 per array, so the five arrays a block
 # touches (param, grad, m, v, scratch) stay in L2 across the update's passes.
@@ -41,7 +41,10 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
     through a flat view. The arrays are walked in blocks of ``BLOCK`` elements
     shared over the available cores; every step of the update is a correctly
     rounded float32 elementwise op, so the result is bitwise equal to applying
-    the formula to whole arrays, whatever the split.
+    the formula to whole arrays, whatever the split. Each block is checked for
+    NaN and infinity right after its update; a parameter that is no longer
+    finite raises ``NonFiniteError`` naming it, the others are marked checked
+    (``Tensor.checked``) so that graphs need not scan them again.
     """
     for name, p in params.items():
         g = grads.get(name)
@@ -61,12 +64,17 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
     corr1 = DTYPE(1.0 - state.beta1 ** t)
     corr2 = DTYPE(1.0 - state.beta2 ** t)
     coeffs = (b1, one - b1, b2, one - b2, corr2, DTYPE(state.eps), DTYPE(state.lr) / corr1)
-    _run_blocks(_blocks(params, grads, state), coeffs, _WORKERS)
+    nonfinite = _run_blocks(_blocks(params, grads, state), coeffs, _WORKERS)
+    for name, p in params.items():
+        if name in nonfinite:
+            raise NonFiniteError(f"adam_step: NaN or infinity in parameter {name!r} "
+                                 f"after the update")
+        p.checked = p.data
     return state
 
 
 def _blocks(params: dict, grads: dict, state: AdamState) -> list:
-    """(param, grad, m, v) flat views of at most ``BLOCK`` elements each.
+    """(name, param, grad, m, v): flat views of at most ``BLOCK`` elements each.
 
     Creates a parameter's moments on first use.
     """
@@ -79,17 +87,18 @@ def _blocks(params: dict, grads: dict, state: AdamState) -> list:
         flat = (p.data.reshape(-1),
                 np.ascontiguousarray(grads[name], dtype=DTYPE).reshape(-1),
                 m.reshape(-1), state.v[name].reshape(-1))
-        blocks.extend(tuple(a[i:i + BLOCK] for a in flat)
+        blocks.extend((name, *(a[i:i + BLOCK] for a in flat))
                       for i in range(0, p.data.size, BLOCK))
     return blocks
 
 
-def _run_blocks(blocks: list, coeffs: tuple, workers: int) -> None:
+def _run_blocks(blocks: list, coeffs: tuple, workers: int) -> set:
     """Update each block once, on the calling thread and ``workers - 1`` helpers.
 
     All of them take blocks from one shared iterator (``next`` on a list
     iterator is atomic under the GIL), so a core that is busy elsewhere, e.g.
     with BLAS threads still spinning after backward, simply takes fewer.
+    Returns the names of the parameters left with a non-finite element.
     """
     global _pool
     shared = iter(blocks)
@@ -98,32 +107,42 @@ def _run_blocks(blocks: list, coeffs: tuple, workers: int) -> None:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="adam")
         helpers = [_pool.submit(_update, shared, coeffs) for _ in range(workers - 1)]
+    nonfinite = set()
     try:
-        _update(shared, coeffs)
+        nonfinite |= _update(shared, coeffs)
     finally:
         for helper in helpers:
-            helper.result()
+            nonfinite |= helper.result()
+    return nonfinite
 
 
-def _update(blocks, coeffs: tuple) -> None:
-    """The whole-array formula's float32 ops, in its order, one block at a time."""
+def _update(blocks, coeffs: tuple) -> set:
+    """The whole-array formula's float32 ops, in its order, one block at a time.
+
+    Returns the names whose updated blocks hold NaN or infinity.
+    """
     b1, one_b1, b2, one_b2, corr2, eps, lr_corr1 = coeffs
     scratch = np.empty(BLOCK, dtype=DTYPE)
-    for p, g, m, v in blocks:
-        s = scratch[:p.size]
-        m *= b1
-        np.multiply(one_b1, g, out=s)
-        m += s
-        v *= b2
-        np.square(g, out=s)
-        s *= one_b2
-        v += s
-        np.divide(v, corr2, out=s)
-        np.sqrt(s, out=s)
-        s += eps
-        np.divide(m, s, out=s)
-        s *= lr_corr1
-        p -= s
+    nonfinite = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p, g, m, v in blocks:
+            s = scratch[:p.size]
+            m *= b1
+            np.multiply(one_b1, g, out=s)
+            m += s
+            v *= b2
+            np.square(g, out=s)
+            s *= one_b2
+            v += s
+            np.divide(v, corr2, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(m, s, out=s)
+            s *= lr_corr1
+            p -= s
+            if not all_finite(p):  # while the block is still in cache
+                nonfinite.add(name)
+    return nonfinite
 
 
 def collect_grads(params: dict) -> dict:

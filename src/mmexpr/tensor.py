@@ -6,9 +6,10 @@ reverse, accumulating gradients into the participating leaf tensors. Separate
 graphs are independent and may be used concurrently; a single graph has one
 writer during forward/backward.
 
-Broadcasting is deliberately restricted: ``add`` supports a 1-D bias against
-the trailing axis, everything else requires exact shapes. Constant scalar
-multiplication is its own op (``scale``) so no tensor broadcasting is needed.
+Broadcasting is deliberately restricted: every op requires exact shapes. A
+bias enters through the fused ``affine`` op (``x @ W + b``), and constant
+scalar multiplication is its own op (``scale``), so no tensor broadcasting is
+needed.
 """
 
 from __future__ import annotations
@@ -21,14 +22,30 @@ from .errors import NonFiniteError, ShapeError
 
 DTYPE = np.float32
 
+
+def all_finite(a: np.ndarray) -> bool:
+    """True when no element of ``a`` is NaN or infinite.
+
+    One BLAS pass: x.x is NaN or inf if any element is, and otherwise finite
+    unless it overflows, which the exact np.isfinite scan settles. For C-order
+    data the flat view is not a copy. Callers run it under
+    ``np.errstate(over="ignore")``, entered once around their loop, since an
+    errstate block per call costs more than the dot product.
+    """
+    flat = a.reshape(-1)
+    return math.isfinite(np.dot(flat, flat)) or bool(np.isfinite(flat).all())
+
+
 class Tensor:
     """Dense float32 array, optionally tracked for gradients.
 
     ``grad`` is populated (same shape as ``data``) by ``backward`` for leaf
-    tensors created with ``requires_grad=True``.
+    tensors created with ``requires_grad=True``. ``checked`` holds the array
+    last found finite by the code that changed it (``adam_step``,
+    ``load_state``); graphs skip the scan while it is still ``data``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad", "name", "checked")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         # note: ascontiguousarray would promote 0-d to 1-d; asarray keeps ()
@@ -36,6 +53,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.name = name
+        self.checked = None
 
     @property
     def shape(self) -> tuple:
@@ -102,19 +120,16 @@ class Graph:
         return out
 
     def _reject_nonfinite(self, kind, t: Tensor):
-        # One BLAS pass: x.x is NaN or inf if any element is, and otherwise
-        # finite unless it overflows, which the exact np.isfinite scan settles
-        # (the caller ignores the overflow warning). Tensor() stores C-order
-        # data, so the flat view is normally not a copy. Tensors that require
-        # grad (parameters, taped outputs) recur in many ops of a step and are
-        # memoized by id; the memo holds each one, so its id cannot pass to a
-        # later, unchecked tensor. Other inputs are scanned on every use, as
-        # holding them would keep every inference intermediate alive.
+        # Parameters are checked where they change and skipped while their
+        # data is still the array that was checked; a new ``data`` array is
+        # scanned again. Other tensors that require grad (taped outputs) recur in many ops of a step and are memoized by id; the memo holds
+        # each one, so its id cannot pass to a later, unchecked tensor. Other
+        # inputs are scanned on every use, as holding them would keep every
+        # inference intermediate alive.
         key = id(t)
-        if key in self._finite_checked:
+        if t.checked is t.data or key in self._finite_checked:
             return
-        flat = t.data.reshape(-1)
-        if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(flat).all():
+        if not all_finite(t.data):
             raise NonFiniteError(f"{kind}: NaN or infinity in input tensor"
                                  + (f" {t.name!r}" if t.name else ""))
         if t.requires_grad:
@@ -127,6 +142,9 @@ class Graph:
 
     def add(self, a, b):
         return self.apply("add", (a, b))
+
+    def affine(self, x, weight, bias):
+        return self.apply("affine", (x, weight, bias))
 
     def mul(self, a, b):
         return self.apply("mul", (a, b))
@@ -243,19 +261,33 @@ def _op_matmul(inputs, attrs):
     return ad @ bd, bw
 
 
-def _op_add(inputs, attrs):
-    a, b = _arity(inputs, 2, "add")
-    if a.shape == b.shape:
-        reduce_b = False
-    elif b.data.ndim == 1 and a.data.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        reduce_b = True  # bias broadcast over leading axes
-    else:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    lead = tuple(range(a.data.ndim - 1))
+def _op_affine(inputs, attrs):
+    """(m, k) @ (k, n) plus a (n,) bias on every row, as one node."""
+    x, weight, bias = _arity(inputs, 3, "affine")
+    if (x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[0]
+            or bias.shape != weight.shape[1:]):
+        raise ShapeError(f"affine: expects x (m, k), weight (k, n) and bias (n,); "
+                         f"got {x.shape}, {weight.shape}, {bias.shape}")
+    xd, wd = x.data, weight.data
+    nx, nw, nb = x.requires_grad, weight.requires_grad, bias.requires_grad
 
     def bw(g):
-        gb = g.sum(axis=lead) if reduce_b else g
-        return g, gb
+        return (g @ wd.T if nx else None,
+                xd.T @ g if nw else None,
+                g.sum(axis=0) if nb else None)
+
+    out = xd @ wd
+    out += bias.data
+    return out, bw
+
+
+def _op_add(inputs, attrs):
+    a, b = _arity(inputs, 2, "add")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def bw(g):
+        return g, g
 
     return a.data + b.data, bw
 
@@ -320,12 +352,12 @@ def _sigmoid(x, out=None):
 
 def _op_relu(inputs, attrs):
     (x,) = _arity(inputs, 1, "relu")
-    mask = x.data > 0
+    xd = x.data
 
     def bw(g):
-        return (g * mask,)
+        return (g * (xd > 0),)
 
-    return np.where(mask, x.data, DTYPE(0)), bw
+    return np.maximum(xd, 0), bw
 
 
 def _softmax_data(xd):
@@ -389,25 +421,37 @@ def _op_layer_norm(inputs, attrs):
         raise ShapeError(
             f"layer_norm: gain/shift must have shape ({d},), got {gain.shape} and {shift.shape}")
     xd = x.data
+    # the float32 op order of mean, centre, variance, 1/sqrt, scale, shift,
+    # with two (.., d) buffers: centred -> normed, squares -> output
     mu = xd.mean(axis=-1, keepdims=True)
-    centered = xd - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + DTYPE(eps))
-    normed = centered * inv
+    normed = np.subtract(xd, mu)
+    out = np.multiply(normed, normed)
+    inv = out.mean(axis=-1, keepdims=True)
+    inv += DTYPE(eps)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    normed *= inv
+    np.multiply(normed, gain.data, out=out)
+    out += shift.data
     lead = tuple(range(xd.ndim - 1))
     nx, ng, ns = x.requires_grad, gain.requires_grad, shift.requires_grad
 
     def bw(g):
-        gx = None
+        # gx = inv * ((dn - mean(dn)) - normed * mean(dn * normed)), dn = g * gain,
+        # in fresh buffers: a second backward over the graph reads normed and inv again
+        gx = scratch = None
         if nx:
-            dn = g * gain.data
-            gx = inv * (dn - dn.mean(axis=-1, keepdims=True)
-                        - normed * (dn * normed).mean(axis=-1, keepdims=True))
-        ggain = (g * normed).sum(axis=lead) if ng else None
+            gx = np.multiply(g, gain.data)
+            scratch = np.multiply(gx, normed)
+            dot = scratch.mean(axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= np.multiply(normed, dot, out=scratch)
+            gx *= inv
+        ggain = np.multiply(g, normed, out=scratch).sum(axis=lead) if ng else None
         gshift = g.sum(axis=lead) if ns else None
         return gx, ggain, gshift
 
-    return normed * gain.data + shift.data, bw
+    return out, bw
 
 
 def _op_reshape(inputs, attrs):
@@ -530,6 +574,7 @@ def _arity(inputs, n, kind):
 _OP_TABLE = {
     "matmul": _op_matmul,
     "add": _op_add,
+    "affine": _op_affine,
     "mul": _op_mul,
     "scale": _op_scale,
     "concat": _op_concat,

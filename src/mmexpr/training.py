@@ -47,8 +47,10 @@ class TrainingSettings(JsonConfig):
     batch_videos: int = 4    # LSTM steps consume whole videos, segments in order
 
     def validate(self):
-        if self.alpha < 0:
-            raise DataFormatError("training.alpha must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise DataFormatError(f"training.lr must be a finite number > 0, got {self.lr}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise DataFormatError(f"training.alpha must be a finite number >= 0, got {self.alpha}")
         if self.epochs < 1 or self.batch_segments < 1 or self.batch_videos < 1:
             raise DataFormatError("training epochs and batch sizes must be >= 1")
         return self
@@ -286,16 +288,17 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
                     g.concat(firsts, axis=0) if len(firsts) > 1 else firsts[0],
                     g.concat(seconds, axis=0) if len(seconds) > 1 else seconds[0],
                     np.concatenate(labels), np.concatenate(masks), alpha)
+                if loss is None:
+                    continue  # every frame masked; the batch contributes nothing
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_idx}")
+                g.backward(loss)
+                grads = collect_grads(model.parameters())
+                adam_step(model.parameters(), grads, adam)
             except NonFiniteError as exc:
-                raise NumericError(f"NaN at epoch {epoch} batch {batch_idx}: {exc}") from exc
-            if loss is None:
-                continue  # every frame masked; the batch contributes nothing
-            value = loss.item()
-            if not math.isfinite(value):
-                raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_idx}")
-            g.backward(loss)
-            grads = collect_grads(model.parameters())
-            adam_step(model.parameters(), grads, adam)
+                raise NumericError(f"non-finite value at epoch {epoch} batch {batch_idx}: "
+                                   f"{exc}") from exc
             zero_grads(model.parameters())
             n_valid = int(np.concatenate(masks).sum())
             loss_sum += value * n_valid

@@ -365,3 +365,35 @@ def adam_step_whole_array(params, grads, state):
         np.divide(m, step, out=step)
         step *= lr / corr1
         p -= step
+
+
+# -- float32 formulas the tape ops must match bit for bit -----------------------------
+
+def relu_where(x, g):
+    """ReLU as ``np.where(x > 0, x, 0)`` and its gradient ``g * (x > 0)``."""
+    mask = x > 0
+    return np.where(mask, x, np.float32(0)), g * mask
+
+
+def affine_matmul_add(x, w, b, g):
+    """``x @ w`` then a broadcast ``+ b`` (two separate ops, as a matmul node
+    followed by a bias-add node computed them), and the gradients
+    ``g @ w.T``, ``x.T @ g`` and ``g.sum(axis=(0,))``."""
+    return x @ w + b, (g @ w.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g, g.sum(axis=(0,)))
+
+
+def layer_norm_float32(x, gain, shift, g, eps=1e-5):
+    """Layer norm over the last axis and its three gradients, written as
+    whole-array float32 expressions, one temporary per step."""
+    f32 = np.float32
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + f32(eps))
+    normed = centered * inv
+    out = normed * gain + shift
+    lead = tuple(range(x.ndim - 1))
+    dn = g * gain
+    gx = inv * (dn - dn.mean(axis=-1, keepdims=True)
+                - normed * (dn * normed).mean(axis=-1, keepdims=True))
+    return out, (gx, (g * normed).sum(axis=lead), g.sum(axis=lead))

@@ -74,9 +74,10 @@ class TestCriterion1GradientSuite:
         add_case("add", lambda r: {"a": r.normal(size=(4, 5)), "b": r.normal(size=(4, 5))},
                  lambda g, t, r: g.add(t["a"], t["b"]),
                  lambda p: p["a"] + p["b"])
-        add_case("add_bias", lambda r: {"a": r.normal(size=(4, 5)), "b": r.normal(size=5)},
-                 lambda g, t, r: g.add(t["a"], t["b"]),
-                 lambda p: p["a"] + p["b"])
+        add_case("affine", lambda r: {"x": r.normal(size=(4, 3)), "w": r.normal(size=(3, 5)),
+                                      "b": r.normal(size=5)},
+                 lambda g, t, r: g.affine(t["x"], t["w"], t["b"]),
+                 lambda p: p["x"] @ p["w"] + p["b"])
         add_case("mul", lambda r: {"a": r.normal(size=(3, 4)), "b": r.normal(size=(3, 4))},
                  lambda g, t, r: g.mul(t["a"], t["b"]),
                  lambda p: p["a"] * p["b"])

@@ -361,6 +361,14 @@ class TestExitCodes:
         assert run_cli("train", "--config", cfg_path) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_adam_update_is_3(self, synth_dir, tmp_path, capsys):
+        doc = small_config_doc(manifest=str(synth_dir / "manifest.json"),
+                               out=str(tmp_path / "run"), epochs=1, lr=1e38)
+        write_json(str(tmp_path / "overflow.json"), doc)
+        assert run_cli("train", "--config", tmp_path / "overflow.json") == 3
+        assert "epoch 1 batch 0: adam_step" in capsys.readouterr().err
+
 
 def _set(path, value):
     """A config edit that sets the dotted ``path`` of the document to ``value``."""
@@ -386,6 +394,10 @@ BAD_CONFIGS = [
     pytest.param(_set("model.transformer.dropout", -0.1), "model.transformer.dropout",
                  id="dropout-negative"),
     pytest.param(_set("model.classes", 3), "model.classes", id="classes-3"),
+    pytest.param(_set("training.lr", -0.001), "training.lr", id="lr-negative"),
+    pytest.param(_set("training.lr", 0), "training.lr", id="lr-0"),
+    pytest.param(_set("training.lr", float("nan")), "training.lr", id="lr-nan"),
+    pytest.param(_set("training.alpha", float("nan")), "training.alpha", id="alpha-nan"),
 ]
 
 
@@ -430,6 +442,20 @@ class TestConfigChecks:
         arrays["fusion.weight"] = np.zeros((13, 64), np.float32)  # the config's sets give 12
         assert self._predict(synth_dir, trained_run, tmp_path, arrays) == 2
         assert "input dim 12 != layer dim 13" in capsys.readouterr().err
+
+    def test_prepare_rejects_config_that_is_not_an_object(self, synth_dir, tmp_path, capsys):
+        (tmp_path / "list.json").write_text("[1]\n")
+        assert run_cli("prepare", "--manifest", synth_dir / "manifest.json",
+                       "--out", tmp_path / "p", "--config", tmp_path / "list.json") == 2
+        assert "config: expected an object" in capsys.readouterr().err
+
+    def test_predict_rejects_nan_parameter_naming_it(self, synth_dir, trained_run, tmp_path,
+                                                     capsys):
+        arrays = load_checkpoint(str(trained_run / "best.ckpt"))
+        arrays["head.out.bias"][2] = np.nan
+        assert self._predict(synth_dir, trained_run, tmp_path, arrays) == 2
+        assert "'head.out.bias'" in capsys.readouterr().err
+        assert not (tmp_path / "preds").exists()
 
     def test_predict_rejects_checkpoint_without_fusion_weight(self, synth_dir, trained_run,
                                                               tmp_path, capsys):

@@ -151,7 +151,7 @@ class TestLstmEncoder:
         for seg_index in (1, 2):
             g = Graph()
             enc.encode_segment(g, "v", seg_index, x)
-            assert [n.kind for n in g.nodes] == ["matmul", "add", "lstm_seq"] * 2
+            assert [n.kind for n in g.nodes] == ["affine", "lstm_seq"] * 2
 
     def test_per_frame_checkpoint_predicts_the_same(self):
         """``fixtures/lstm_per_frame.*`` were written by the per-frame LSTM
@@ -219,12 +219,11 @@ class TestTransformerEncoder:
         g = Graph()
         for _ in range(2):  # two training passes, as RDrop runs them
             enc.forward(g, x, rng=rng, train=True)
-        split = ["matmul", "add", "reshape", "transpose"]
+        split = ["affine", "reshape", "transpose"]
         layer = (split * 3
                  + ["matmul", "scale", "softmax", "dropout", "matmul", "transpose", "reshape"]
-                 + ["matmul", "add", "dropout", "add", "layer_norm"]
-                 + ["matmul", "add", "relu", "dropout", "matmul", "add", "dropout", "add",
-                    "layer_norm"])
+                 + ["affine", "dropout", "add", "layer_norm"]
+                 + ["affine", "relu", "dropout", "affine", "dropout", "add", "layer_norm"])
         assert [n.kind for n in g.nodes] == layer * 2 * 2
         softmax_out = {id(n.output) for n in g.nodes if n.kind == "softmax"}
         attention_drops = [n for n in g.nodes

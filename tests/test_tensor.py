@@ -8,8 +8,9 @@ import pytest
 
 from mmexpr import (AdamState, DataFormatError, Graph, NonFiniteError, ShapeError, Tensor,
                     adam_step, backward)
-from mmexpr import optim
+from mmexpr import optim, tensor
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
+from mmexpr.models import LstmSettings, ModelConfig, build_model
 from mmexpr.optim import BLOCK
 
 from tests import _reference as ref
@@ -156,10 +157,18 @@ class TestForward:
         with pytest.raises(ValueError, match="unknown op"):
             g.apply("conv", (Tensor(np.zeros(2)),))
 
-    def test_bias_add_broadcast(self):
+    def test_affine_adds_bias_to_every_row(self):
         g = Graph()
-        out = g.add(Tensor(np.zeros((3, 4))), Tensor(np.arange(4.0)))
+        out = g.affine(Tensor(np.zeros((3, 2))), Tensor(np.ones((2, 4))), Tensor(np.arange(4.0)))
         np.testing.assert_array_equal(out.data, np.tile(np.arange(4.0), (3, 1)))
+
+    def test_affine_shape_checks(self):
+        g = Graph()
+        x, w, b = np.zeros((3, 2)), np.zeros((2, 4)), np.zeros(4)
+        for bad in ((np.zeros((3, 5)), w, b), (x, w, np.zeros(5)), (x, w, np.zeros((1, 4))),
+                    (np.zeros((1, 3, 2)), w, b), (x, np.zeros((1, 2, 4)), b)):
+            with pytest.raises(ShapeError, match="affine"):
+                g.affine(*(Tensor(a) for a in bad))
 
     def test_concat_and_slice_roundtrip(self):
         # concat's backward slices the output gradient back into its inputs
@@ -248,12 +257,13 @@ class TestGradientsVsFiniteDifferences:
         fd_check(build, lambda rng: {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(3, 5))},
                  trials=5, seed=11)
 
-    def test_add_bias(self):
+    def test_affine(self):
         def build(g, t, rng):
             c = np.random.default_rng(1).normal(size=(4, 3))
-            loss = g.sum(g.mul(g.add(t["x"], t["b"]), Tensor(c)))
-            return loss, lambda p: float(((p["x"] + p["b"]) * c).sum())
-        fd_check(build, lambda rng: {"x": rng.normal(size=(4, 3)), "b": rng.normal(size=3)},
+            loss = g.sum(g.mul(g.affine(t["x"], t["w"], t["b"]), Tensor(c)))
+            return loss, lambda p: float(((p["x"] @ p["w"] + p["b"]) * c).sum())
+        fd_check(build, lambda rng: {"x": rng.normal(size=(4, 5)), "w": rng.normal(size=(5, 3)),
+                                     "b": rng.normal(size=3)},
                  trials=5, seed=12)
 
     def test_mul_scale(self):
@@ -326,8 +336,8 @@ class TestGradientsVsFiniteDifferences:
             onehot = np.zeros((4, 5), np.float64)
             onehot[np.arange(4), labels] = 1.0
 
-            h = g.add(g.matmul(t["x"], t["w1"]), t["b1"])
-            logits = g.add(g.matmul(g.softmax(h), t["w2"]), t["b2"])
+            h = g.affine(t["x"], t["w1"], t["b1"])
+            logits = g.affine(g.softmax(h), t["w2"], t["b2"])
             picked = g.mul(g.log_softmax(logits), Tensor(onehot))
             loss = g.scale(g.sum(picked), -0.25)
 
@@ -341,6 +351,79 @@ class TestGradientsVsFiniteDifferences:
             "x": rng.normal(size=(4, 3)), "w1": rng.normal(size=(3, 6)),
             "b1": rng.normal(size=6), "w2": rng.normal(size=(6, 5)),
             "b2": rng.normal(size=5)}, trials=5, seed=20)
+
+
+def bits(a):
+    """The float32 bit patterns of ``a``, so that +0.0 and -0.0 differ."""
+    return np.asarray(a, np.float32).view(np.uint32)
+
+
+def run_op(kind, arrays, grad_out, requires=None):
+    """One recorded ``kind`` node: its output and, from its backward rule,
+    the gradients for ``grad_out`` (None for inputs that need none)."""
+    requires = requires or (True,) * len(arrays)
+    inputs = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
+    g = Graph()
+    out = g.apply(kind, inputs)
+    (node,) = g.nodes
+    return out.data, node.backward_fn(grad_out)
+
+
+class TestBitwiseAgainstFormulas:
+    """Tape ops against the whole-array float32 formulas in ``tests/_reference``."""
+
+    @pytest.mark.parametrize("n", [10, 37, 2048 * 3 + 5])
+    def test_relu(self, n):
+        rng = np.random.default_rng(n)
+        tiny = np.finfo(np.float32).smallest_subnormal
+        special = np.array([0.0, -0.0, tiny, -tiny, 1e-39, -1e-39, 1.1e-38, -1.1e-38,
+                            3e38, -3e38], np.float32)
+        x = rng.standard_normal(n).astype(np.float32)
+        x[:special.size] = special
+        x[-special.size:] = special[::-1]  # the vector loops' tails see them too
+        grad_out = rng.standard_normal(n).astype(np.float32)
+        out, (gx,) = run_op("relu", [x], grad_out)
+        expected, expected_gx = ref.relu_where(x, grad_out)
+        assert np.array_equal(bits(out), bits(expected))
+        assert np.array_equal(bits(gx), bits(expected_gx))
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("m, k, n", [(4, 3, 5), (1, 7, 1), (96, 160, 72)])
+    def test_affine(self, m, k, n):
+        rng = np.random.default_rng(m * k * n)
+        x, w, b, grad_out = (rng.standard_normal(s).astype(np.float32)
+                             for s in ((m, k), (k, n), (n,), (m, n)))
+        out, grads = run_op("affine", [x, w, b], grad_out)
+        expected, expected_grads = ref.affine_matmul_add(x, w, b, grad_out)
+        assert np.array_equal(bits(out), bits(expected))
+        assert out.shape == (m, n)
+        for got, want, shape in zip(grads, expected_grads, ((m, k), (k, n), (n,))):
+            assert got.shape == shape
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("shape", [(6, 33), (2, 5, 16), (128, 1024)])
+    @pytest.mark.parametrize("requires", [(True, True, True), (False, True, False),
+                                          (True, False, False)], ids=["all", "gain", "x"])
+    def test_layer_norm(self, shape, requires):
+        rng = np.random.default_rng(shape[-1])
+        x = (rng.standard_normal(shape) * 3 + 1).astype(np.float32)
+        gain = rng.uniform(0.5, 1.5, shape[-1]).astype(np.float32)
+        shift = rng.standard_normal(shape[-1]).astype(np.float32)
+        grad_out = rng.standard_normal(shape).astype(np.float32)
+        inputs = [Tensor(a, requires_grad=r) for a, r in zip((x, gain, shift), requires)]
+        g = Graph()
+        out = g.layer_norm(*inputs)
+        (node,) = g.nodes
+        expected, expected_grads = ref.layer_norm_float32(x, gain, shift, grad_out)
+        assert np.array_equal(bits(out.data), bits(expected))
+        for _ in range(2):  # a second backward reads the same forward arrays
+            grads = node.backward_fn(grad_out)
+            for got, want, needed in zip(grads, expected_grads, requires):
+                if needed:
+                    assert got.shape == want.shape
+                    assert np.array_equal(bits(got), bits(want))
+                else:
+                    assert got is None
 
 
 class TestAdam:
@@ -441,6 +524,50 @@ class TestAdam:
         np.testing.assert_array_equal(first.data, np.arange(3.0))
         assert state.step == 0 and not state.m and not state.v
 
+    def test_overflowing_update_raises_naming_the_parameter(self):
+        fine = Tensor(np.ones(3), requires_grad=True)
+        edge = Tensor(np.full(3, -3.4e38), requires_grad=True)
+        grads = {"fine": np.ones(3, np.float32), "edge": np.ones(3, np.float32)}
+        # the first step moves each parameter down by lr: -3.4e38 - 1e37 overflows
+        with pytest.raises(NonFiniteError, match="'edge'"):
+            adam_step({"fine": fine, "edge": edge}, grads, AdamState(lr=1e37))
+        assert np.isneginf(edge.data).all() and np.isfinite(fine.data).all()
+        assert fine.checked is fine.data and edge.checked is not edge.data
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_blocks_returns_the_nonfinite_names(self, workers):
+        params = {"a": Tensor(np.ones(BLOCK + 3), requires_grad=True),
+                  "b": Tensor(np.ones(2 * BLOCK), requires_grad=True)}
+        grads = {"a": np.ones(BLOCK + 3, np.float32), "b": np.ones(2 * BLOCK, np.float32)}
+        grads["b"][BLOCK + 1] = np.nan  # only the second block of b goes bad
+        coeffs = tuple(np.float32(c) for c in (0.9, 0.1, 0.999, 1e-3, 1e-3, 1e-8, 1e-2))
+        blocks = optim._blocks(params, grads, AdamState())
+        assert optim._run_blocks(blocks, coeffs, workers) == {"b"}
+        assert np.isnan(params["b"].data[BLOCK + 1])
+
+    def test_update_marks_parameters_checked_and_skips_their_scan(self, monkeypatch):
+        p = Tensor(np.ones((2, 2)), requires_grad=True, name="w")
+        adam_step({"w": p}, {"w": np.ones((2, 2), np.float32)}, AdamState())
+        assert p.checked is p.data
+        scanned = []
+        real = tensor.all_finite
+        monkeypatch.setattr(tensor, "all_finite", lambda a: scanned.append(a.shape) or real(a))
+        x = Tensor(np.ones((3, 2)))
+        Graph().matmul(x, p)
+        assert scanned == [(3, 2)]
+        p.data = p.data.copy()  # a new array is scanned again, although equal
+        Graph().matmul(x, p)
+        assert scanned == [(3, 2), (3, 2), (2, 2)]
+
+    def test_nan_assigned_after_update_rejected_at_next_apply(self):
+        p = Tensor(np.ones((2, 2)), requires_grad=True, name="w")
+        adam_step({"w": p}, {"w": np.ones((2, 2), np.float32)}, AdamState())
+        x = Tensor(np.ones((3, 2)))
+        Graph().matmul(x, p)
+        p.data = np.full((2, 2), np.nan, np.float32)
+        with pytest.raises(NonFiniteError, match="'w'"):
+            Graph().matmul(x, p)
+
     def test_non_contiguous_param_rejected(self):
         p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         p.data = p.data.T
@@ -453,6 +580,19 @@ class TestAdam:
 
 
 class TestCheckpoint:
+    def test_load_state_rejects_nan_naming_the_parameter(self, tmp_path):
+        config = ModelConfig(encoder="lstm", d_model=4, head=(3, 3), seg_len=4)
+        config.lstm = LstmSettings(hidden=3)
+        model = build_model(config, input_dim=2, seed=0)
+        arrays = {k: p.data.copy() for k, p in model.parameters().items()}
+        arrays["head.out.bias"][1] = np.nan
+        save_checkpoint(arrays, str(tmp_path / "nan.ckpt"))
+        with pytest.raises(NonFiniteError, match="'head.out.bias'"):
+            model.load_state(load_checkpoint(str(tmp_path / "nan.ckpt")))
+        arrays["head.out.bias"][1] = 0.0
+        model.load_state(arrays)
+        assert all(p.checked is p.data for p in model.parameters().values())
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(21)
         params = {

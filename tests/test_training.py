@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mmexpr import Graph, NumericError, Tensor, backward
+from mmexpr import Graph, NumericError, Tensor, backward, training
 from mmexpr.data import load_manifest, read_feature_file
 from mmexpr.errors import DataFormatError
 from mmexpr.models import LstmSettings, ModelConfig, TransformerSettings
@@ -236,8 +236,15 @@ class TestTrainLoop:
         with open(a.best_checkpoint, "rb") as fa, open(b.best_checkpoint, "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_zero_learning_rate_changes_nothing(self, tmp_path):
-        cfg = tiny_experiment(tmp_path, "lstm", epochs=2, lr=0.0)
+    def test_zero_learning_rate_changes_nothing(self, tmp_path, monkeypatch):
+        # a config's lr must be > 0, so the zero rate is set on the optimizer state
+        real_step = training.adam_step
+
+        def zero_rate_step(params, grads, state):
+            state.lr = 0.0
+            return real_step(params, grads, state)
+        monkeypatch.setattr(training, "adam_step", zero_rate_step)
+        cfg = tiny_experiment(tmp_path, "lstm", epochs=2)
         result = train(cfg)
         from mmexpr.models import build_model
         streams = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -291,6 +298,16 @@ class TestTrainLoop:
             train(cfg)
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_adam_update_aborts_with_coordinates(self, tmp_path):
+        # lr / (1 - beta1) overflows float32 on the first step, so the update
+        # itself takes the parameters to infinity
+        cfg = tiny_experiment(tmp_path, "lstm", epochs=1, lr=1e38)
+        with pytest.raises(NumericError,
+                           match=r"epoch 1 batch 0: adam_step: .* parameter '[\w.]+'"):
+            train(cfg)
+
+
 class TestPrediction:
     def test_probabilities_match_eval_logits_without_overlap(self, tmp_path):
         cfg = tiny_experiment(tmp_path, "lstm", epochs=1)
@@ -339,6 +356,15 @@ class TestExperimentConfig:
     def test_unknown_feature_rejected(self):
         with pytest.raises(DataFormatError, match="unknown feature set"):
             ExperimentConfig(visual_features=["nope"], audio_features=["hubert"]).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -0.001), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("alpha", float("nan")), ("alpha", float("inf")), ("alpha", -1.0)])
+    def test_training_rate_and_weight_checked(self, field, value):
+        with pytest.raises(DataFormatError, match=f"training.{field}"):
+            TrainingSettings(**{field: value}).validate()
+        with pytest.raises(DataFormatError, match=f"training.{field}"):
+            TrainingSettings.from_json(json.loads(json.dumps({field: value})), "training")
 
     def test_empty_selection_rejected(self):
         with pytest.raises(DataFormatError, match="no visual"):
