@@ -8,8 +8,10 @@ directory, and all file outputs are atomic (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .ensemble import read_predictions, vote, write_predictions
 from .errors import DataFormatError, NumericError, ShapeError
 from .evaluation import evaluate_tracks
 from .fileio import atomic_write_bytes, read_json, write_json
-from .models import ExpressionModel
+from .models import ExpressionModel, JsonConfig
 from .training import ExperimentConfig, predict_video, synth_dataset, train
 
 
@@ -37,6 +39,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+# synth_dataset's parameters after out_dir: the synth options and their defaults
+_SYNTH_ARGS = dict(list(inspect.signature(synth_dataset).parameters.items())[1:])
 
 
 def _resolve(base_file: str, path: str) -> str:
@@ -103,15 +109,9 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    manifest_path = synth_dataset(
-        args.out, videos=args.videos, frames=args.frames, classes=args.classes,
-        visual_dim=args.visual_dim, audio_dim=args.audio_dim, sigma=args.sigma,
-        seed=args.seed)
-    write_json(os.path.join(args.out, "resolved_config.json"), {
-        "command": "synth", "videos": args.videos, "frames": args.frames,
-        "classes": args.classes, "visual_dim": args.visual_dim,
-        "audio_dim": args.audio_dim, "sigma": args.sigma, "seed": args.seed,
-    })
+    settings = {name: getattr(args, name) for name in _SYNTH_ARGS}
+    manifest_path = synth_dataset(args.out, **settings)
+    write_json(os.path.join(args.out, "resolved_config.json"), {"command": "synth", **settings})
     print(f"synthetic dataset at {manifest_path}")
     return 0
 
@@ -193,17 +193,26 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@dataclass
+class EnsembleSpec(JsonConfig):
+    """The ``--spec`` file of ``mmexpr ensemble``."""
+
+    members: list[str] = field(default_factory=list)
+    strategy: str = "majority_vote"
+    tie_break: str = "mean_probability"
+
+    def validate(self):
+        if len(self.members) < 2:
+            raise DataFormatError("ensemble spec needs at least 2 member directories")
+        if self.strategy != "majority_vote" or self.tie_break != "mean_probability":
+            raise DataFormatError(f"unsupported ensemble settings: strategy={self.strategy!r}, "
+                                  f"tie_break={self.tie_break!r}")
+        return self
+
+
 def cmd_ensemble(args) -> int:
-    spec = read_json(args.spec)
-    members = spec.get("members", [])
-    if len(members) < 2:
-        raise DataFormatError("ensemble spec needs at least 2 member directories")
-    strategy = spec.get("strategy", "majority_vote")
-    tie_break = spec.get("tie_break", "mean_probability")
-    if strategy != "majority_vote" or tie_break != "mean_probability":
-        raise DataFormatError(
-            f"unsupported ensemble settings: strategy={strategy!r}, tie_break={tie_break!r}")
-    member_dirs = [_resolve(args.spec, m) for m in members]
+    spec = EnsembleSpec.from_json(read_json(args.spec), "spec")
+    member_dirs = [_resolve(args.spec, m) for m in spec.members]
 
     def csv_ids(d):
         return sorted(os.path.splitext(f)[0] for f in os.listdir(d) if f.endswith(".csv"))
@@ -222,7 +231,7 @@ def cmd_ensemble(args) -> int:
         write_predictions(vote(tracks), os.path.join(args.out, f"{vid}.csv"))
     write_json(os.path.join(args.out, "resolved_config.json"), {
         "command": "ensemble", "members": [os.path.abspath(d) for d in member_dirs],
-        "strategy": strategy, "tie_break": tie_break,
+        "strategy": spec.strategy, "tie_break": spec.tie_break,
     })
     print(f"fused {len(ids)} videos from {len(member_dirs)} members into {args.out}")
 
@@ -249,13 +258,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--videos", type=int, default=20)
-    p.add_argument("--frames", type=int, default=200)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--visual-dim", type=int, default=64)
-    p.add_argument("--audio-dim", type=int, default=32)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    for name, param in _SYNTH_ARGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(param.default),
+                       default=param.default)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train a model from an experiment config")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import struct
 from dataclasses import dataclass
@@ -421,31 +422,55 @@ class Manifest:
         return list(self.splits[split])
 
 
+# manifest field -> (what its JSON value must be, the test of it)
+_VIDEO_FIELDS = {
+    "id": ("a string", lambda v: isinstance(v, str)),
+    "n_frames": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "label_file": ("a string", lambda v: isinstance(v, str)),
+    "features": ("an object of strings",
+                 lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values())),
+}
+_SPLITS = ("an object of string arrays",
+           lambda v: isinstance(v, dict) and all(
+               isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+               for ids in v.values()))
+
+
 def load_manifest(path: str) -> Manifest:
-    """Read the dataset manifest JSON, resolving file paths relative to it."""
+    """Read the dataset manifest JSON, resolving file paths relative to it.
+
+    Each field's JSON type is checked; a wrong one raises ``DataFormatError``
+    naming the file and the field.
+    """
     doc = read_json(path)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    if not isinstance(doc, dict) or "videos" not in doc:
+    def check(value, where, rule):
+        wanted, ok = rule
+        if not ok(value):
+            raise DataFormatError(f"{path}: {where} must be {wanted}, got {json.dumps(value)}")
+        return value
+
+    if not isinstance(doc, dict) or not isinstance(doc.get("videos"), list):
         raise DataFormatError(f"{path}: manifest must be an object with a 'videos' list")
     videos = []
     seen = set()
     for i, entry in enumerate(doc["videos"]):
-        try:
-            vid = entry["id"]
-            n = int(entry["n_frames"])
-            label_file = resolve(entry["label_file"])
-            feats = {name: resolve(p) for name, p in entry["features"].items()}
-        except (KeyError, TypeError) as exc:
-            raise DataFormatError(f"{path}: videos[{i}] missing field ({exc})") from exc
+        check(entry, f"videos[{i}]", ("an object", lambda v: isinstance(v, dict)))
+        for key, rule in _VIDEO_FIELDS.items():
+            if key not in entry:
+                raise DataFormatError(f"{path}: videos[{i}] missing field {key!r}")
+            check(entry[key], f"videos[{i}].{key}", rule)
+        vid = entry["id"]
         if vid in seen:
             raise DataFormatError(f"{path}: duplicate video id {vid!r}")
         seen.add(vid)
-        videos.append(ManifestVideo(vid, n, label_file, feats))
-    splits = doc.get("splits", {})
+        feats = {name: resolve(p) for name, p in entry["features"].items()}
+        videos.append(ManifestVideo(vid, entry["n_frames"], resolve(entry["label_file"]), feats))
+    splits = check(doc.get("splits", {}), "splits", _SPLITS)
     for name, ids in splits.items():
         for vid in ids:
             if vid not in seen:

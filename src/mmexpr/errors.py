@@ -14,4 +14,5 @@ class NumericError(RuntimeError):
 
 
 class NonFiniteError(ValueError):
-    """An op input holds NaN or an infinity; raised by the tape before the op runs."""
+    """NaN or an infinity: in an op input not yet checked, in the output an
+    op produced, or in a parameter after its Adam update or checkpoint load."""

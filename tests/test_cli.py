@@ -80,6 +80,24 @@ class TestSynth:
                           for p in (tmp_path / "a").rglob("*") if p.is_file()):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("option, value, name", [
+        ("--classes", 9, "classes"), ("--classes", 0, "classes"), ("--frames", 0, "frames"),
+        ("--videos", 0, "videos"), ("--visual-dim", 0, "visual_dim"),
+        ("--audio-dim", 0, "audio_dim"), ("--sigma", "nan", "sigma"), ("--sigma", -1, "sigma"),
+    ])
+    def test_out_of_range_argument_exits_2_before_writing(self, tmp_path, capsys, option,
+                                                          value, name):
+        assert run_cli("synth", "--out", tmp_path / "s", option, value) == 2
+        err = capsys.readouterr().err
+        assert f"synth: {name} must be" in err and "Traceback" not in err
+        assert not (tmp_path / "s").exists()
+
+    def test_resolved_config_lists_every_argument(self, tmp_path):
+        assert run_cli("synth", "--out", tmp_path, "--videos", 2, "--frames", 16) == 0
+        doc = read_json(str(tmp_path / "resolved_config.json"))
+        assert doc == {"command": "synth", "videos": 2, "frames": 16, "classes": 8,
+                       "visual_dim": 64, "audio_dim": 32, "sigma": 0.5, "seed": 0}
+
 
 class TestPrepare:
     def test_complete_dataset_reports_zero_imputed(self, synth_dir, tmp_path, capsys):
@@ -125,6 +143,23 @@ class TestPrepare:
         # the repaired file carries the donor's row
         repaired = read_feature_file(str(out / "features" / f"{vid}.synthvis.mmft"))
         np.testing.assert_array_equal(repaired.matrix[4], repaired.matrix[3])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["videos"][0].update(features=[1]),
+         "videos[0].features must be an object of strings"),
+        (lambda doc: doc.update(splits={"train": 5}), "splits must be an object of string arrays"),
+        (lambda doc: doc.update(videos=5), "manifest must be an object with a 'videos' list"),
+        (lambda doc: doc.update(splits=[1]), "splits must be an object of string arrays"),
+    ], ids=["features-array", "split-number", "videos-number", "splits-array"])
+    def test_malformed_manifest_exits_2_naming_file_and_field(self, synth_dir, tmp_path, capsys,
+                                                              edit, message):
+        doc = read_json(str(synth_dir / "manifest.json"))
+        edit(doc)
+        path = tmp_path / "manifest.json"
+        write_json(str(path), doc)
+        assert run_cli("prepare", "--manifest", path, "--out", tmp_path / "p") == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err and "Traceback" not in err
 
     def test_dim_mismatch_exits_2_with_both_dims(self, synth_dir, tmp_path, capsys):
         cfg = small_config_doc()
@@ -317,6 +352,17 @@ class TestEnsembleCommand:
         spec_path = tmp_path / "solo.json"
         write_json(str(spec_path), {"members": ["only"]})
         assert run_cli("ensemble", "--spec", spec_path, "--out", tmp_path / "f") == 2
+
+    @pytest.mark.parametrize("spec, message", [
+        ([1], "spec: expected an object, got [1]"),
+        ({"members": [1, 2]}, "spec.members[0]: expected a string, got 1"),
+    ], ids=["array", "member-number"])
+    def test_malformed_spec_exits_2_naming_the_key(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "spec.json"
+        write_json(str(spec_path), spec)
+        assert run_cli("ensemble", "--spec", spec_path, "--out", tmp_path / "f") == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 class TestExitCodes:

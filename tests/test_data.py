@@ -1,8 +1,10 @@
 """Data pipeline: label parsing, feature files, repair, assembly, segmentation."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmexpr.data import (
@@ -294,7 +296,6 @@ class TestManifest:
                         "features": {"synthvis": "feats/a.mmft"}}],
             "splits": {"train": ["a"], "val": ["a"]},
         }
-        import json
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps(manifest_doc))
         manifest = load_manifest(str(mpath))
@@ -303,7 +304,6 @@ class TestManifest:
         assert manifest.video("a").label_file.startswith(str(tmp_path))
 
     def test_unknown_split_video_rejected(self, tmp_path):
-        import json
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps({
             "videos": [{"id": "a", "n_frames": 1, "label_file": "a.csv", "features": {}}],
@@ -313,9 +313,80 @@ class TestManifest:
             load_manifest(str(mpath))
 
     def test_duplicate_video_rejected(self, tmp_path):
-        import json
         mpath = tmp_path / "manifest.json"
         entry = {"id": "a", "n_frames": 1, "label_file": "a.csv", "features": {}}
         mpath.write_text(json.dumps({"videos": [entry, entry], "splits": {}}))
         with pytest.raises(DataFormatError, match="duplicate"):
             load_manifest(str(mpath))
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: doc["videos"][0].update(n_frames="200"), "videos[0].n_frames"),
+        (lambda doc: doc["videos"][0].update(n_frames=200.9), "videos[0].n_frames"),
+        (lambda doc: doc["videos"][0].update(n_frames=True), "videos[0].n_frames"),
+        (lambda doc: doc["videos"][0].update(n_frames=0), "videos[0].n_frames"),
+        (lambda doc: doc["videos"][0].update(id=7), "videos[0].id"),
+        (lambda doc: doc["videos"][0].update(label_file=None), "videos[0].label_file"),
+        (lambda doc: doc["videos"].append("v"), "videos[2]"),
+    ], ids=["n-frames-string", "n-frames-fraction", "n-frames-bool", "n-frames-zero", "id-number",
+            "label-file-null", "video-string"])
+    def test_wrong_json_type_names_file_and_field(self, tmp_path, edit, key):
+        doc = _valid_manifest_doc()
+        edit(doc)
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as caught:
+            load_manifest(str(mpath))
+        assert str(caught.value).startswith(f"{mpath}: ") and key in str(caught.value)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_one_value_swapped_loads_or_raises_data_format_error(self, tmp_path, data):
+        doc = _valid_manifest_doc()
+        where = data.draw(st.sampled_from(list(_value_paths(doc))))
+        value = data.draw(_JSON_VALUES)
+        if where:
+            node = doc
+            for step in where[:-1]:
+                node = node[step]
+            node[where[-1]] = value
+        else:
+            doc = value
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(doc))
+        try:
+            load_manifest(str(mpath))
+        except DataFormatError:
+            pass
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    _json_containers, max_leaves=8)
+
+
+def _valid_manifest_doc():
+    return {
+        "videos": [{"id": "a", "n_frames": 2, "label_file": "labels/a.csv",
+                    "features": {"synthvis": "feats/a.mmft", "synthaud": "feats/a.aud"}},
+                   {"id": "b", "n_frames": 3, "label_file": "labels/b.csv",
+                    "features": {"synthvis": "feats/b.mmft"}}],
+        "splits": {"train": ["a", "b"], "val": ["b"]},
+    }
+
+
+def _value_paths(node, prefix=()):
+    """The key path of every value in a JSON document, the root's ``()`` included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _value_paths(child, prefix + (key,))

@@ -98,6 +98,55 @@ class TestForward:
                 raised += 1
         assert raised == 200
 
+    @pytest.mark.parametrize("kind, run", [
+        ("scale", lambda g: g.scale(Tensor(np.full(3, 3e38)), 10.0)),
+        ("matmul", lambda g: g.matmul(Tensor(np.full((2, 2), 3e38)), Tensor(np.ones((2, 2))))),
+    ])
+    def test_op_that_overflows_finite_inputs_is_named(self, kind, run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{kind}: NaN or infinity in its output"):
+                run(Graph())
+
+    def test_op_output_scanned_once_however_often_read(self, monkeypatch):
+        seen = []
+        real = tensor.all_finite
+        monkeypatch.setattr(tensor, "all_finite", lambda a: seen.append(a) or real(a))
+        g = Graph(record=False)
+        y = g.relu(Tensor(np.ones((2, 3))))
+        g.add(y, y)
+        g.mul(y, y)
+        g.scale(y, 2.0)
+        assert sum(a is y.data for a in seen) == 1
+
+    def test_every_op_output_is_marked_checked(self):
+        rng = np.random.default_rng(4)
+        g = Graph()
+        x = leaf(rng, 2, 3)
+        ops = {
+            "matmul": lambda: g.matmul(x, leaf(rng, 3, 2)),
+            "add": lambda: g.add(x, x),
+            "affine": lambda: g.affine(x, leaf(rng, 3, 2), leaf(rng, 2)),
+            "mul": lambda: g.mul(x, x),
+            "scale": lambda: g.scale(x, 2.0),
+            "concat": lambda: g.concat([x, x], axis=1),
+            "relu": lambda: g.relu(x),
+            "softmax": lambda: g.softmax(x),
+            "log_softmax": lambda: g.log_softmax(x),
+            "dropout": lambda: g.dropout(x, 0.5, rng=rng),
+            "layer_norm": lambda: g.layer_norm(x, leaf(rng, 3), leaf(rng, 3)),
+            "reshape": lambda: g.reshape(x, (3, 2)),
+            "transpose": lambda: g.transpose(x),
+            "sum": lambda: g.sum(x),
+            "lstm_seq": lambda: g.lstm_seq(leaf(rng, 2, 8), leaf(rng, 2, 8), leaf(rng, 1, 2),
+                                           leaf(rng, 1, 2))[0],
+        }
+        assert set(ops) == set(tensor._OP_TABLE)
+        for kind, run in ops.items():
+            out = run()
+            assert out.checked is out.data, kind
+        assert [n.kind for n in g.nodes] == list(ops)
+
     def test_lstm_seq_saturated_gates_stay_finite(self):
         rng = np.random.default_rng(9)
         steps, hidden = 6, 4
@@ -554,10 +603,10 @@ class TestAdam:
         monkeypatch.setattr(tensor, "all_finite", lambda a: scanned.append(a.shape) or real(a))
         x = Tensor(np.ones((3, 2)))
         Graph().matmul(x, p)
-        assert scanned == [(3, 2)]
+        assert scanned == [(3, 2), (3, 2)]  # x, then the output; p is skipped
         p.data = p.data.copy()  # a new array is scanned again, although equal
         Graph().matmul(x, p)
-        assert scanned == [(3, 2), (3, 2), (2, 2)]
+        assert scanned == [(3, 2), (3, 2), (3, 2), (2, 2), (3, 2)]
 
     def test_nan_assigned_after_update_rejected_at_next_apply(self):
         p = Tensor(np.ones((2, 2)), requires_grad=True, name="w")

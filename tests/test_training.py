@@ -297,6 +297,16 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match=r"epoch \d+ batch \d+"):
             train(cfg)
 
+    def test_non_finite_loss_names_the_op_epoch_and_batch(self, tmp_path, monkeypatch):
+        # the loss is an op output like any other: scaling it past float32's
+        # range fails in that op, with no separate check of the loss value
+        real = training.rdrop_loss
+        monkeypatch.setattr(training, "rdrop_loss",
+                            lambda g, *args: g.scale(real(g, *args), 3e38))
+        cfg = tiny_experiment(tmp_path, "lstm", epochs=1)
+        with pytest.raises(NumericError,
+                           match=r"^non-finite value at epoch 1 batch 0: scale: NaN or infinity"):
+            train(cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_adam_update_aborts_with_coordinates(self, tmp_path):
