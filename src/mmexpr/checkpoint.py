@@ -65,6 +65,8 @@ def load_checkpoint(path: str) -> dict:
             offset += 4
             dims = struct.unpack_from(f"<{rank}I", view, offset)
             offset += 4 * rank
+            if name in params:
+                raise DataFormatError(f"{path}: parameter {name!r} appears twice")
             n = math.prod(dims)
             if offset + 4 * n > len(raw):
                 raise DataFormatError(
@@ -72,7 +74,11 @@ def load_checkpoint(path: str) -> dict:
                     f"needs {4 * n} bytes, {len(raw) - offset} left")
             data = np.frombuffer(view, dtype="<f4", count=n, offset=offset)
             offset += 4 * n
-            params[name] = data.reshape(dims).copy()
+            try:
+                params[name] = data.reshape(dims).copy()
+            except ValueError as exc:  # numpy refuses the shape: too many dims or too big
+                raise DataFormatError(f"{path}: parameter {name!r} has an invalid shape "
+                                      f"{dims} ({exc})") from exc
     except struct.error as exc:
         raise DataFormatError(f"{path}: truncated checkpoint ({exc})") from exc
     if offset != len(raw):

@@ -138,8 +138,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     config_path = args.config or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)), "resolved_config.json")
-    doc = read_json(config_path)
-    config = ExperimentConfig.from_json(doc)
+    config = ExperimentConfig.from_json(read_json(config_path))
     manifest = load_manifest(args.manifest)
     ids = manifest.split_ids(args.split)
     if not ids:
@@ -155,8 +154,8 @@ def cmd_predict(args) -> int:
         "command": "predict", "checkpoint": os.path.abspath(args.checkpoint),
         "manifest": os.path.abspath(args.manifest), "split": args.split,
         "overlap_merge": "mean_logits",
-        "model": doc.get("model", {}),
-        "features": doc.get("features", {}),
+        "model": config.model.to_json(),
+        "features": {"visual": config.visual_features, "audio": config.audio_features},
     })
     print(f"wrote {len(ids)} prediction files to {args.out}")
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .fileio import atomic_write_bytes, read_json
+from .fileio import atomic_write_bytes, csv_rows, read_json
 
 NUM_CLASSES = 8
 INVALID_LABEL = -1
@@ -125,8 +125,7 @@ def load_labels(path: str, video_id: str | None = None,
     """
     if video_id is None:
         video_id = os.path.splitext(os.path.basename(path))[0]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -214,25 +213,31 @@ def read_feature_file(path: str, video_id: str | None = None) -> FeatureTrack:
         raw = fh.read()
     if raw[:4] != FEATURE_MAGIC:
         raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {FEATURE_MAGIC!r}")
+    if len(raw) < 12:
+        raise DataFormatError(f"{path}: truncated feature file: {len(raw)} bytes, "
+                              f"the header needs 12")
+    version, name_len = struct.unpack_from("<II", raw, 4)
+    if version != FEATURE_VERSION:
+        raise DataFormatError(f"{path}: unsupported feature file version {version}")
+    offset = 12 + name_len
+    if offset + 8 > len(raw):
+        raise DataFormatError(f"{path}: truncated feature file: the header needs "
+                              f"{offset + 8} bytes, the file has {len(raw)}")
     try:
-        version, name_len = struct.unpack_from("<II", raw, 4)
-        if version != FEATURE_VERSION:
-            raise DataFormatError(f"{path}: unsupported feature file version {version}")
-        offset = 12
-        name = raw[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        n, dim = struct.unpack_from("<II", raw, offset)
-        offset += 8
-        bitmap_len = (n + 7) // 8
-        bitmap = np.frombuffer(raw, dtype=np.uint8, count=bitmap_len, offset=offset)
-        offset += bitmap_len
-        count = n * dim
-        data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
-    except (struct.error, ValueError) as exc:
-        raise DataFormatError(f"{path}: truncated feature file ({exc})") from exc
-    if offset != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")
+        name = raw[12:offset].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: feature set name is not UTF-8 ({exc})") from exc
+    n, dim = struct.unpack_from("<II", raw, offset)
+    offset += 8
+    bitmap_len = (n + 7) // 8
+    size = bitmap_len + 4 * n * dim
+    if offset + size > len(raw):
+        raise DataFormatError(f"{path}: truncated feature file: {n} frames of dim {dim} "
+                              f"need {size} bytes, {len(raw) - offset} left")
+    if offset + size < len(raw):
+        raise DataFormatError(f"{path}: {len(raw) - offset - size} trailing bytes")
+    bitmap = np.frombuffer(raw, dtype=np.uint8, count=bitmap_len, offset=offset)
+    data = np.frombuffer(raw, dtype="<f4", count=n * dim, offset=offset + bitmap_len)
     present = np.unpackbits(bitmap, bitorder="little", count=n).astype(bool)
     matrix = data.reshape(n, dim).copy()
     matrix[~present] = 0.0
@@ -356,7 +361,6 @@ def segment_video(n_frames: int, seg_len: int, stride: int) -> list[SegmentSpan]
 class Segment:
     """Contiguous window of fused-input features with labels and validity."""
 
-    video_id: str
     index: int
     start: int
     end: int
@@ -385,7 +389,7 @@ class VideoData:
         out = []
         for span in segment_video(self.n_frames, seg_len, stride):
             sl = slice(span.start - 1, span.end)
-            out.append(Segment(self.video_id, span.index, span.start, span.end,
+            out.append(Segment(span.index, span.start, span.end,
                                self.features[sl], self.labels[sl],
                                self.labels[sl] != INVALID_LABEL))
         return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import NUM_CLASSES
 from .errors import DataFormatError, ShapeError
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write_bytes, csv_rows
 
 PREDICTION_HEADER = ["frame", "pred"] + [f"prob_{c}" for c in range(NUM_CLASSES)]
 
@@ -102,8 +102,7 @@ def write_predictions(track: PredictionTrack, path: str) -> None:
 
 
 def read_predictions(path: str, video_id: str | None = None) -> PredictionTrack:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with csv_rows(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -137,5 +136,5 @@ def read_predictions(path: str, video_id: str | None = None) -> PredictionTrack:
     probs_arr = np.asarray(probs, dtype=np.float64) if probs else np.zeros((0, NUM_CLASSES))
     try:
         return PredictionTrack(video_id, np.asarray(labels, dtype=np.int64), probs_arr)
-    except (ValueError, ShapeError) as exc:
+    except (ValueError, OverflowError) as exc:  # a label past int64 overflows
         raise DataFormatError(f"{path}: {exc}") from exc

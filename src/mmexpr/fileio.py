@@ -1,8 +1,12 @@
-"""Atomic file writes and JSON helpers used by all output-producing code."""
+"""Atomic file writes, and the JSON and CSV readers whose decoding faults name the file."""
 
+import csv
 import json
 import os
 import tempfile
+from contextlib import contextmanager
+
+from .errors import DataFormatError
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -30,5 +34,22 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
+    """The JSON document in ``path``; a file that is not UTF-8 JSON raises
+    ``DataFormatError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def csv_rows(path):
+    """A ``csv.reader`` over the UTF-8 file ``path``; a byte that is not UTF-8 or a
+    field the csv module refuses, met anywhere in the block, raises
+    ``DataFormatError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -2,10 +2,13 @@
 
 The fusion layer concatenates the per-frame visual and audio vectors and maps
 them to d_model with one affine (no activation). Temporal encoding is either
-an LSTM that carries its final (hidden, cell) state across consecutive
-segments of a video, or a per-segment transformer encoder that treats
-segments independently. A two-hidden-layer ReLU head produces 8-way logits;
-its dropout is what differentiates the two RDrop passes on the LSTM path.
+an LSTM whose final (hidden, cell) state seeds the next segment of a video, or
+a per-segment transformer encoder that treats segments independently. Both
+answer ``encode_segment(g, x, state) -> (out, state)``: the state is a value
+the caller passes from one segment to the next, starting each video at None;
+the models hold none of it. A two-hidden-layer ReLU head produces 8-way
+logits; its dropout is what differentiates the two RDrop passes on the LSTM
+path.
 """
 
 from __future__ import annotations
@@ -172,11 +175,11 @@ class FusionLayer:
 
 
 class LstmEncoder:
-    """Unidirectional LSTM over segment frames with per-video state carryover.
+    """Unidirectional LSTM over segment frames.
 
-    The final (hidden, cell) pair of segment i seeds segment i+1 of the same
-    video, detached from the gradient graph (truncated backpropagation).
-    Segment indices must arrive in order; index 1 resets the video's state.
+    ``state`` is the per-layer (hidden, cell) pair a segment ends with, detached
+    from the gradient graph (truncated backpropagation); passing it to the next
+    segment of the video continues the recurrence, and None starts from zeros.
     """
 
     has_dropout = False  # the two RDrop passes share one encoding
@@ -199,45 +202,27 @@ class LstmEncoder:
                 params[t.name] = t
             self.weights.append((w_in, w_state, bias))
             in_dim = self.hidden
-        self.carry: dict = {}  # video_id -> (last segment index, [(h, c) arrays])
 
-    def forward(self, g: Graph, x: Tensor, carry=None):
-        """Run one segment. ``carry`` is a per-layer list of (h, c) Tensors or None.
+    def forward(self, g: Graph, x: Tensor, state=None, rng=None, train: bool = False):
+        """Run one segment from ``state`` (a per-layer list of (h, c) Tensors, or
+        None for zeros); ``rng`` and ``train`` go unused.
 
-        Returns (per-frame hidden outputs of the top layer, new per-layer state).
+        Returns (per-frame hidden outputs of the top layer, the new state).
         """
         frames = x
-        new_states = []
+        new_state = []
         for li, (w_in, w_state, bias) in enumerate(self.weights):
-            if carry is None:
+            if state is None:
                 h = Tensor(np.zeros((1, self.hidden), DTYPE))
                 c = Tensor(np.zeros((1, self.hidden), DTYPE))
             else:
-                h, c = carry[li]
+                h, c = state[li]
             pre = g.affine(frames, w_in, bias)  # input projection for all frames at once
             frames, c = g.lstm_seq(pre, w_state, h, c)
-            new_states.append((Tensor(frames.data[-1:]), c))
-        return frames, new_states
+            new_state.append((Tensor(frames.data[-1:]), c))
+        return frames, new_state
 
-    def encode_segment(self, g: Graph, video_id: str, seg_index: int, x: Tensor,
-                       rng=None, train: bool = False) -> Tensor:
-        """Forward one segment in order, carrying state; ``rng`` and ``train`` go unused."""
-        if seg_index == 1:
-            carry = None
-        else:
-            stored = self.carry.get(video_id)
-            if stored is None or stored[0] != seg_index - 1:
-                prev = stored[0] if stored else "none"
-                raise ValueError(
-                    f"out-of-order segment for video {video_id!r}: got index {seg_index} "
-                    f"after {prev}")
-            carry = [(Tensor(h), Tensor(c)) for h, c in stored[1]]
-        out, states = self.forward(g, x, carry)
-        self.carry[video_id] = (seg_index, [(h.data.copy(), c.data.copy()) for h, c in states])
-        return out
-
-    def reset(self):
-        self.carry.clear()
+    encode_segment = forward
 
     @property
     def output_dim(self) -> int:
@@ -334,13 +319,9 @@ class TransformerEncoder:
             x = g.layer_norm(g.add(x, ffn), layer["norm2_gain"], layer["norm2_shift"])
         return x
 
-    def encode_segment(self, g: Graph, video_id: str, seg_index: int, x: Tensor,
-                       rng=None, train: bool = False) -> Tensor:
-        """Segments are independent: the video and index are not used."""
-        return self.forward(g, x, rng=rng, train=train)
-
-    def reset(self):
-        pass
+    def encode_segment(self, g: Graph, x: Tensor, state=None, rng=None, train: bool = False):
+        """Segments are independent: ``state`` goes unused and comes back None."""
+        return self.forward(g, x, rng, train), None
 
     @property
     def output_dim(self) -> int:
@@ -429,33 +410,26 @@ class ExpressionModel:
 
     # -- forward passes --
 
-    def two_pass_logits(self, g: Graph, features: np.ndarray, video_id: str,
-                        seg_index: int, rng) -> tuple:
-        """Two stochastic forward passes over one segment (train mode).
+    def two_pass_logits(self, g: Graph, features: np.ndarray, state, rng) -> tuple:
+        """Two stochastic forward passes over one segment (train mode), from the
+        encoder ``state``; returns both passes' logits and the next state.
 
         The deterministic parts (fusion; an encoder without dropout, such as
         the LSTM) run once and are shared; the stochastic parts run twice.
         """
         fused = self.fusion.apply(g, Tensor(features))
-
-        def encode():
-            return self.encoder.encode_segment(g, video_id, seg_index, fused, rng=rng, train=True)
-
-        encoded = encode()
+        encoded, next_state = self.encoder.encode_segment(g, fused, state, rng=rng, train=True)
         first = self.head.forward(g, encoded, rng=rng, train=True)
         if self.encoder.has_dropout:
-            encoded = encode()
-        return first, self.head.forward(g, encoded, rng=rng, train=True)
+            encoded, _ = self.encoder.encode_segment(g, fused, state, rng=rng, train=True)
+        return first, self.head.forward(g, encoded, rng=rng, train=True), next_state
 
-    def eval_logits(self, g: Graph, features: np.ndarray, video_id: str,
-                    seg_index: int) -> Tensor:
-        """Deterministic single pass (no dropout anywhere)."""
-        encoded = self.encoder.encode_segment(g, video_id, seg_index,
-                                              self.fusion.apply(g, Tensor(features)))
-        return self.head.forward(g, encoded)
-
-    def reset_video_state(self):
-        self.encoder.reset()
+    def eval_logits(self, g: Graph, features: np.ndarray, state=None) -> tuple:
+        """Deterministic single pass (no dropout anywhere) from the encoder
+        ``state``; returns the logits and the next state."""
+        encoded, next_state = self.encoder.encode_segment(
+            g, self.fusion.apply(g, Tensor(features)), state)
+        return self.head.forward(g, encoded), next_state
 
 
 def build_model(config: ModelConfig, input_dim: int, seed) -> ExpressionModel:

@@ -163,7 +163,8 @@ def predict_video(model: ExpressionModel, video: VideoData):
     """Per-frame probabilities for one video in eval mode.
 
     Overlapping windows (transformer with stride < length) are merged by
-    averaging logits per frame before the softmax.
+    averaging logits per frame before the softmax. The encoder state starts
+    at None and each segment's state seeds the next.
     """
     from .ensemble import PredictionTrack
 
@@ -171,9 +172,9 @@ def predict_video(model: ExpressionModel, video: VideoData):
     n = video.n_frames
     logit_sum = np.zeros((n, cfg.classes), np.float64)
     hits = np.zeros(n, np.int64)
+    state = None
     for seg in video.segments(cfg.seg_len, cfg.stride):
-        g = Graph(record=False)
-        logits = model.eval_logits(g, seg.features, video.video_id, seg.index)
+        logits, state = model.eval_logits(Graph(record=False), seg.features, state)
         logit_sum[seg.start - 1:seg.end] += logits.data
         hits[seg.start - 1:seg.end] += 1
     mean_logits = logit_sum / hits[:, None]
@@ -202,13 +203,12 @@ class TrainResult:
 
 
 def _training_batches(dataset, config, order_rng):
-    """Yield per-step work lists of (video_id, Segment)."""
+    """Yield per-step lists of segments; an LSTM step holds whole videos, each
+    video's segments in order."""
     model_cfg = config.model
     if model_cfg.encoder == "transformer":
-        segments = []
-        for vid in dataset.train_ids:
-            for seg in dataset.videos[vid].segments(model_cfg.seg_len, model_cfg.stride):
-                segments.append((vid, seg))
+        segments = [seg for vid in dataset.train_ids
+                    for seg in dataset.videos[vid].segments(model_cfg.seg_len, model_cfg.stride)]
         order = order_rng.permutation(len(segments))
         size = config.training.batch_segments
         for i in range(0, len(order), size):
@@ -218,12 +218,8 @@ def _training_batches(dataset, config, order_rng):
         order = order_rng.permutation(len(ids))
         size = config.training.batch_videos
         for i in range(0, len(order), size):
-            batch = []
-            for j in order[i:i + size]:
-                video = dataset.videos[ids[j]]
-                for seg in video.segments(model_cfg.seg_len, model_cfg.stride):
-                    batch.append((ids[j], seg))
-            yield batch
+            yield [seg for j in order[i:i + size]
+                   for seg in dataset.videos[ids[j]].segments(model_cfg.seg_len, model_cfg.stride)]
 
 
 def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
@@ -270,16 +266,17 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
 
     for epoch in range(1, config.training.epochs + 1):
         started = time.perf_counter()
-        model.reset_video_state()
         loss_sum = 0.0
         valid_sum = 0
         for batch_idx, batch in enumerate(_training_batches(dataset, config, order_rng)):
             g = Graph()
             firsts, seconds, labels, masks = [], [], [], []
+            state = None  # the transformer's is always None; an LSTM batch holds whole videos
             try:
-                for vid, seg in batch:
-                    l1, l2 = model.two_pass_logits(g, seg.features, vid, seg.index,
-                                                   dropout_rng)
+                for seg in batch:
+                    if seg.index == 1:
+                        state = None
+                    l1, l2, state = model.two_pass_logits(g, seg.features, state, dropout_rng)
                     firsts.append(l1)
                     seconds.append(l2)
                     labels.append(seg.labels)
@@ -303,7 +300,6 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
             loss_sum += value * n_valid
             valid_sum += n_valid
 
-        model.reset_video_state()
         report, _ = evaluate_split(model, dataset, dataset.val_ids)
         train_loss = loss_sum / valid_sum if valid_sum else 0.0
         wall_ms = int((time.perf_counter() - started) * 1000)

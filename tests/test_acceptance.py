@@ -172,7 +172,7 @@ class TestCriterion1GradientSuite:
                     mask[0] = True
                 g = Graph()
                 drop_rng = np.random.default_rng(instance_rng.integers(2**32))
-                l1, l2 = model.two_pass_logits(g, x, "v", 1, drop_rng)
+                l1, l2, _ = model.two_pass_logits(g, x, None, drop_rng)
                 loss = rdrop_loss(g, l1, l2, labels, mask, alpha=5.0)
                 # central differences are invalid across a ReLU kink; redraw
                 # instances whose pre-activations sit within the probe step
@@ -226,10 +226,10 @@ class TestCriterion2LstmCarryover:
                 x = rng.normal(size=(n, input_dim)).astype(np.float32)
                 g = Graph(record=False)
                 full, _ = enc.forward(g, Tensor(x))
-                pieces = []
+                pieces, state = [], None
                 for span in segment_video(n, seg_len, seg_len):
-                    piece = enc.encode_segment(
-                        g, "v", span.index, Tensor(x[span.start - 1:span.end]))
+                    piece, state = enc.encode_segment(
+                        g, Tensor(x[span.start - 1:span.end]), state)
                     pieces.append(piece.data)
                 diff = float(np.abs(np.vstack(pieces) - full.data).max())
                 assert diff < 1e-5, f"l=p={seg_len}: diff {diff}"

@@ -2,11 +2,12 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from mmexpr.checkpoint import load_checkpoint, save_checkpoint
+from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from mmexpr.cli import main
 from mmexpr.data import (
     FeatureTrack,
@@ -228,8 +229,29 @@ MALFORMED = [
 ]
 
 
+UNDECODABLE = [
+    pytest.param("v.synthvis.mmft", lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+                 "unsupported feature file version 2", id="feature-version-2"),
+    pytest.param("v.synthvis.mmft", lambda raw: raw[:12] + b"\xff" + raw[13:],
+                 "feature set name is not UTF-8", id="feature-name-not-utf8"),
+    pytest.param("v.csv", lambda raw: raw.replace(b"2,1", b"2,\xff"),
+                 "can't decode byte 0xff", id="label-not-utf8"),
+]
+
+
 class TestSharedChecks:
     """load_video and prepare reject each malformed input with one message."""
+
+    @pytest.mark.parametrize("name, edit, message", UNDECODABLE)
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys, name, edit, message):
+        manifest_path, config_path = write_one_video_dataset(tmp_path, lambda files: None)
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
+        assert run_cli("prepare", "--manifest", manifest_path, "--out", tmp_path / "out",
+                       "--config", config_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert "truncated" not in err
 
     @pytest.mark.parametrize("mutate, message", MALFORMED)
     def test_load_video_and_prepare_agree(self, tmp_path, capsys, mutate, message):
@@ -286,6 +308,29 @@ class TestTrainPredictEvaluate:
             outs.append(out)
         for name in sorted(os.listdir(outs[0])):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_predict_records_the_resolved_model_and_features(self, synth_dir, trained_run,
+                                                             tmp_path):
+        trained = read_json(str(trained_run / "resolved_config.json"))
+        partial = {"features": trained["features"], "registry": trained["registry"],
+                   "model": {"encoder": "transformer", "d_model": 64, "head": [32, 16],
+                             "segment": {"l": 16},
+                             "transformer": {"layers": 1, "heads": 2, "ffn_dim": 128}}}
+        write_json(str(tmp_path / "partial.json"), partial)
+        for config, out in ((trained_run / "resolved_config.json", tmp_path / "full"),
+                            (tmp_path / "partial.json", tmp_path / "partial")):
+            assert run_cli("predict", "--checkpoint", trained_run / "best.ckpt",
+                           "--config", config, "--manifest", synth_dir / "manifest.json",
+                           "--split", "val", "--out", out) == 0
+        full = read_json(str(tmp_path / "full" / "resolved_config.json"))
+        assert full["model"] == trained["model"]
+        assert full["features"] == trained["features"]
+        recorded = read_json(str(tmp_path / "partial" / "resolved_config.json"))
+        assert recorded["model"] == ExperimentConfig.from_json(partial).model.to_json()
+        assert recorded["model"]["segment"] == {"l": 16, "p": 16}
+        assert recorded["model"]["transformer"]["dropout"] == 0.3
+        assert recorded["model"]["classes"] == 8 and recorded["model"]["head_dropout"] == 0.3
+        assert recorded["features"] == {"visual": ["synthvis"], "audio": ["synthaud"]}
 
     def test_evaluate_perfect_predictions(self, synth_dir, tmp_path):
         manifest = load_manifest(str(synth_dir / "manifest.json"))
@@ -399,6 +444,30 @@ class TestExitCodes:
         assert run_cli("ensemble", "--spec", spec_path, "--out", tmp_path / "fused") == 2
         assert "non-finite probability" in capsys.readouterr().err
 
+    def test_undecodable_prediction_file_exits_2_naming_it(self, synth_dir, tmp_path, capsys):
+        entry = load_manifest(str(synth_dir / "manifest.json")).videos[0]
+        labels = load_labels(entry.label_file).labels
+        path = tmp_path / f"{entry.video_id}.csv"
+        write_predictions(PredictionTrack(entry.video_id, labels, np.full((len(labels), 8), 1 / 8)),
+                          str(path))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-2] + b"\xff\n")
+        assert run_cli("evaluate", "--predictions", tmp_path,
+                       "--manifest", synth_dir / "manifest.json",
+                       "--out", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("raw, message", [(b'{"seed": ', "Expecting value"),
+                                              (b'{"seed": "\xff"}', "can't decode byte 0xff")],
+                             ids=["truncated", "not-utf8"])
+    def test_unparsable_json_config_exits_2_naming_it(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        assert run_cli("train", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
     def test_numeric_failure_is_3(self, synth_dir, tmp_path, capsys):
         doc = small_config_doc(manifest=str(synth_dir / "manifest.json"),
                                out=str(tmp_path / "run"), epochs=2, lr=1e25)
@@ -481,6 +550,27 @@ class TestConfigChecks:
                        "--config", trained_run / "resolved_config.json",
                        "--manifest", synth_dir / "manifest.json",
                        "--split", "val", "--out", tmp_path / "preds")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entry: (entry + entry, 2), "parameter 'fusion.bias' appears twice"),
+        # the (64,) shape becomes (0, 2**32-1, 2**32-1): no floats, too big for numpy
+        (lambda entry: (entry[:4 + len("fusion.bias")]
+                        + struct.pack("<4I", 3, 0, 2**32 - 1, 2**32 - 1), 1),
+         "parameter 'fusion.bias' has an invalid shape"),
+    ], ids=["repeated-name", "huge-shape"])
+    def test_predict_rejects_malformed_checkpoint_naming_it(self, synth_dir, trained_run,
+                                                            tmp_path, capsys, edit, message):
+        arrays = load_checkpoint(str(trained_run / "best.ckpt"))
+        entries, added = edit(checkpoint_bytes({"fusion.bias": arrays.pop("fusion.bias")})[12:])
+        raw = checkpoint_bytes(arrays)
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(raw[:8] + struct.pack("<I", len(arrays) + added) + entries + raw[12:])
+        assert run_cli("predict", "--checkpoint", path,
+                       "--config", trained_run / "resolved_config.json",
+                       "--manifest", synth_dir / "manifest.json",
+                       "--split", "val", "--out", tmp_path / "preds") == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "preds").exists()
 
     def test_predict_rejects_fusion_weight_of_other_feature_dims(self, synth_dir, trained_run,
                                                                  tmp_path, capsys):

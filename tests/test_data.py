@@ -60,6 +60,13 @@ class TestLoadLabels:
         hist = np.bincount(track.labels, minlength=8)
         assert hist.tolist() == [1] * 8
 
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_bytes(b"frame,label\n1,0\n2,\xff\n")
+        with pytest.raises(DataFormatError, match="can't decode byte 0xff") as caught:
+            load_labels(str(path))
+        assert str(caught.value).startswith(f"{path}: ")
+
     def test_duplicate_frame_rejected(self, tmp_path):
         p = tmp_path / "v.csv"
         write_label_csv(p, [(1, 0), (1, 2)])
@@ -282,6 +289,19 @@ class TestFeatureFiles:
         p.write_bytes(feature_file_bytes(track)[:-7])
         with pytest.raises(DataFormatError):
             read_feature_file(str(p))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+         "unsupported feature file version 2$"),
+        (lambda raw: raw[:12] + b"\xff" + raw[13:], "feature set name is not UTF-8"),
+    ], ids=["version-2", "name-not-utf8"])
+    def test_header_fault_reported_as_itself(self, tmp_path, edit, message):
+        p = tmp_path / "x.mmft"
+        p.write_bytes(edit(feature_file_bytes(make_track([True] * 4, dim=4))))
+        with pytest.raises(DataFormatError, match=message) as caught:
+            read_feature_file(str(p))
+        assert str(caught.value).startswith(f"{p}: ")
+        assert "truncated" not in str(caught.value)
 
 
 class TestManifest:

@@ -179,6 +179,18 @@ class TestPredictionFiles:
         with pytest.raises(DataFormatError, match="non-finite"):
             read_predictions(str(path))
 
+    @pytest.mark.parametrize("row, message", [
+        (b"1,\xff,0,0,0,0,0,0,0,1\n", "can't decode byte 0xff"),
+        (b"1,99999999999999999999,0,0,0,0,0,0,0,1\n", "too large"),
+    ], ids=["not-utf8", "label-past-int64"])
+    def test_unreadable_row_names_the_file(self, tmp_path, row, message):
+        path = tmp_path / "v.csv"
+        path.write_bytes(",".join(["frame", "pred"] + [f"prob_{c}" for c in range(8)]).encode()
+                         + b"\n" + row)
+        with pytest.raises(DataFormatError, match=message) as caught:
+            read_predictions(str(path))
+        assert str(caught.value).startswith(f"{path}: ")
+
     def test_frame_indices_must_be_dense(self, tmp_path):
         track = track_from_labels([0, 1], video_id="v")
         path = tmp_path / "v.csv"

@@ -1,0 +1,96 @@
+"""Mutated files: each reader loads a mutant or raises DataFormatError naming it.
+
+A valid TFCK checkpoint, MMFT feature file, label CSV, prediction CSV and
+manifest, each written by the package's own writer, are mutated by byte
+flips, truncation and extension. Any other exception fails the test.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmexpr.checkpoint import load_checkpoint, save_checkpoint
+from mmexpr.data import (
+    FeatureTrack,
+    LabelTrack,
+    load_labels,
+    load_manifest,
+    read_feature_file,
+    save_labels,
+    write_feature_file,
+)
+from mmexpr.ensemble import PredictionTrack, read_predictions, write_predictions
+from mmexpr.errors import DataFormatError
+from mmexpr.fileio import write_json
+
+FRAMES = 6
+
+
+def _write_valid(fmt: str, path: str) -> None:
+    rng = np.random.default_rng(0)
+    if fmt == "checkpoint":
+        save_checkpoint({"fusion.weight": rng.normal(size=(3, 2)).astype(np.float32),
+                         "fusion.bias": rng.normal(size=2).astype(np.float32),
+                         "scalar": np.float32(0.5).reshape(())}, path)
+    elif fmt == "features":
+        present = np.array([True, False, True, True, False, True])
+        write_feature_file(FeatureTrack("v", "mae", rng.normal(size=(FRAMES, 3))
+                                        .astype(np.float32), present), path)
+    elif fmt == "labels":
+        save_labels(LabelTrack("v", np.array([0, 1, -1, 7, 7, 3])), path)
+    elif fmt == "manifest":
+        write_json(path, {"videos": [{"id": "v", "n_frames": FRAMES, "label_file": "v.csv",
+                                      "features": {"mae": "v.mae.mmft"}}],
+                          "splits": {"train": ["v"], "val": ["v"]}})
+    else:
+        write_predictions(PredictionTrack.from_probs("v", rng.dirichlet(np.ones(8), FRAMES)),
+                          path)
+
+
+READERS = {
+    "checkpoint": load_checkpoint,
+    "features": read_feature_file,
+    "labels": lambda path: load_labels(path, n_frames=FRAMES),  # as load_video reads it
+    "predictions": read_predictions,
+    "manifest": load_manifest,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for fmt in READERS:
+        path = root / f"{fmt}.valid"
+        _write_valid(fmt, str(path))
+        READERS[fmt](str(path))  # the unmutated file loads
+        files[fmt] = path.read_bytes()
+    return root, files
+
+
+@st.composite
+def mutants(draw, raw: bytes) -> bytes:
+    kind = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "extend":
+        return raw + draw(st.binary(min_size=1, max_size=64))
+    out = bytearray(raw)
+    for at, mask in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                                  min_size=1, max_size=4)):
+        out[at] ^= mask
+    return bytes(out)
+
+
+@pytest.mark.parametrize("fmt", list(READERS))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutant_loads_or_raises_data_format_error(valid_files, fmt, data):
+    root, files = valid_files
+    path = root / f"{fmt}.mutant"
+    path.write_bytes(data.draw(mutants(files[fmt])))
+    try:
+        READERS[fmt](str(path))
+    except DataFormatError as exc:
+        assert str(path) in str(exc)

@@ -109,9 +109,9 @@ class TestLstmEncoder:
         x = rng.normal(size=(n, 3)).astype(np.float32)
         g = Graph(record=False)
         full, _ = enc.forward(g, Tensor(x))
-        pieces = []
+        pieces, state = [], None
         for span in segment_video(n, seg_len, seg_len):
-            piece = enc.encode_segment(g, "v", span.index, Tensor(x[span.start - 1:span.end]))
+            piece, state = enc.encode_segment(g, Tensor(x[span.start - 1:span.end]), state)
             pieces.append(piece.data)
         np.testing.assert_allclose(np.vstack(pieces), full.data, atol=1e-5)
 
@@ -124,33 +124,27 @@ class TestLstmEncoder:
         out2, _ = enc.forward(g, Tensor(x[::-1].copy()))
         assert np.abs(out1.data - out2.data).max() > 1e-4
 
-    def test_out_of_order_segment_rejected(self):
-        rng = np.random.default_rng(6)
-        enc = LstmEncoder(2, LstmSettings(hidden=3, layers=1), rng, {})
-        g = Graph(record=False)
-        enc.encode_segment(g, "v", 1, Tensor(np.zeros((2, 2))))
-        with pytest.raises(ValueError, match="out-of-order"):
-            enc.encode_segment(g, "v", 3, Tensor(np.zeros((2, 2))))
-        with pytest.raises(ValueError, match="out-of-order"):
-            enc.encode_segment(g, "unseen", 2, Tensor(np.zeros((2, 2))))
-
-    def test_index_one_resets_a_video(self):
+    def test_none_state_starts_from_zeros(self):
         rng = np.random.default_rng(7)
         enc = LstmEncoder(2, LstmSettings(hidden=3, layers=1), rng, {})
         g = Graph(record=False)
         x = rng.normal(size=(3, 2)).astype(np.float32)
-        first = enc.encode_segment(g, "v", 1, Tensor(x)).data.copy()
-        enc.encode_segment(g, "v", 2, Tensor(x))
-        again = enc.encode_segment(g, "v", 1, Tensor(x)).data
-        np.testing.assert_array_equal(first, again)
+        first, state = enc.encode_segment(g, Tensor(x))
+        enc.encode_segment(g, Tensor(x), state)
+        again, _ = enc.encode_segment(g, Tensor(x), None)
+        zeros = [(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))]
+        from_zeros, _ = enc.encode_segment(g, Tensor(x), zeros)
+        np.testing.assert_array_equal(first.data, again.data)
+        np.testing.assert_array_equal(from_zeros.data, again.data)
 
     def test_segment_tape_holds_one_fused_op_per_layer(self):
         rng = np.random.default_rng(8)
         enc = LstmEncoder(4, LstmSettings(hidden=5, layers=2), rng, {})
         x = Tensor(rng.normal(size=(7, 4)))
-        for seg_index in (1, 2):
+        state = None
+        for _ in range(2):  # from zeros, then from the first segment's state
             g = Graph()
-            enc.encode_segment(g, "v", seg_index, x)
+            _, state = enc.encode_segment(g, x, state)
             assert [n.kind for n in g.nodes] == ["affine", "lstm_seq"] * 2
 
     def test_per_frame_checkpoint_predicts_the_same(self):
@@ -166,12 +160,15 @@ class TestLstmEncoder:
         model = build_model(cfg, input_dim=5, seed=0).load_state(load_checkpoint(base + ".ckpt"))
         features = stored["features"]
         logits, encoded = [], []
+        model_state = encoder_state = None
         for span in segment_video(len(features), 4, 4):
             g = Graph(record=False)
             x = features[span.start - 1:span.end]
-            logits.append(model.eval_logits(g, x, "v", span.index).data)
+            out, model_state = model.eval_logits(g, x, model_state)
+            logits.append(out.data)
             fused = model.fusion.apply(g, Tensor(x))
-            encoded.append(model.encoder.encode_segment(g, "w", span.index, fused).data)
+            out, encoder_state = model.encoder.encode_segment(g, fused, encoder_state)
+            encoded.append(out.data)
         np.testing.assert_allclose(np.vstack(encoded), stored["encoded"], rtol=0, atol=1e-5)
         np.testing.assert_allclose(np.vstack(logits), stored["logits"], rtol=0, atol=1e-5)
         expected = ref.model_logits({k: p.data for k, p in model.parameters().items()},
@@ -245,9 +242,9 @@ class TestTransformerEncoder:
         model = build_model(cfg, input_dim=5, seed=0).load_state(load_checkpoint(base + ".ckpt"))
         full, short = stored["features"][:5], stored["features"][5:]
         for features, key in ((full, "eval_full"), (short, "eval_short")):
-            logits = model.eval_logits(Graph(record=False), features, "v", 1).data
-            np.testing.assert_allclose(logits, stored[key], rtol=0, atol=1e-6)
-        first, second = model.two_pass_logits(Graph(), full, "v", 1, np.random.default_rng(11))
+            logits, _ = model.eval_logits(Graph(record=False), features)
+            np.testing.assert_allclose(logits.data, stored[key], rtol=0, atol=1e-6)
+        first, second, _ = model.two_pass_logits(Graph(), full, None, np.random.default_rng(11))
         np.testing.assert_allclose(first.data, stored["two_pass_first"], rtol=0, atol=1e-6)
         np.testing.assert_allclose(second.data, stored["two_pass_second"], rtol=0, atol=1e-6)
 
@@ -361,7 +358,7 @@ class TestExpressionModel:
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(6, 7)).astype(np.float32)
         g = Graph()
-        l1, l2 = model.two_pass_logits(g, feats, "v", 1, rng)
+        l1, l2, _ = model.two_pass_logits(g, feats, None, rng)
         c = Tensor(rng.normal(size=(6, 8)))
         loss = g.sum(g.add(g.mul(l1, c), g.mul(l2, c)))
         backward(loss, g)
@@ -377,10 +374,27 @@ class TestExpressionModel:
         feats = np.random.default_rng(4).normal(size=(6, 5)).astype(np.float32)
         outs = []
         for _ in range(2):
-            model.reset_video_state()
             g = Graph(record=False)
-            outs.append(model.eval_logits(g, feats, "v", 1).data)
+            outs.append(model.eval_logits(g, feats)[0].data)
         assert outs[0].tobytes() == outs[1].tobytes()
+
+    @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+    def test_eval_from_one_state_twice_is_bitwise_equal(self, encoder):
+        model = build_model(tiny_config(encoder, lstm_layers=2), input_dim=5, seed=6)
+        feats = np.random.default_rng(7).normal(size=(12, 5)).astype(np.float32)
+        _, state = model.eval_logits(Graph(record=False), feats[:6])
+        before = [(h.data.tobytes(), c.data.tobytes()) for h, c in state or []]
+        (a, next_a), (b, next_b) = [model.eval_logits(Graph(record=False), feats[6:], state)
+                                    for _ in range(2)]
+        assert a.data.tobytes() == b.data.tobytes()
+        assert [(h.data.tobytes(), c.data.tobytes()) for h, c in state or []] == before
+        if encoder == "transformer":
+            assert state is next_a is next_b is None
+        else:
+            assert len(next_a) == len(next_b) == 2
+            for (ha, ca), (hb, cb) in zip(next_a, next_b):
+                assert ha.data.tobytes() == hb.data.tobytes()
+                assert ca.data.tobytes() == cb.data.tobytes()
 
     @pytest.mark.parametrize("encoder, encodings_per_two_passes",
                              [("lstm", 1), ("transformer", 2)])
@@ -388,19 +402,18 @@ class TestExpressionModel:
         model = build_model(tiny_config(encoder), input_dim=5, seed=2)
         x = Tensor(np.random.default_rng(3).normal(size=(6, 16)))
         g = Graph(record=False)
-        first = model.encoder.encode_segment(g, "v", 1, x).data.copy()
-        model.encoder.encode_segment(g, "v", 2, x, rng=np.random.default_rng(4), train=False)
-        model.reset_video_state()
-        again = model.encoder.encode_segment(g, "v", 1, x).data
+        first, state = model.encoder.encode_segment(g, x)
+        model.encoder.encode_segment(g, x, state, rng=np.random.default_rng(4), train=False)
+        again, _ = model.encoder.encode_segment(g, x)
         assert first.shape == (6, model.encoder.output_dim)
-        assert first.tobytes() == again.tobytes()
+        assert first.data.tobytes() == again.data.tobytes()
+        assert (state is None) == (encoder == "transformer")
 
         calls = []
         encode = model.encoder.encode_segment
         model.encoder.encode_segment = lambda *a, **kw: calls.append(kw) or encode(*a, **kw)
-        model.reset_video_state()
         rng = np.random.default_rng(5)
-        model.two_pass_logits(Graph(), x.data[:, :5], "v", 1, rng)
+        model.two_pass_logits(Graph(), x.data[:, :5], None, rng)
         assert len(calls) == encodings_per_two_passes
         assert all(kw["train"] and kw["rng"] is rng for kw in calls)
 
@@ -409,7 +422,7 @@ class TestExpressionModel:
         rng = np.random.default_rng(6)
         feats = rng.normal(size=(6, 5)).astype(np.float32)
         g = Graph()
-        l1, l2 = model.two_pass_logits(g, feats, "v", 1, rng)
+        l1, l2, _ = model.two_pass_logits(g, feats, None, rng)
         assert np.abs(l1.data - l2.data).max() > 1e-6
 
     def test_checkpoint_roundtrip_through_state(self):
@@ -419,10 +432,8 @@ class TestExpressionModel:
         clone = build_model(cfg, input_dim=5, seed=99).load_state(state)
         feats = np.random.default_rng(8).normal(size=(4, 5)).astype(np.float32)
         g = Graph(record=False)
-        a = model.eval_logits(g, feats, "v", 1).data
-        model.reset_video_state()
-        clone.reset_video_state()
-        b = clone.eval_logits(g, feats, "v", 1).data
+        a = model.eval_logits(g, feats)[0].data
+        b = clone.eval_logits(g, feats)[0].data
         assert a.tobytes() == b.tobytes()
 
     def test_config_json_roundtrip(self):

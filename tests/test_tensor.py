@@ -1,5 +1,6 @@
 """Tensor core: forward semantics, autodiff vs finite differences, Adam, checkpoints."""
 
+import struct
 import sys
 import warnings
 
@@ -681,6 +682,25 @@ class TestCheckpoint:
         path = tmp_path / "name.ckpt"
         path.write_bytes(raw[:name_at] + b"\xff" + raw[name_at + 1:])
         with pytest.raises(DataFormatError, match="name.ckpt"):
+            load_checkpoint(str(path))
+
+    def test_repeated_name_rejected(self, tmp_path):
+        raw = checkpoint_bytes({"w": np.ones(2, np.float32)})
+        path = tmp_path / "twice.ckpt"
+        # the header counts two parameters and the one entry follows twice
+        path.write_bytes(raw[:8] + (2).to_bytes(4, "little") + raw[12:] + raw[12:])
+        with pytest.raises(DataFormatError, match=r"twice\.ckpt: parameter 'w' appears twice"):
+            load_checkpoint(str(path))
+
+    def test_shape_numpy_refuses_rejected(self, tmp_path):
+        # (0, 2**32-1, 2**32-1) holds no floats, so it passes the size check,
+        # but numpy cannot make an array of that shape
+        dims = (0, 2**32 - 1, 2**32 - 1)
+        raw = (b"TFCK" + struct.pack("<III", 1, 1, 1) + b"w"
+               + struct.pack(f"<{1 + len(dims)}I", len(dims), *dims))
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=r"huge\.ckpt: parameter 'w' has an invalid shape"):
             load_checkpoint(str(path))
 
     def test_truncation_rejected(self, tmp_path):

@@ -327,11 +327,9 @@ class TestPrediction:
         track = predict_video(result.model, video)
         assert track.n_frames == video.n_frames
         from mmexpr.tensor import Graph
-        result.model.reset_video_state()
         seg = video.segments(cfg.model.seg_len, cfg.model.stride)[0]
-        logits = result.model.eval_logits(Graph(record=False), seg.features,
-                                          video.video_id, seg.index).data
-        expect = ref.softmax(logits.astype(np.float64))
+        logits, _ = result.model.eval_logits(Graph(record=False), seg.features)
+        expect = ref.softmax(logits.data.astype(np.float64))
         np.testing.assert_allclose(track.probs[:seg.end], expect, atol=1e-9)
 
     def test_overlapping_windows_cover_all_frames(self, tmp_path):
