@@ -114,14 +114,14 @@ class FeatureTrack:
 
 # -- label CSV ------------------------------------------------------------------
 
-def load_labels(path: str, video_id: str | None = None,
-                n_frames: int | None = None) -> LabelTrack:
-    """Read a ``frame,label`` CSV into a dense track over frames 1..max(frame).
+def load_labels(path: str, n_frames: int, video_id: str | None = None) -> LabelTrack:
+    """Read a ``frame,label`` CSV into a dense track over the manifest's
+    ``n_frames`` frames.
 
     Frames missing from the file come back as -1. Bad labels, non-integer
-    fields and duplicate frames are rejected with their line number. Given
-    the manifest's ``n_frames``, a frame past it is rejected while parsing,
-    before anything is sized from it, and the track must end at that frame.
+    fields and duplicate frames are rejected with their line number. A frame
+    past ``n_frames`` is rejected while parsing, so nothing is sized from the
+    file, and the track must end at that frame.
     """
     if video_id is None:
         video_id = os.path.splitext(os.path.basename(path))[0]
@@ -145,7 +145,7 @@ def load_labels(path: str, video_id: str | None = None,
                 raise DataFormatError(f"{path}: line {lineno}: non-integer frame or label") from None
             if frame < 1:
                 raise DataFormatError(f"{path}: line {lineno}: frame index {frame} < 1")
-            if n_frames is not None and frame > n_frames:
+            if frame > n_frames:
                 raise DataFormatError(f"{path}: line {lineno}: frame index {frame} past the "
                                       f"manifest's {n_frames} frames")
             if label != INVALID_LABEL and not 0 <= label < NUM_CLASSES:
@@ -157,10 +157,10 @@ def load_labels(path: str, video_id: str | None = None,
     if not rows:
         raise DataFormatError(f"{path}: no label rows")
     n = max(rows)
-    if n_frames is not None and n != n_frames:
+    if n != n_frames:
         raise DataFormatError(f"video {video_id!r}: label file {path} covers {n} frames, "
                               f"manifest says {n_frames}")
-    labels = np.full(n, INVALID_LABEL, dtype=np.int64)
+    labels = np.full(n_frames, INVALID_LABEL, dtype=np.int64)
     for frame, label in rows.items():
         labels[frame - 1] = label
     return LabelTrack(video_id=video_id, labels=labels)

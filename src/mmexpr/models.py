@@ -4,11 +4,17 @@ The fusion layer concatenates the per-frame visual and audio vectors and maps
 them to d_model with one affine (no activation). Temporal encoding is either
 an LSTM whose final (hidden, cell) state seeds the next segment of a video, or
 a per-segment transformer encoder that treats segments independently. Both
-answer ``encode_segment(g, x, state) -> (out, state)``: the state is a value
-the caller passes from one segment to the next, starting each video at None;
-the models hold none of it. A two-hidden-layer ReLU head produces 8-way
-logits; its dropout is what differentiates the two RDrop passes on the LSTM
-path.
+answer ``encode_segment(g, x, state, masks, passes) -> (out, state)``: the
+state is a value the caller passes from one segment to the next, starting
+each video at None; the models hold none of it. A two-hidden-layer ReLU head
+produces 8-way logits.
+
+The two RDrop passes of a segment run as one stack of rows: ``out`` holds
+``passes`` copies of the segment's frames, one after the other, and every
+dropout site takes one mask for the whole stack. The transformer runs its
+layers once over the stack; the LSTM encodes once and repeats its output, so
+on that path only the head's dropout tells the passes apart. Eval is the same
+code with a stack of one and no masks.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .data import NUM_CLASSES
 from .errors import DataFormatError, NonFiniteError, ShapeError
-from .tensor import DTYPE, Graph, Tensor, all_finite
+from .tensor import DTYPE, Graph, Tensor, all_finite, dropout_mask
 
 # field type -> (accepted JSON value types, their name in messages)
 _JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"), str: ((str,), "a string"),
@@ -182,8 +188,6 @@ class LstmEncoder:
     segment of the video continues the recurrence, and None starts from zeros.
     """
 
-    has_dropout = False  # the two RDrop passes share one encoding
-
     def __init__(self, input_dim: int, settings: LstmSettings, rng, params: dict):
         self.input_dim = input_dim
         self.hidden = settings.hidden
@@ -203,11 +207,12 @@ class LstmEncoder:
             self.weights.append((w_in, w_state, bias))
             in_dim = self.hidden
 
-    def forward(self, g: Graph, x: Tensor, state=None, rng=None, train: bool = False):
+    def forward(self, g: Graph, x: Tensor, state=None, masks=None, passes: int = 1):
         """Run one segment from ``state`` (a per-layer list of (h, c) Tensors, or
-        None for zeros); ``rng`` and ``train`` go unused.
+        None for zeros); the encoder has no dropout, so ``masks`` goes unused.
 
-        Returns (per-frame hidden outputs of the top layer, the new state).
+        Returns (the top layer's per-frame hidden outputs, repeated ``passes``
+        times along the rows, and the new state).
         """
         frames = x
         new_state = []
@@ -220,9 +225,14 @@ class LstmEncoder:
             pre = g.affine(frames, w_in, bias)  # input projection for all frames at once
             frames, c = g.lstm_seq(pre, w_state, h, c)
             new_state.append((Tensor(frames.data[-1:]), c))
+        if passes > 1:
+            frames = g.concat([frames] * passes, axis=0)
         return frames, new_state
 
     encode_segment = forward
+
+    def dropout_sites(self, window: int) -> list:
+        return []
 
     @property
     def output_dim(self) -> int:
@@ -243,14 +253,13 @@ def sinusoidal_table(max_len: int, d_model: int) -> np.ndarray:
 class TransformerEncoder:
     """Post-norm transformer encoder applied to one segment at a time."""
 
-    has_dropout = True
-
     def __init__(self, d_model: int, seg_len: int, settings: TransformerSettings,
                  rng, params: dict):
         self.d_model = d_model
         self.seg_len = seg_len
         self.heads = settings.heads
         self.dropout = settings.dropout
+        self.ffn_dim = settings.ffn_dim
         self.head_dim = d_model // self.heads
         self.pe = sinusoidal_table(seg_len, d_model) if settings.positional_encoding else None
         # residual branches start small (1/sqrt(2 * layers)) so stacked post-norm
@@ -284,44 +293,65 @@ class TransformerEncoder:
                 params[t.name] = t
             self.layers.append(layer)
 
-    def _drop(self, g, x, rng, train):
-        if train and self.dropout > 0.0:
-            return g.dropout(x, self.dropout, rng=rng)
+    def dropout_sites(self, window: int) -> list:
+        """(shape, rate) of each dropout mask one pass over ``window`` frames
+        takes, in the order ``forward`` applies them; a mask for ``passes``
+        stacked passes joins that many along the first axis."""
+        if self.dropout == 0.0:
+            return []
+        per_layer = [(1, self.heads, window, window), (window, self.d_model),
+                     (window, self.ffn_dim), (window, self.d_model)]
+        return [(shape, self.dropout) for _ in self.layers for shape in per_layer]
+
+    def _drop(self, g, x, masks):
+        if masks is not None and self.dropout > 0.0:
+            return g.dropout(x, self.dropout, mask=next(masks))
         return x
 
-    def _split_heads(self, g, x, layer, role, axes):
-        """The ``role`` projection of ``x`` as a (heads, ...) stack laid out by ``axes``."""
-        projected = g.affine(x, layer[role + "_w"], layer[role + "_b"])
-        return g.transpose(g.reshape(projected, (x.shape[0], self.heads, self.head_dim)), axes)
+    def _split_heads(self, g, x, layer, role, passes, axes):
+        """The ``role`` projection of ``x`` as a (passes, heads, ...) stack laid
+        out by ``axes``."""
+        projected = g.affine(x, layer[role + "_w"], layer[role + "_b"], passes)
+        return g.transpose(g.reshape(projected, (passes, x.shape[0] // passes, self.heads,
+                                                 self.head_dim)), axes)
 
-    def forward(self, g: Graph, x: Tensor, rng=None, train: bool = False):
+    def forward(self, g: Graph, x: Tensor, masks=None, passes: int = 1):
+        """Encode one segment ``passes`` times as one stack of rows.
+
+        ``masks`` yields the stacked dropout masks in ``dropout_sites`` order;
+        None runs without dropout (eval).
+        """
         window = x.shape[0]
         if window > self.seg_len:
             raise ShapeError(f"segment window {window} exceeds segment length "
                              f"{self.seg_len}")
         if self.pe is not None:
             x = g.add(x, Tensor(self.pe[:window]))
+        if passes > 1:
+            x = g.concat([x] * passes, axis=0)
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
         for layer in self.layers:
-            q = self._split_heads(g, x, layer, "query", (1, 0, 2))  # (H, L, d_h)
-            k = self._split_heads(g, x, layer, "key", (1, 2, 0))    # (H, d_h, L)
-            v = self._split_heads(g, x, layer, "value", (1, 0, 2))  # (H, L, d_h)
+            q = self._split_heads(g, x, layer, "query", passes, (0, 2, 1, 3))  # (P, H, L, d_h)
+            k = self._split_heads(g, x, layer, "key", passes, (0, 2, 3, 1))    # (P, H, d_h, L)
+            v = self._split_heads(g, x, layer, "value", passes, (0, 2, 1, 3))  # (P, H, L, d_h)
             attention = g.softmax(g.scale(g.matmul(q, k), inv_sqrt))
-            context = g.matmul(self._drop(g, attention, rng, train), v)
-            merged = g.reshape(g.transpose(context, (1, 0, 2)), (window, self.d_model))
-            projected = self._drop(g, g.affine(merged, layer["out_w"], layer["out_b"]),
-                                   rng, train)
-            x = g.layer_norm(g.add(x, projected), layer["norm1_gain"], layer["norm1_shift"])
-            mid = self._drop(g, g.relu(g.affine(x, layer["ffn_in_w"], layer["ffn_in_b"])),
-                             rng, train)
-            ffn = self._drop(g, g.affine(mid, layer["ffn_out_w"], layer["ffn_out_b"]),
-                             rng, train)
-            x = g.layer_norm(g.add(x, ffn), layer["norm2_gain"], layer["norm2_shift"])
+            context = g.matmul(self._drop(g, attention, masks), v)
+            merged = g.reshape(g.transpose(context, (0, 2, 1, 3)), (x.shape[0], self.d_model))
+            projected = self._drop(
+                g, g.affine(merged, layer["out_w"], layer["out_b"], passes), masks)
+            x = g.layer_norm(g.add(x, projected), layer["norm1_gain"], layer["norm1_shift"],
+                             passes=passes)
+            mid = self._drop(
+                g, g.relu(g.affine(x, layer["ffn_in_w"], layer["ffn_in_b"], passes)), masks)
+            ffn = self._drop(
+                g, g.affine(mid, layer["ffn_out_w"], layer["ffn_out_b"], passes), masks)
+            x = g.layer_norm(g.add(x, ffn), layer["norm2_gain"], layer["norm2_shift"],
+                             passes=passes)
         return x
 
-    def encode_segment(self, g: Graph, x: Tensor, state=None, rng=None, train: bool = False):
+    def encode_segment(self, g: Graph, x: Tensor, state=None, masks=None, passes: int = 1):
         """Segments are independent: ``state`` goes unused and comes back None."""
-        return self.forward(g, x, rng, train), None
+        return self.forward(g, x, masks, passes), None
 
     @property
     def output_dim(self) -> int:
@@ -331,8 +361,9 @@ class TransformerEncoder:
 class ClassificationHead:
     """Two ReLU hidden stages then an 8-way output affine.
 
-    Dropout precedes each hidden affine at train time, which is the source of
-    stochasticity between the two RDrop passes when the encoder itself has none.
+    Dropout precedes each hidden affine at train time. Its rows may stack
+    several passes; on the LSTM path, whose encoder has no dropout, these
+    masks are all that tells the two RDrop passes apart.
     """
 
     def __init__(self, input_dim: int, hidden_sizes, classes: int, dropout: float,
@@ -352,12 +383,21 @@ class ClassificationHead:
         params[self.out_w.name] = self.out_w
         params[self.out_b.name] = self.out_b
 
-    def forward(self, g: Graph, x: Tensor, rng=None, train: bool = False) -> Tensor:
+    def dropout_sites(self, rows: int) -> list:
+        """(shape, rate) of each dropout mask one pass over ``rows`` frames takes."""
+        if self.dropout == 0.0:
+            return []
+        return [((rows, w.shape[0]), self.dropout) for w, _ in self.stages]
+
+    def forward(self, g: Graph, x: Tensor, masks=None, passes: int = 1) -> Tensor:
+        """Logits for the rows of ``x``, ``passes`` stacked passes; ``masks``
+        yields one dropout mask per hidden stage, and None runs without
+        dropout (eval)."""
         for w, b in self.stages:
-            if train and self.dropout > 0.0:
-                x = g.dropout(x, self.dropout, rng=rng)
-            x = g.relu(g.affine(x, w, b))
-        return g.affine(x, self.out_w, self.out_b)
+            if masks is not None and self.dropout > 0.0:
+                x = g.dropout(x, self.dropout, mask=next(masks))
+            x = g.relu(g.affine(x, w, b, passes))
+        return g.affine(x, self.out_w, self.out_b, passes)
 
 
 class ExpressionModel:
@@ -414,15 +454,20 @@ class ExpressionModel:
         """Two stochastic forward passes over one segment (train mode), from the
         encoder ``state``; returns both passes' logits and the next state.
 
-        The deterministic parts (fusion; an encoder without dropout, such as
-        the LSTM) run once and are shared; the stochastic parts run twice.
+        Fusion runs once; the encoder and head run once over the two passes
+        stacked by rows, and two ``slice`` nodes split the logits. ``rng``
+        draws every mask up front in the order two passes run one after the
+        other would: pass 1's encoder and head sites, then pass 2's. Each
+        site then takes its two masks joined.
         """
+        rows = features.shape[0]
+        sites = self.encoder.dropout_sites(rows) + self.head.dropout_sites(rows)
+        draws = [[dropout_mask(rng, shape, rate) for shape, rate in sites] for _ in range(2)]
+        masks = iter([np.concatenate(pair) for pair in zip(*draws)])
         fused = self.fusion.apply(g, Tensor(features))
-        encoded, next_state = self.encoder.encode_segment(g, fused, state, rng=rng, train=True)
-        first = self.head.forward(g, encoded, rng=rng, train=True)
-        if self.encoder.has_dropout:
-            encoded, _ = self.encoder.encode_segment(g, fused, state, rng=rng, train=True)
-        return first, self.head.forward(g, encoded, rng=rng, train=True), next_state
+        encoded, next_state = self.encoder.encode_segment(g, fused, state, masks, passes=2)
+        logits = self.head.forward(g, encoded, masks, passes=2)
+        return g.slice(logits, 0, rows), g.slice(logits, rows, 2 * rows), next_state
 
     def eval_logits(self, g: Graph, features: np.ndarray, state=None) -> tuple:
         """Deterministic single pass (no dropout anywhere) from the encoder

@@ -139,8 +139,8 @@ class Graph:
     def add(self, a, b):
         return self.apply("add", (a, b))
 
-    def affine(self, x, weight, bias):
-        return self.apply("affine", (x, weight, bias))
+    def affine(self, x, weight, bias, passes: int = 1):
+        return self.apply("affine", (x, weight, bias), passes=passes)
 
     def mul(self, a, b):
         return self.apply("mul", (a, b))
@@ -150,6 +150,9 @@ class Graph:
 
     def concat(self, tensors, axis: int = 0):
         return self.apply("concat", tuple(tensors), axis=axis)
+
+    def slice(self, x, start: int, stop: int):
+        return self.apply("slice", (x,), start=start, stop=stop)
 
     def relu(self, x):
         return self.apply("relu", (x,))
@@ -163,8 +166,8 @@ class Graph:
     def dropout(self, x, rate: float, rng=None, mask=None):
         return self.apply("dropout", (x,), rate=rate, rng=rng, mask=mask)
 
-    def layer_norm(self, x, gain, shift, eps: float = 1e-5):
-        return self.apply("layer_norm", (x, gain, shift), eps=eps)
+    def layer_norm(self, x, gain, shift, eps: float = 1e-5, passes: int = 1):
+        return self.apply("layer_norm", (x, gain, shift), eps=eps, passes=passes)
 
     def reshape(self, x, shape):
         return self.apply("reshape", (x,), shape=shape)
@@ -237,11 +240,12 @@ def backward(loss: Tensor, graph: Graph) -> None:
 
 
 def _op_matmul(inputs, attrs):
-    """(m, k) @ (k, n), or a stack of them: (B, m, k) @ (B, k, n)."""
+    """(m, k) @ (k, n), or a stack of them over equal batch dims:
+    (B.., m, k) @ (B.., k, n)."""
     a, b = _arity(inputs, 2, "matmul")
-    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim:
+    if a.data.ndim < 2 or b.data.ndim != a.data.ndim:
         raise ShapeError(
-            f"matmul: expects two 2-D or two 3-D operands, got {a.shape} and {b.shape}")
+            f"matmul: expects two operands of equal rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: batch sizes differ: {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -257,20 +261,43 @@ def _op_matmul(inputs, attrs):
     return ad @ bd, bw
 
 
+def _passes(attrs, x, kind) -> int:
+    """The ``passes`` attr: how many equal row blocks (stacked passes) ``x`` holds."""
+    passes = int(attrs.get("passes", 1))
+    if passes < 1 or x.shape[0] % passes:
+        raise ShapeError(f"{kind}: {x.shape[0]} rows do not split into {passes} passes")
+    return passes
+
+
+def _sum_over_passes(fn, passes, *arrays):
+    """``fn`` of each pass's row block of ``arrays``, summed in place into the
+    first result: the sum order of separate passes, one gradient each."""
+    rows = arrays[0].shape[0] // passes
+    total = fn(*(a[:rows] for a in arrays))
+    for p in range(1, passes):
+        total += fn(*(a[p * rows:(p + 1) * rows] for a in arrays))
+    return total
+
+
 def _op_affine(inputs, attrs):
-    """(m, k) @ (k, n) plus a (n,) bias on every row, as one node."""
+    """(m, k) @ (k, n) plus a (n,) bias on every row, as one node.
+
+    The rows may stack ``passes`` equal blocks; the weight and bias gradients
+    sum one product and one row sum per block.
+    """
     x, weight, bias = _arity(inputs, 3, "affine")
     if (x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[0]
             or bias.shape != weight.shape[1:]):
         raise ShapeError(f"affine: expects x (m, k), weight (k, n) and bias (n,); "
                          f"got {x.shape}, {weight.shape}, {bias.shape}")
+    passes = _passes(attrs, x, "affine")
     xd, wd = x.data, weight.data
     nx, nw, nb = x.requires_grad, weight.requires_grad, bias.requires_grad
 
     def bw(g):
         return (g @ wd.T if nx else None,
-                xd.T @ g if nw else None,
-                g.sum(axis=0) if nb else None)
+                _sum_over_passes(lambda xb, gb: xb.T @ gb, passes, xd, g) if nw else None,
+                _sum_over_passes(lambda gb: gb.sum(axis=0), passes, g) if nb else None)
 
     out = xd @ wd
     out += bias.data
@@ -336,6 +363,22 @@ def _op_concat(inputs, attrs):
     return np.concatenate([t.data for t in inputs], axis=axis), bw
 
 
+def _op_slice(inputs, attrs):
+    """Rows ``start:stop`` of ``x`` along its first axis."""
+    (x,) = _arity(inputs, 1, "slice")
+    start, stop = int(attrs["start"]), int(attrs["stop"])
+    if not 0 <= start < stop <= x.shape[0]:
+        raise ShapeError(f"slice: rows {start}:{stop} out of range for shape {x.shape}")
+    shape = x.shape
+
+    def bw(g):
+        gx = np.zeros(shape, DTYPE)
+        gx[start:stop] = g
+        return (gx,)
+
+    return x.data[start:stop], bw
+
+
 def _sigmoid(x, out=None):
     """Logistic function as tanh(x / 2) / 2 + 1/2: one transcendental and no
     overflow for any finite or infinite input."""
@@ -384,6 +427,11 @@ def _op_log_softmax(inputs, attrs):
     return out, bw
 
 
+def dropout_mask(rng, shape, rate: float) -> np.ndarray:
+    """A keep-mask of ``shape``: each element kept with probability 1 - ``rate``."""
+    return rng.random(shape, dtype=np.float32) >= rate
+
+
 def _op_dropout(inputs, attrs):
     (x,) = _arity(inputs, 1, "dropout")
     rate = float(attrs["rate"])
@@ -394,7 +442,7 @@ def _op_dropout(inputs, attrs):
         rng = attrs.get("rng")
         if rng is None:
             raise ValueError("dropout: either rng or an explicit mask is required")
-        mask = rng.random(x.shape, dtype=np.float32) >= rate
+        mask = dropout_mask(rng, x.shape, rate)
     else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != x.shape:
@@ -416,6 +464,7 @@ def _op_layer_norm(inputs, attrs):
     if gain.shape != (d,) or shift.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/shift must have shape ({d},), got {gain.shape} and {shift.shape}")
+    passes = _passes(attrs, x, "layer_norm")
     xd = x.data
     # the float32 op order of mean, centre, variance, 1/sqrt, scale, shift,
     # with two (.., d) buffers: centred -> normed, squares -> output
@@ -443,8 +492,10 @@ def _op_layer_norm(inputs, attrs):
             gx -= gx.mean(axis=-1, keepdims=True)
             gx -= np.multiply(normed, dot, out=scratch)
             gx *= inv
-        ggain = np.multiply(g, normed, out=scratch).sum(axis=lead) if ng else None
-        gshift = g.sum(axis=lead) if ns else None
+        # like affine's, the gain and shift gradients sum per pass, then over passes
+        ggain = (_sum_over_passes(lambda b: b.sum(axis=lead), passes,
+                                  np.multiply(g, normed, out=scratch)) if ng else None)
+        gshift = _sum_over_passes(lambda b: b.sum(axis=lead), passes, g) if ns else None
         return gx, ggain, gshift
 
     return out, bw
@@ -574,6 +625,7 @@ _OP_TABLE = {
     "mul": _op_mul,
     "scale": _op_scale,
     "concat": _op_concat,
+    "slice": _op_slice,
     "relu": _op_relu,
     "softmax": _op_softmax,
     "log_softmax": _op_log_softmax,

@@ -239,38 +239,28 @@ def model_logits(params, encoder, x, *, lstm_layers=1, trm_layers=4, heads=4,
 def split_dropout_masks(flat, trm_layers, heads, head_stages):
     """Group a tape-ordered flat mask list into (enc, head) structures per pass.
 
-    Tape order per pass is: for each encoder layer, one (heads, L, L)
-    attention mask, unstacked here to att0..att{heads-1}, then proj, mid,
-    out; then the head's per-stage masks. The LSTM encoder contributes no
-    masks. The LSTM path shares one encode, so its flat list holds only the
-    two head groups.
+    The two passes run as one stack, so each site's mask holds pass 1's mask
+    then pass 2's along its first axis. Tape order is: for each encoder layer,
+    one (2, heads, L, L) attention mask, whose per-pass (heads, L, L) halves
+    are unstacked here to att0..att{heads-1}, then proj, mid, out; then the
+    head's per-stage masks. The LSTM encoder contributes no masks, so its
+    flat list holds only the head sites.
     """
     it = iter(flat)
-
-    def enc_group():
-        groups = []
-        for _ in range(trm_layers):
-            att = next(it)
-            assert att.ndim == 3 and att.shape[0] == heads, f"attention mask {att.shape}"
-            d = {f"att{h}": att[h] for h in range(heads)}
-            d["proj"] = next(it)
-            d["mid"] = next(it)
-            d["out"] = next(it)
-            groups.append(d)
-        return groups
-
-    def head_group():
-        return {f"head{i}": next(it) for i in range(head_stages)}
-
-    if trm_layers:
-        first = (enc_group(), head_group())
-        second = (enc_group(), head_group())
-    else:
-        first = (None, head_group())
-        second = (None, head_group())
+    enc = ([], [])
+    for _ in range(trm_layers):
+        att = next(it)
+        assert att.shape[:2] == (2, heads) and att.ndim == 4, f"attention mask {att.shape}"
+        rows = [np.split(next(it), 2) for _ in ("proj", "mid", "out")]
+        for p in range(2):
+            layer = {f"att{h}": att[p, h] for h in range(heads)}
+            layer.update(zip(("proj", "mid", "out"), (r[p] for r in rows)))
+            enc[p].append(layer)
+    head_rows = [np.split(next(it), 2) for _ in range(head_stages)]
+    heads_per_pass = [{f"head{i}": r[p] for i, r in enumerate(head_rows)} for p in range(2)]
     leftovers = sum(1 for _ in it)
     assert leftovers == 0, f"{leftovers} unconsumed dropout masks"
-    return first, second
+    return tuple((enc[p] if trm_layers else None, heads_per_pass[p]) for p in range(2))
 
 
 # -- metrics ----------------------------------------------------------------------

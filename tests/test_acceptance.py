@@ -71,12 +71,21 @@ class TestCriterion1GradientSuite:
                  lambda r: {"a": r.normal(size=(3, 4, 2)), "b": r.normal(size=(3, 2, 5))},
                  lambda g, t, r: g.matmul(t["a"], t["b"]),
                  lambda p: p["a"] @ p["b"])
+        add_case("batched_matmul_4d",
+                 lambda r: {"a": r.normal(size=(2, 3, 4, 2)), "b": r.normal(size=(2, 3, 2, 5))},
+                 lambda g, t, r: g.matmul(t["a"], t["b"]),
+                 lambda p: p["a"] @ p["b"])
         add_case("add", lambda r: {"a": r.normal(size=(4, 5)), "b": r.normal(size=(4, 5))},
                  lambda g, t, r: g.add(t["a"], t["b"]),
                  lambda p: p["a"] + p["b"])
         add_case("affine", lambda r: {"x": r.normal(size=(4, 3)), "w": r.normal(size=(3, 5)),
                                       "b": r.normal(size=5)},
                  lambda g, t, r: g.affine(t["x"], t["w"], t["b"]),
+                 lambda p: p["x"] @ p["w"] + p["b"])
+        add_case("affine_two_passes",
+                 lambda r: {"x": r.normal(size=(6, 3)), "w": r.normal(size=(3, 5)),
+                            "b": r.normal(size=5)},
+                 lambda g, t, r: g.affine(t["x"], t["w"], t["b"], passes=2),
                  lambda p: p["x"] @ p["w"] + p["b"])
         add_case("mul", lambda r: {"a": r.normal(size=(3, 4)), "b": r.normal(size=(3, 4))},
                  lambda g, t, r: g.mul(t["a"], t["b"]),
@@ -87,6 +96,8 @@ class TestCriterion1GradientSuite:
         add_case("concat", lambda r: {"a": r.normal(size=(2, 3)), "b": r.normal(size=(4, 3))},
                  lambda g, t, r: g.concat([t["a"], t["b"]], axis=0),
                  lambda p: np.concatenate([p["a"], p["b"]], axis=0))
+        add_case("slice", lambda r: {"x": r.normal(size=(6, 4))},
+                 lambda g, t, r: g.slice(t["x"], 2, 5), lambda p: p["x"][2:5])
         add_case("relu",
                  lambda r: {"x": r.uniform(0.1, 2.0, (5, 4)) * r.choice([-1.0, 1.0], (5, 4))},
                  lambda g, t, r: g.relu(t["x"]), lambda p: np.maximum(p["x"], 0.0))
@@ -98,6 +109,11 @@ class TestCriterion1GradientSuite:
                  lambda r: {"x": r.normal(size=(4, 6)), "g": r.uniform(0.5, 1.5, 6),
                             "s": r.normal(size=6)},
                  lambda g, t, r: g.layer_norm(t["x"], t["g"], t["s"]),
+                 lambda p: ref.layer_norm(p["x"], p["g"], p["s"]))
+        add_case("layer_norm_two_passes",
+                 lambda r: {"x": r.normal(size=(6, 5)), "g": r.uniform(0.5, 1.5, 5),
+                            "s": r.normal(size=5)},
+                 lambda g, t, r: g.layer_norm(t["x"], t["g"], t["s"], passes=2),
                  lambda p: ref.layer_norm(p["x"], p["g"], p["s"]))
         add_case("reshape", lambda r: {"x": r.normal(size=(4, 6))},
                  lambda g, t, r: g.reshape(t["x"], (2, 4, 3)),

@@ -337,7 +337,7 @@ class TestTrainPredictEvaluate:
         preds = tmp_path / "oracle_preds"
         os.makedirs(preds, exist_ok=True)
         for entry in manifest.videos:
-            labels = load_labels(entry.label_file, video_id=entry.video_id).labels
+            labels = load_labels(entry.label_file, entry.n_frames, video_id=entry.video_id).labels
             probs = np.full((len(labels), 8), 0.02 / 7)
             probs[np.arange(len(labels)), labels] = 0.98
             write_predictions(PredictionTrack(entry.video_id, labels, probs),
@@ -364,7 +364,7 @@ class TestEnsembleCommand:
 
     def test_three_member_vote_beats_every_member(self, synth_dir, tmp_path, capsys):
         manifest = load_manifest(str(synth_dir / "manifest.json"))
-        labels = {e.video_id: load_labels(e.label_file).labels for e in manifest.videos}
+        labels = {e.video_id: load_labels(e.label_file, e.n_frames).labels for e in manifest.videos}
         rng = np.random.default_rng(9)
         # members err on pairwise-disjoint frame slices, so the majority is
         # always right and the fused score must dominate every member's
@@ -426,7 +426,7 @@ class TestExitCodes:
         for d in member_dirs:
             os.makedirs(d)
             for entry in manifest.videos:
-                labels = load_labels(entry.label_file).labels
+                labels = load_labels(entry.label_file, entry.n_frames).labels
                 probs = np.full((len(labels), 8), 1 / 8)
                 write_predictions(PredictionTrack(entry.video_id, labels, probs),
                                   str(d / f"{entry.video_id}.csv"))
@@ -446,7 +446,7 @@ class TestExitCodes:
 
     def test_undecodable_prediction_file_exits_2_naming_it(self, synth_dir, tmp_path, capsys):
         entry = load_manifest(str(synth_dir / "manifest.json")).videos[0]
-        labels = load_labels(entry.label_file).labels
+        labels = load_labels(entry.label_file, entry.n_frames).labels
         path = tmp_path / f"{entry.video_id}.csv"
         write_predictions(PredictionTrack(entry.video_id, labels, np.full((len(labels), 8), 1 / 8)),
                           str(path))

@@ -43,7 +43,7 @@ class TestLoadLabels:
     def test_dense_track(self, tmp_path):
         p = tmp_path / "v.csv"
         write_label_csv(p, [(1, 0), (2, 3), (3, -1)])
-        track = load_labels(str(p))
+        track = load_labels(str(p), 3)
         assert track.labels.tolist() == [0, 3, -1]
         assert track.n_frames == 3
 
@@ -51,12 +51,12 @@ class TestLoadLabels:
         p = tmp_path / "v.csv"
         write_label_csv(p, [(1, 0), (2, 1), (3, 2), (4, 9)])
         with pytest.raises(DataFormatError, match="line 5.*label 9"):
-            load_labels(str(p))
+            load_labels(str(p), 4)
 
     def test_all_eight_classes(self, tmp_path):
         p = tmp_path / "v.csv"
         write_label_csv(p, [(i + 1, i) for i in range(8)])
-        track = load_labels(str(p))
+        track = load_labels(str(p), 8)
         hist = np.bincount(track.labels, minlength=8)
         assert hist.tolist() == [1] * 8
 
@@ -64,37 +64,44 @@ class TestLoadLabels:
         path = tmp_path / "v.csv"
         path.write_bytes(b"frame,label\n1,0\n2,\xff\n")
         with pytest.raises(DataFormatError, match="can't decode byte 0xff") as caught:
-            load_labels(str(path))
+            load_labels(str(path), 2)
         assert str(caught.value).startswith(f"{path}: ")
 
     def test_duplicate_frame_rejected(self, tmp_path):
         p = tmp_path / "v.csv"
         write_label_csv(p, [(1, 0), (1, 2)])
         with pytest.raises(DataFormatError, match="line 3.*duplicate"):
-            load_labels(str(p))
+            load_labels(str(p), 1)
 
     def test_non_integer_rejected(self, tmp_path):
         p = tmp_path / "v.csv"
         p.write_text("frame,label\n1,0\n2,happy\n")
         with pytest.raises(DataFormatError, match="line 3"):
-            load_labels(str(p))
+            load_labels(str(p), 2)
 
     def test_header_checked(self, tmp_path):
         p = tmp_path / "v.csv"
         write_label_csv(p, [(1, 0)], header="idx,cls")
         with pytest.raises(DataFormatError, match="header"):
-            load_labels(str(p))
+            load_labels(str(p), 1)
 
     def test_gaps_become_invalid(self, tmp_path):
         p = tmp_path / "v.csv"
         write_label_csv(p, [(1, 5), (4, 2)])
-        assert load_labels(str(p)).labels.tolist() == [5, -1, -1, 2]
+        assert load_labels(str(p), 4).labels.tolist() == [5, -1, -1, 2]
+
+    def test_frame_past_the_manifest_rejected_before_sizing(self, tmp_path):
+        p = tmp_path / "v.csv"
+        p.write_text("frame,label\n1,0\n100000000000,0\n")
+        with pytest.raises(DataFormatError, match="line 3.*100000000000 past") as caught:
+            load_labels(str(p), 2)
+        assert str(caught.value).startswith(f"{p}: ")
 
     def test_roundtrip(self, tmp_path):
         track = LabelTrack("v", np.array([0, -1, 7, 3]))
         p = tmp_path / "v.csv"
         save_labels(track, str(p))
-        assert load_labels(str(p)).labels.tolist() == [0, -1, 7, 3]
+        assert load_labels(str(p), 4).labels.tolist() == [0, -1, 7, 3]
 
 
 class TestImputation:

@@ -203,9 +203,9 @@ class TestTransformerEncoder:
         g = Graph()
         enc.forward(g, Tensor(rng.normal(size=(7, 8))))
         maps = [n.output for n in g.nodes if n.kind == "softmax"]
-        assert len(maps) == 2  # one (heads, L, L) stack per layer
+        assert len(maps) == 2  # one (passes, heads, L, L) stack per layer
         for att in maps:
-            assert att.shape == (2, 7, 7)
+            assert att.shape == (1, 2, 7, 7)
             np.testing.assert_allclose(att.data.sum(axis=-1), 1.0, atol=1e-5)
             assert (att.data >= 0).all()
 
@@ -214,19 +214,24 @@ class TestTransformerEncoder:
         enc, _ = self.make(rng, layers=2, heads=2, dropout=0.3)
         x = Tensor(rng.normal(size=(6, 8)))
         g = Graph()
-        for _ in range(2):  # two training passes, as RDrop runs them
-            enc.forward(g, x, rng=rng, train=True)
+        # two training passes, as RDrop runs them: one stack of 12 rows
+        masks = [np.concatenate([rng.random(shape) >= rate for _ in range(2)])
+                 for shape, rate in enc.dropout_sites(6)]
+        out = enc.forward(g, x, masks=iter(masks), passes=2)
+        assert out.shape == (12, 8)
         split = ["affine", "reshape", "transpose"]
         layer = (split * 3
                  + ["matmul", "scale", "softmax", "dropout", "matmul", "transpose", "reshape"]
                  + ["affine", "dropout", "add", "layer_norm"]
                  + ["affine", "relu", "dropout", "affine", "dropout", "add", "layer_norm"])
-        assert [n.kind for n in g.nodes] == layer * 2 * 2
+        assert [n.kind for n in g.nodes] == layer * 2
         softmax_out = {id(n.output) for n in g.nodes if n.kind == "softmax"}
         attention_drops = [n for n in g.nodes
                            if n.kind == "dropout" and id(n.inputs[0]) in softmax_out]
-        assert len(softmax_out) == len(attention_drops) == 2 * 2
-        assert all(n.attrs["mask_used"].shape == (2, 6, 6) for n in attention_drops)
+        assert len(softmax_out) == len(attention_drops) == 2
+        assert all(n.attrs["mask_used"].shape == (2, 2, 6, 6) for n in attention_drops)
+        used = [n.attrs["mask_used"] for n in g.nodes if n.kind == "dropout"]
+        assert len(used) == len(masks) and all(a is b for a, b in zip(used, masks))
 
     def test_per_head_checkpoint_predicts_the_same(self):
         """``fixtures/trm_per_head.*`` were written by the per-head attention
@@ -273,8 +278,8 @@ class TestTransformerEncoder:
         enc, _ = self.make(rng, dropout=0.3)
         x = Tensor(rng.normal(size=(5, 8)))
         g = Graph(record=False)
-        one = enc.forward(g, x, train=False).data
-        two = enc.forward(g, x, train=False).data
+        one = enc.forward(g, x).data
+        two = enc.forward(g, x).data
         assert one.tobytes() == two.tobytes()
 
     def test_matches_float64_reference(self):
@@ -322,7 +327,7 @@ class TestClassificationHead:
         head = ClassificationHead(5, (4, 3), 8, 0.3, rng, {})
         row = rng.normal(size=5).astype(np.float32)
         g = Graph(record=False)
-        logits = head.forward(g, Tensor(np.stack([row, row])), train=False)
+        logits = head.forward(g, Tensor(np.stack([row, row])))
         np.testing.assert_array_equal(logits.data[0], logits.data[1])
 
     def test_gradient_matches_finite_differences(self):
@@ -396,26 +401,74 @@ class TestExpressionModel:
                 assert ha.data.tobytes() == hb.data.tobytes()
                 assert ca.data.tobytes() == cb.data.tobytes()
 
-    @pytest.mark.parametrize("encoder, encodings_per_two_passes",
-                             [("lstm", 1), ("transformer", 2)])
-    def test_encoders_answer_one_interface(self, encoder, encodings_per_two_passes):
+    @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+    def test_encoders_answer_one_interface(self, encoder):
         model = build_model(tiny_config(encoder), input_dim=5, seed=2)
         x = Tensor(np.random.default_rng(3).normal(size=(6, 16)))
         g = Graph(record=False)
         first, state = model.encoder.encode_segment(g, x)
-        model.encoder.encode_segment(g, x, state, rng=np.random.default_rng(4), train=False)
+        model.encoder.encode_segment(g, x, state)
         again, _ = model.encoder.encode_segment(g, x)
         assert first.shape == (6, model.encoder.output_dim)
         assert first.data.tobytes() == again.data.tobytes()
         assert (state is None) == (encoder == "transformer")
+        stacked, _ = model.encoder.encode_segment(g, x, passes=2)
+        assert stacked.data.tobytes() == np.concatenate([first.data] * 2).tobytes()
 
         calls = []
         encode = model.encoder.encode_segment
         model.encoder.encode_segment = lambda *a, **kw: calls.append(kw) or encode(*a, **kw)
-        rng = np.random.default_rng(5)
-        model.two_pass_logits(Graph(), x.data[:, :5], None, rng)
-        assert len(calls) == encodings_per_two_passes
-        assert all(kw["train"] and kw["rng"] is rng for kw in calls)
+        model.two_pass_logits(Graph(), x.data[:, :5], None, np.random.default_rng(5))
+        assert len(calls) == 1  # both passes, one stack
+        assert calls[0]["passes"] == 2
+
+    @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+    def test_tape_masks_equal_site_by_site_draws(self, encoder):
+        """The stacked masks, split per pass, are the masks two passes run one
+        after the other draw: pass 1's encoder then head sites, then pass 2's."""
+        model = build_model(tiny_config(encoder), input_dim=5, seed=9)
+        rng = np.random.default_rng(10)
+        clone = np.random.default_rng(10)
+        feats = np.random.default_rng(13).normal(size=(6, 5)).astype(np.float32)
+        g = Graph()
+        model.two_pass_logits(g, feats, None, rng)
+        trm = encoder == "transformer"
+        per_pass = (([(2, 6, 6), (6, 16), (6, 24), (6, 16)] * 2 if trm else [])
+                    + [(6, model.encoder.output_dim), (6, 12)])
+        expected = [[clone.random(shape, dtype=np.float32) >= 0.3 for shape in per_pass]
+                    for _ in range(2)]
+        (enc1, head1), (enc2, head2) = ref.split_dropout_masks(
+            [n.attrs["mask_used"] for n in g.nodes if n.kind == "dropout"],
+            trm_layers=2 if trm else 0, heads=2, head_stages=2)
+
+        def flat(enc, head):
+            sites = [m for layer in enc or [] for m in
+                     (np.stack([layer["att0"], layer["att1"]]), layer["proj"], layer["mid"],
+                      layer["out"])]
+            return sites + [head["head0"], head["head1"]]
+
+        for drawn, (enc, head) in zip(expected, ((enc1, head1), (enc2, head2))):
+            got = flat(enc, head)
+            assert [m.shape for m in got] == [m.shape for m in drawn]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, drawn))
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+    @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+    def test_stacked_halves_match_single_passes(self, encoder):
+        model = build_model(tiny_config(encoder), input_dim=5, seed=11)
+        rng = np.random.default_rng(12)
+        feats = rng.normal(size=(6, 5)).astype(np.float32)
+        g = Graph()
+        halves = model.two_pass_logits(g, feats, None, rng)[:2]
+        stacked = [n.attrs["mask_used"] for n in g.nodes if n.kind == "dropout"]
+        for p, half in enumerate(halves):
+            masks = iter([np.split(m, 2)[p] for m in stacked])
+            single = Graph()
+            encoded, _ = model.encoder.encode_segment(
+                single, model.fusion.apply(single, Tensor(feats)), masks=masks)
+            alone = model.head.forward(single, encoded, masks)
+            assert half.shape == alone.shape == (6, 8)
+            np.testing.assert_allclose(half.data, alone.data, rtol=0, atol=1e-6)
 
     def test_two_passes_differ_under_dropout(self):
         model = build_model(tiny_config("transformer"), input_dim=5, seed=5)

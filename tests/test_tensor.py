@@ -131,6 +131,7 @@ class TestForward:
             "mul": lambda: g.mul(x, x),
             "scale": lambda: g.scale(x, 2.0),
             "concat": lambda: g.concat([x, x], axis=1),
+            "slice": lambda: g.slice(x, 1, 2),
             "relu": lambda: g.relu(x),
             "softmax": lambda: g.softmax(x),
             "log_softmax": lambda: g.log_softmax(x),
@@ -193,14 +194,30 @@ class TestForward:
 
     def test_matmul_rank_and_batch_checks(self):
         g = Graph()
-        with pytest.raises(ShapeError, match="2-D or two 3-D"):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 5, 6))
+        np.testing.assert_array_equal(g.matmul(Tensor(a), Tensor(b)).data,
+                                      np.float32(a) @ np.float32(b))
+        with pytest.raises(ShapeError, match="equal rank >= 2"):
             g.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3, 4))))
-        with pytest.raises(ShapeError, match="2-D or two 3-D"):
-            g.matmul(Tensor(np.zeros((1, 1, 2, 3))), Tensor(np.zeros((1, 1, 3, 4))))
+        for rank_one in ((np.zeros(3), np.zeros(3)), (np.zeros(3), np.zeros((3, 4)))):
+            with pytest.raises(ShapeError, match="equal rank >= 2"):
+                g.matmul(*(Tensor(t) for t in rank_one))
         with pytest.raises(ShapeError, match=r"batch sizes differ: \(2, 2, 3\) @ \(3, 3, 4\)"):
             g.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((3, 3, 4))))
+        with pytest.raises(ShapeError,
+                           match=r"batch sizes differ: \(2, 3, 2, 3\) @ \(2, 1, 3, 4\)"):
+            g.matmul(Tensor(np.zeros((2, 3, 2, 3))), Tensor(np.zeros((2, 1, 3, 4))))
         with pytest.raises(ShapeError, match="inner dimensions"):
             g.matmul(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 4, 4))))
+
+    def test_slice_takes_rows_and_checks_its_range(self):
+        g = Graph()
+        x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        np.testing.assert_array_equal(g.slice(x, 1, 3).data, x.data[1:3])
+        for start, stop in ((0, 5), (-1, 2), (2, 2), (3, 1)):
+            with pytest.raises(ShapeError, match="slice"):
+                g.slice(x, start, stop)
 
     def test_unknown_kind_rejected(self):
         g = Graph()
@@ -219,6 +236,12 @@ class TestForward:
                     (np.zeros((1, 3, 2)), w, b), (x, np.zeros((1, 2, 4)), b)):
             with pytest.raises(ShapeError, match="affine"):
                 g.affine(*(Tensor(a) for a in bad))
+        for passes in (0, 2):  # 3 rows do not split into 2 passes
+            with pytest.raises(ShapeError, match="affine: 3 rows"):
+                g.affine(Tensor(x), Tensor(w), Tensor(b), passes=passes)
+            with pytest.raises(ShapeError, match="layer_norm: 3 rows"):
+                g.layer_norm(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                             passes=passes)
 
     def test_concat_and_slice_roundtrip(self):
         # concat's backward slices the output gradient back into its inputs

@@ -156,7 +156,7 @@ class TestSynthDataset:
             vis = read_feature_file(entry.features["synthvis"])
             aud = read_feature_file(entry.features["synthaud"])
             from mmexpr.data import load_labels
-            lab = load_labels(entry.label_file)
+            lab = load_labels(entry.label_file, entry.n_frames)
             feats.append(np.hstack([vis.matrix, aud.matrix]))
             labels.append(lab.labels)
         x = np.vstack(feats)
@@ -185,7 +185,7 @@ class TestSynthDataset:
                                       visual_dim=8, audio_dim=4, sigma=200.0, seed=5)
         manifest = load_manifest(manifest_path)
         from mmexpr.data import load_labels
-        y = np.concatenate([load_labels(e.label_file).labels for e in manifest.videos])
+        y = np.concatenate([load_labels(e.label_file, e.n_frames).labels for e in manifest.videos])
         rng = np.random.default_rng(0)
         _, random_macro = ref.brute_force_macro_f1(
             y, rng.integers(0, 8, len(y)), np.ones_like(y, bool))
