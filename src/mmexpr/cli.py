@@ -18,6 +18,8 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .data import (
     FeatureRegistry,
+    Manifest,
+    ManifestVideo,
     impute_missing,
     imputation_plan,
     load_feature_track,
@@ -29,8 +31,8 @@ from .data import (
 from .ensemble import read_predictions, vote, write_predictions
 from .errors import DataFormatError, NumericError, ShapeError
 from .evaluation import evaluate_tracks
-from .fileio import atomic_write_bytes, read_json, write_json
-from .models import ExpressionModel, JsonConfig
+from .fileio import JsonConfig, atomic_write_bytes, read_json, write_json
+from .models import ExpressionModel
 from .training import ExperimentConfig, predict_video, synth_dataset, train
 
 
@@ -62,15 +64,14 @@ def cmd_prepare(args) -> int:
     registry = FeatureRegistry(extra=extra)
 
     out = args.out
-    labels_dir = os.path.join(out, "labels")
-    features_dir = os.path.join(out, "features")
     entries = []
     report = {}
     total_imputed = 0
     for video in manifest.videos:
         load_labels(video.label_file, video_id=video.video_id, n_frames=video.n_frames)
+        label_rel = os.path.join("labels", f"{video.video_id}.csv")
         with open(video.label_file, "rb") as fh:
-            atomic_write_bytes(os.path.join(labels_dir, f"{video.video_id}.csv"), fh.read())
+            atomic_write_bytes(os.path.join(out, label_rel), fh.read())
         repairs = {}
         feature_paths = {}
         for name in sorted(video.features):
@@ -89,15 +90,9 @@ def cmd_prepare(args) -> int:
             "frames_imputed": sum(len(v) for v in repairs.values()),
             "repairs": repairs,
         }
-        entries.append({
-            "id": video.video_id,
-            "n_frames": video.n_frames,
-            "label_file": os.path.join("labels", f"{video.video_id}.csv"),
-            "features": feature_paths,
-        })
+        entries.append(ManifestVideo(video.video_id, video.n_frames, label_rel, feature_paths))
 
-    write_json(os.path.join(out, "manifest.json"),
-               {"videos": entries, "splits": manifest.splits})
+    write_json(os.path.join(out, "manifest.json"), Manifest(entries, manifest.splits).to_json())
     write_json(os.path.join(out, "prepare_report.json"),
                {"videos": report, "total_frames_imputed": total_imputed})
     write_json(os.path.join(out, "resolved_config.json"),
@@ -124,7 +119,6 @@ def cmd_train(args) -> int:
         config.seed = args.seed
     if args.encoder:
         config.model.encoder = args.encoder
-        config.model.validate()
 
     def show(record):
         print(f"epoch {record['epoch']:3d}: loss={record['train_loss']:.5f} "

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .fileio import atomic_write_bytes, csv_rows, read_json
+from .fileio import JsonConfig, atomic_write_bytes, csv_rows, read_json
 
 NUM_CLASSES = 8
 INVALID_LABEL = -1
@@ -398,21 +397,39 @@ class VideoData:
 # -- manifest ---------------------------------------------------------------------
 
 @dataclass
-class ManifestVideo:
-    video_id: str
+class ManifestVideo(JsonConfig):
+    video_id: str = field(metadata={"json": "id"})
     n_frames: int
     label_file: str
-    features: dict  # feature-set name -> path
+    features: dict[str, str]  # feature-set name -> path
 
 
 @dataclass
-class Manifest:
-    videos: list
-    splits: dict  # split name -> list of video ids
-    path: str = ""
+class Manifest(JsonConfig):
+    videos: list[ManifestVideo]
+    splits: dict[str, list[str]] = field(default_factory=dict)  # split name -> video ids
 
     def __post_init__(self):
         self._by_id = {v.video_id: v for v in self.videos}
+
+    def validate(self):
+        seen = set()
+        for i, video in enumerate(self.videos):
+            vid = video.video_id
+            if os.path.basename(vid) != vid or vid in ("", ".", ".."):
+                raise DataFormatError(f"manifest.videos[{i}].id must be a plain file name, "
+                                      f"got {vid!r}")
+            if video.n_frames < 1:
+                raise DataFormatError(f"manifest.videos[{i}].n_frames must be >= 1, "
+                                      f"got {video.n_frames}")
+            if vid in seen:
+                raise DataFormatError(f"duplicate video id {vid!r}")
+            seen.add(vid)
+        for name, ids in self.splits.items():
+            for vid in ids:
+                if vid not in seen:
+                    raise DataFormatError(f"split {name!r} references unknown video {vid!r}")
+        return self
 
     def video(self, video_id: str) -> ManifestVideo:
         try:
@@ -426,60 +443,22 @@ class Manifest:
         return list(self.splits[split])
 
 
-# manifest field -> (what its JSON value must be, the test of it)
-_VIDEO_FIELDS = {
-    "id": ("a string", lambda v: isinstance(v, str)),
-    "n_frames": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "label_file": ("a string", lambda v: isinstance(v, str)),
-    "features": ("an object of strings",
-                 lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values())),
-}
-_SPLITS = ("an object of string arrays",
-           lambda v: isinstance(v, dict) and all(
-               isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-               for ids in v.values()))
-
-
 def load_manifest(path: str) -> Manifest:
     """Read the dataset manifest JSON, resolving file paths relative to it.
 
-    Each field's JSON type is checked; a wrong one raises ``DataFormatError``
-    naming the file and the field.
+    A malformed manifest raises ``DataFormatError`` naming the file and the
+    field.
     """
     doc = read_json(path)
+    try:
+        manifest = Manifest.from_json(doc, "manifest")
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    def check(value, where, rule):
-        wanted, ok = rule
-        if not ok(value):
-            raise DataFormatError(f"{path}: {where} must be {wanted}, got {json.dumps(value)}")
-        return value
-
-    if not isinstance(doc, dict) or not isinstance(doc.get("videos"), list):
-        raise DataFormatError(f"{path}: manifest must be an object with a 'videos' list")
-    videos = []
-    seen = set()
-    for i, entry in enumerate(doc["videos"]):
-        check(entry, f"videos[{i}]", ("an object", lambda v: isinstance(v, dict)))
-        for key, rule in _VIDEO_FIELDS.items():
-            if key not in entry:
-                raise DataFormatError(f"{path}: videos[{i}] missing field {key!r}")
-            check(entry[key], f"videos[{i}].{key}", rule)
-        vid = entry["id"]
-        if vid in seen:
-            raise DataFormatError(f"{path}: duplicate video id {vid!r}")
-        seen.add(vid)
-        feats = {name: resolve(p) for name, p in entry["features"].items()}
-        videos.append(ManifestVideo(vid, entry["n_frames"], resolve(entry["label_file"]), feats))
-    splits = check(doc.get("splits", {}), "splits", _SPLITS)
-    for name, ids in splits.items():
-        for vid in ids:
-            if vid not in seen:
-                raise DataFormatError(f"{path}: split {name!r} references unknown video {vid!r}")
-    return Manifest(videos=videos, splits=splits, path=path)
+    for video in manifest.videos:  # an absolute path stays as it is
+        video.label_file = os.path.join(base, video.label_file)
+        video.features = {name: os.path.join(base, p) for name, p in video.features.items()}
+    return manifest
 
 
 def load_feature_track(entry: ManifestVideo, name: str,

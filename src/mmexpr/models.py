@@ -15,82 +15,24 @@ dropout site takes one mask for the whole stack. The transformer runs its
 layers once over the stack; the LSTM encodes once and repeats its output, so
 on that path only the head's dropout tells the passes apart. Eval is the same
 code with a stack of one and no masks.
+
+The architecture settings (``ModelConfig``, ``LstmSettings``,
+``TransformerSettings``) are ``fileio.JsonConfig`` dataclasses: the config
+file's ``model`` section is read and written from their fields, and
+``ModelConfig.validate`` checks the ranges.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import types
-from dataclasses import MISSING, dataclass, field, fields
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import NUM_CLASSES
 from .errors import DataFormatError, NonFiniteError, ShapeError
+from .fileio import JsonConfig
 from .tensor import DTYPE, Graph, Tensor, all_finite, dropout_mask
-
-# field type -> (accepted JSON value types, their name in messages)
-_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"), str: ((str,), "a string"),
-               float: ((int, float), "a number"), list: ((list,), "an array"),
-               tuple: ((list,), "an array"), dict: ((dict,), "an object")}
-
-
-def _read(value, hint, key: str):
-    """``value`` as a field of type ``hint``; a wrong JSON type names ``key``."""
-    if isinstance(hint, type) and issubclass(hint, JsonConfig):
-        return hint.from_json(value, key)
-    if isinstance(hint, types.UnionType):  # ``int | None``: the JSON holds the int
-        hint = get_args(hint)[0]
-    origin = get_origin(hint) or hint
-    accepted, name = _JSON_TYPES[origin]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and origin is not bool):
-        raise DataFormatError(f"{key or 'config'}: expected {name}, got {json.dumps(value)}")
-    if origin in (list, tuple):
-        return origin(_read(v, get_args(hint)[0], f"{key}[{i}]") for i, v in enumerate(value))
-    return float(value) if origin is float else value
-
-
-class JsonConfig:
-    """Dataclass base whose JSON form follows its fields.
-
-    A field is stored under its own name unless its ``json`` metadata gives a
-    dotted key path. Absent keys take the field default; a present value must
-    have the JSON type of its field, else ``DataFormatError`` names its key.
-    """
-
-    def validate(self):
-        return self
-
-    def to_json(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            *sections, name = f.metadata.get("json", f.name).split(".")
-            node = doc
-            for section in sections:
-                node = node.setdefault(section, {})
-            value = getattr(self, f.name)
-            node[name] = (value.to_json() if isinstance(value, JsonConfig)
-                          else json.loads(json.dumps(value)))
-        return doc
-
-    @classmethod
-    def from_json(cls, doc, key: str = ""):
-        return cls(**{f.name: cls.read_field(doc, f.name, key) for f in fields(cls)}).validate()
-
-    @classmethod
-    def read_field(cls, doc, name: str, key: str = ""):
-        """Field ``name`` of the document ``doc`` (stored under ``key``): its
-        default when absent, else its value with the JSON type checked."""
-        f = cls.__dataclass_fields__[name]
-        node, where = doc, key
-        for part in f.metadata.get("json", name).split("."):
-            node = _read(node, dict, where).get(part, MISSING)
-            where = f"{where}.{part}" if where else part
-            if node is MISSING:
-                return f.default_factory() if f.default is MISSING else f.default
-        return _read(node, get_type_hints(cls)[name], where)
 
 
 @dataclass

@@ -78,8 +78,8 @@ class Tensor:
 class Node:
     """One executed operation: inputs, output, backward rule, and its attrs.
 
-    ``attrs`` keeps the op's parameters (axis, rate, the realized dropout
-    mask, ...) so a recorded graph can be audited or replayed.
+    ``attrs`` keeps the op's parameters (axis, rate, the dropout mask,
+    ...) so a recorded graph can be audited or replayed.
     """
 
     __slots__ = ("kind", "inputs", "output", "backward_fn", "attrs")
@@ -163,8 +163,8 @@ class Graph:
     def log_softmax(self, x):
         return self.apply("log_softmax", (x,))
 
-    def dropout(self, x, rate: float, rng=None, mask=None):
-        return self.apply("dropout", (x,), rate=rate, rng=rng, mask=mask)
+    def dropout(self, x, rate: float, mask):
+        return self.apply("dropout", (x,), rate=rate, mask=mask)
 
     def layer_norm(self, x, gain, shift, eps: float = 1e-5, passes: int = 1):
         return self.apply("layer_norm", (x, gain, shift), eps=eps, passes=passes)
@@ -437,17 +437,9 @@ def _op_dropout(inputs, attrs):
     rate = float(attrs["rate"])
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    mask = attrs.get("mask")
-    if mask is None:
-        rng = attrs.get("rng")
-        if rng is None:
-            raise ValueError("dropout: either rng or an explicit mask is required")
-        mask = dropout_mask(rng, x.shape, rate)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeError(f"dropout: mask shape {mask.shape} != input shape {x.shape}")
-    attrs["mask_used"] = mask  # realized mask, kept on the tape node for replay
+    mask = np.asarray(attrs["mask"], dtype=bool)
+    if mask.shape != x.shape:
+        raise ShapeError(f"dropout: mask shape {mask.shape} != input shape {x.shape}")
     # inverted scaling: expectation matches eval mode, which applies no-op
     keep = mask.astype(DTYPE) / DTYPE(1.0 - rate)
 

@@ -25,6 +25,7 @@ from .data import (
     FeatureTrack,
     LabelTrack,
     Manifest,
+    ManifestVideo,
     VideoData,
     load_manifest,
     load_video,
@@ -33,8 +34,8 @@ from .data import (
 )
 from .errors import DataFormatError, NonFiniteError, NumericError
 from .evaluation import evaluate_tracks
-from .fileio import atomic_write_text, write_json
-from .models import ExpressionModel, JsonConfig, ModelConfig
+from .fileio import JsonConfig, atomic_write_text, write_json
+from .models import ExpressionModel, ModelConfig
 from .optim import AdamState, adam_step, collect_grads, zero_grads
 from .tensor import DTYPE, Graph, Tensor
 
@@ -194,7 +195,6 @@ def evaluate_split(model: ExpressionModel, dataset: LoadedDataset, ids):
 
 @dataclass
 class TrainResult:
-    out_dir: str
     best_val_f1: float
     best_checkpoint: str
     log_path: str
@@ -319,7 +319,7 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
         if log_fn is not None:
             log_fn(record)
 
-    return TrainResult(out_dir, best_f1, best_path, log_path, records, model)
+    return TrainResult(best_f1, best_path, log_path, records, model)
 
 
 # -- synthetic dataset ---------------------------------------------------------------
@@ -351,16 +351,9 @@ def synth_dataset(out_dir: str, videos: int = 20, frames: int = 200, classes: in
     visual_means = rng.normal(0.0, 1.0, (classes, visual_dim))
     audio_means = rng.normal(0.0, 1.0, (classes, audio_dim))
 
-    labels_dir = os.path.join(out_dir, "labels")
-    features_dir = os.path.join(out_dir, "features")
-    os.makedirs(labels_dir, exist_ok=True)
-    os.makedirs(features_dir, exist_ok=True)
-
     entries = []
-    ids = []
     for v in range(videos):
         vid = f"vid{v:03d}"
-        ids.append(vid)
         labels = np.empty(frames, dtype=np.int64)
         t = 0
         while t < frames:
@@ -372,25 +365,19 @@ def synth_dataset(out_dir: str, videos: int = 20, frames: int = 200, classes: in
         audio = (audio_means[labels]
                  + sigma * rng.normal(size=(frames, audio_dim))).astype(np.float32)
 
-        label_file = os.path.join(labels_dir, f"{vid}.csv")
-        save_labels(LabelTrack(vid, labels), label_file)
+        entry = ManifestVideo(vid, frames, os.path.join("labels", f"{vid}.csv"), {
+            name: os.path.join("features", f"{vid}.{name}.mmft")
+            for name in (SYNTH_VISUAL, SYNTH_AUDIO)})
+        save_labels(LabelTrack(vid, labels), os.path.join(out_dir, entry.label_file))
         present = np.ones(frames, dtype=bool)
-        vis_file = os.path.join(features_dir, f"{vid}.{SYNTH_VISUAL}.mmft")
-        aud_file = os.path.join(features_dir, f"{vid}.{SYNTH_AUDIO}.mmft")
-        write_feature_file(FeatureTrack(vid, SYNTH_VISUAL, visual, present), vis_file)
-        write_feature_file(FeatureTrack(vid, SYNTH_AUDIO, audio, present), aud_file)
-        entries.append({
-            "id": vid,
-            "n_frames": frames,
-            "label_file": os.path.join("labels", f"{vid}.csv"),
-            "features": {
-                SYNTH_VISUAL: os.path.join("features", f"{vid}.{SYNTH_VISUAL}.mmft"),
-                SYNTH_AUDIO: os.path.join("features", f"{vid}.{SYNTH_AUDIO}.mmft"),
-            },
-        })
+        for name, matrix in ((SYNTH_VISUAL, visual), (SYNTH_AUDIO, audio)):
+            write_feature_file(FeatureTrack(vid, name, matrix, present),
+                               os.path.join(out_dir, entry.features[name]))
+        entries.append(entry)
 
     manifest_path = os.path.join(out_dir, "manifest.json")
-    write_json(manifest_path, {"videos": entries, "splits": {"train": ids, "val": ids}})
+    ids = [entry.video_id for entry in entries]
+    write_json(manifest_path, Manifest(entries, {"train": ids, "val": ids}).to_json())
 
     config = ExperimentConfig(
         manifest="manifest.json",

@@ -196,7 +196,7 @@ class TestCriterion1GradientSuite:
                 if relu_inputs and min(np.abs(v).min() for v in relu_inputs) < 5 * FD_STEP:
                     continue
                 accepted += 1
-                flat = [n.attrs["mask_used"] for n in g.nodes if n.kind == "dropout"]
+                flat = [n.attrs["mask"] for n in g.nodes if n.kind == "dropout"]
                 trm_layers = 2 if encoder == "transformer" else 0
                 (enc1, head1), (enc2, head2) = ref.split_dropout_masks(
                     flat, trm_layers=trm_layers, heads=2, head_stages=2)

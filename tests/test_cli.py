@@ -11,6 +11,7 @@ from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from mmexpr.cli import main
 from mmexpr.data import (
     FeatureTrack,
+    Manifest,
     load_labels,
     load_manifest,
     load_video,
@@ -147,10 +148,11 @@ class TestPrepare:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["videos"][0].update(features=[1]),
-         "videos[0].features must be an object of strings"),
-        (lambda doc: doc.update(splits={"train": 5}), "splits must be an object of string arrays"),
-        (lambda doc: doc.update(videos=5), "manifest must be an object with a 'videos' list"),
-        (lambda doc: doc.update(splits=[1]), "splits must be an object of string arrays"),
+         "manifest.videos[0].features: expected an object, got [1]"),
+        (lambda doc: doc.update(splits={"train": 5}),
+         "manifest.splits.train: expected an array, got 5"),
+        (lambda doc: doc.update(videos=5), "manifest.videos: expected an array, got 5"),
+        (lambda doc: doc.update(splits=[1]), "manifest.splits: expected an object, got [1]"),
     ], ids=["features-array", "split-number", "videos-number", "splits-array"])
     def test_malformed_manifest_exits_2_naming_file_and_field(self, synth_dir, tmp_path, capsys,
                                                               edit, message):
@@ -161,6 +163,30 @@ class TestPrepare:
         assert run_cli("prepare", "--manifest", path, "--out", tmp_path / "p") == 2
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("vid", ["../../escaped", "sub/v", "/abs", "..", ".", ""])
+    def test_video_id_that_is_not_a_file_name_exits_2_writing_nothing(self, synth_dir, tmp_path,
+                                                                     capsys, vid):
+        doc = read_json(str(synth_dir / "manifest.json"))
+        for video in doc["videos"]:
+            video["label_file"] = str(synth_dir / video["label_file"])
+            video["features"] = {k: str(synth_dir / p) for k, p in video["features"].items()}
+        doc["videos"][0]["id"] = vid
+        path = tmp_path / "in" / "manifest.json"
+        write_json(str(path), doc)
+        out = tmp_path / "out" / "prep"
+        assert run_cli("prepare", "--manifest", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: manifest.videos[0].id" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == [path.parent, path]
+
+    def test_written_manifests_round_trip_through_the_codec(self, synth_dir, tmp_path):
+        out = tmp_path / "prepared"
+        assert run_cli("prepare", "--manifest", synth_dir / "manifest.json", "--out", out,
+                       "--config", synth_dir / "small_config.json") == 0
+        for path in (synth_dir / "manifest.json", out / "manifest.json"):
+            doc = read_json(str(path))
+            assert Manifest.from_json(doc, "manifest").to_json() == doc
 
     def test_dim_mismatch_exits_2_with_both_dims(self, synth_dir, tmp_path, capsys):
         cfg = small_config_doc()
@@ -527,6 +553,15 @@ class TestConfigChecks:
         write_json(str(tmp_path / "bad.json"), doc)
         assert run_cli("train", "--config", tmp_path / "bad.json") == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "run" / "resolved_config.json").exists()
+
+    def test_encoder_option_is_validated_before_writing(self, synth_dir, tmp_path, capsys):
+        doc = small_config_doc(manifest=str(synth_dir / "manifest.json"),
+                               out=str(tmp_path / "run"), epochs=1)
+        doc["model"]["segment"] = {"l": 16, "p": 8}  # overlapping windows: transformer only
+        write_json(str(tmp_path / "config.json"), doc)
+        assert run_cli("train", "--config", tmp_path / "config.json", "--encoder", "lstm") == 2
+        assert "stride == segment length" in capsys.readouterr().err
         assert not (tmp_path / "run" / "resolved_config.json").exists()
 
     @pytest.mark.parametrize("entry", [5, {"modality": "visual"},

@@ -365,6 +365,44 @@ class TestManifest:
             load_manifest(str(mpath))
         assert str(caught.value).startswith(f"{mpath}: ") and key in str(caught.value)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["videos"][0]["features"].update(synthvis=5),
+         "manifest.videos[0].features.synthvis: expected a string, got 5"),
+        (lambda doc: doc["splits"].update(val=["b", 7]),
+         "manifest.splits.val[1]: expected a string, got 7"),
+        (lambda doc: doc["videos"][1].pop("n_frames"),
+         "manifest.videos[1]: missing field 'n_frames'"),
+        (lambda doc: doc["videos"][0].pop("id"), "manifest.videos[0]: missing field 'id'"),
+        (lambda doc: doc.pop("videos"), "manifest: missing field 'videos'"),
+    ], ids=["feature-path-number", "split-id-number", "no-n-frames", "no-id", "no-videos"])
+    def test_codec_fault_names_the_key(self, tmp_path, edit, message):
+        doc = _valid_manifest_doc()
+        edit(doc)
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as caught:
+            load_manifest(str(mpath))
+        assert str(caught.value) == f"{mpath}: {message}"
+
+    def test_absent_splits_mean_no_splits(self, tmp_path):
+        doc = _valid_manifest_doc()
+        del doc["splits"]
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(doc))
+        assert load_manifest(str(mpath)).splits == {}
+
+    def test_relative_paths_resolve_against_the_manifest_and_absolute_ones_stay(self, tmp_path):
+        doc = _valid_manifest_doc()
+        absolute = str(tmp_path / "elsewhere" / "a.aud")
+        doc["videos"][0]["features"]["synthaud"] = absolute
+        mpath = tmp_path / "sub" / "manifest.json"
+        mpath.parent.mkdir()
+        mpath.write_text(json.dumps(doc))
+        video = load_manifest(str(mpath)).video("a")
+        assert video.label_file == str(tmp_path / "sub" / "labels" / "a.csv")
+        assert video.features == {"synthvis": str(tmp_path / "sub" / "feats" / "a.mmft"),
+                                  "synthaud": absolute}
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -229,8 +229,8 @@ class TestTransformerEncoder:
         attention_drops = [n for n in g.nodes
                            if n.kind == "dropout" and id(n.inputs[0]) in softmax_out]
         assert len(softmax_out) == len(attention_drops) == 2
-        assert all(n.attrs["mask_used"].shape == (2, 2, 6, 6) for n in attention_drops)
-        used = [n.attrs["mask_used"] for n in g.nodes if n.kind == "dropout"]
+        assert all(n.attrs["mask"].shape == (2, 2, 6, 6) for n in attention_drops)
+        used = [n.attrs["mask"] for n in g.nodes if n.kind == "dropout"]
         assert len(used) == len(masks) and all(a is b for a, b in zip(used, masks))
 
     def test_per_head_checkpoint_predicts_the_same(self):
@@ -438,7 +438,7 @@ class TestExpressionModel:
         expected = [[clone.random(shape, dtype=np.float32) >= 0.3 for shape in per_pass]
                     for _ in range(2)]
         (enc1, head1), (enc2, head2) = ref.split_dropout_masks(
-            [n.attrs["mask_used"] for n in g.nodes if n.kind == "dropout"],
+            [n.attrs["mask"] for n in g.nodes if n.kind == "dropout"],
             trm_layers=2 if trm else 0, heads=2, head_stages=2)
 
         def flat(enc, head):
@@ -460,7 +460,7 @@ class TestExpressionModel:
         feats = rng.normal(size=(6, 5)).astype(np.float32)
         g = Graph()
         halves = model.two_pass_logits(g, feats, None, rng)[:2]
-        stacked = [n.attrs["mask_used"] for n in g.nodes if n.kind == "dropout"]
+        stacked = [n.attrs["mask"] for n in g.nodes if n.kind == "dropout"]
         for p, half in enumerate(halves):
             masks = iter([np.split(m, 2)[p] for m in stacked])
             single = Graph()

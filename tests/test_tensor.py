@@ -46,14 +46,16 @@ class TestForward:
         for _ in range(2):
             g = Graph()
             rng = np.random.default_rng(1234)
-            outs.append(g.dropout(x, 0.3, rng=rng).data)
+            outs.append(g.dropout(x, 0.3, tensor.dropout_mask(rng, x.shape, 0.3)).data)
         np.testing.assert_array_equal(outs[0], outs[1])
         assert set(np.unique(outs[0])) == {0.0, np.float32(1.0 / 0.7)}
 
-    def test_dropout_needs_rng_or_mask(self):
+    def test_dropout_needs_mask(self):
         g = Graph()
-        with pytest.raises(ValueError, match="rng"):
+        with pytest.raises(TypeError, match="mask"):
             g.dropout(Tensor(np.ones(4)), 0.5)
+        with pytest.raises(KeyError, match="mask"):
+            g.apply("dropout", (Tensor(np.ones(4)),), rate=0.5)
 
     def test_shape_mismatch_names_shapes(self):
         g = Graph()
@@ -135,7 +137,7 @@ class TestForward:
             "relu": lambda: g.relu(x),
             "softmax": lambda: g.softmax(x),
             "log_softmax": lambda: g.log_softmax(x),
-            "dropout": lambda: g.dropout(x, 0.5, rng=rng),
+            "dropout": lambda: g.dropout(x, 0.5, mask=tensor.dropout_mask(rng, x.shape, 0.5)),
             "layer_norm": lambda: g.layer_norm(x, leaf(rng, 3), leaf(rng, 3)),
             "reshape": lambda: g.reshape(x, (3, 2)),
             "transpose": lambda: g.transpose(x),
