@@ -9,8 +9,6 @@ frame, ties resolving to the earlier one.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -18,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .fileio import JsonConfig, atomic_write_bytes, csv_rows, read_json
+from .fileio import CsvTable, JsonConfig, atomic_write_bytes, read_json
 
 NUM_CLASSES = 8
 INVALID_LABEL = -1
@@ -124,54 +122,52 @@ def load_labels(path: str, n_frames: int, video_id: str | None = None) -> LabelT
     """
     if video_id is None:
         video_id = os.path.splitext(os.path.basename(path))[0]
-    with csv_rows(path) as reader:
+    table = CsvTable(path, "label")
+    if [h.strip() for h in table.header] != ["frame", "label"]:
+        raise DataFormatError(f"{path}: expected header 'frame,label', got "
+                              f"{','.join(table.header)!r}")
+
+    def valid(columns, lines) -> bool:  # the labels {-1, 0..7} are the range -1..7
+        frames, labels = columns
+        return (not frames or (1 <= min(frames) and max(frames) <= n_frames
+                               and INVALID_LABEL <= min(labels) and max(labels) < NUM_CLASSES)
+                and len(set(frames)) == len(frames))
+
+    seen = set()
+
+    def row_fault(row, line):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty label file") from None
-        if [h.strip() for h in header] != ["frame", "label"]:
-            raise DataFormatError(f"{path}: expected header 'frame,label', got {','.join(header)!r}")
-        rows: dict[int, int] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                frame = int(row[0])
-                label = int(row[1])
-            except ValueError:
-                raise DataFormatError(f"{path}: line {lineno}: non-integer frame or label") from None
-            if frame < 1:
-                raise DataFormatError(f"{path}: line {lineno}: frame index {frame} < 1")
-            if frame > n_frames:
-                raise DataFormatError(f"{path}: line {lineno}: frame index {frame} past the "
-                                      f"manifest's {n_frames} frames")
-            if label != INVALID_LABEL and not 0 <= label < NUM_CLASSES:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: label {label} outside {{-1, 0..{NUM_CLASSES - 1}}}")
-            if frame in rows:
-                raise DataFormatError(f"{path}: line {lineno}: duplicate frame index {frame}")
-            rows[frame] = label
-    if not rows:
+            frame = int(row[0])
+            label = int(row[1])
+        except ValueError:
+            return "non-integer frame or label"
+        if frame < 1:
+            return f"frame index {frame} < 1"
+        if frame > n_frames:
+            return f"frame index {frame} past the manifest's {n_frames} frames"
+        if label != INVALID_LABEL and not 0 <= label < NUM_CLASSES:
+            return f"label {label} outside {{-1, 0..{NUM_CLASSES - 1}}}"
+        if frame in seen:
+            return f"duplicate frame index {frame}"
+        seen.add(frame)
+        return None
+
+    frames, labels = table.columns((int, int), valid, row_fault)
+    if not frames:
         raise DataFormatError(f"{path}: no label rows")
-    n = max(rows)
+    n = max(frames)
     if n != n_frames:
         raise DataFormatError(f"video {video_id!r}: label file {path} covers {n} frames, "
                               f"manifest says {n_frames}")
-    labels = np.full(n_frames, INVALID_LABEL, dtype=np.int64)
-    for frame, label in rows.items():
-        labels[frame - 1] = label
-    return LabelTrack(video_id=video_id, labels=labels)
+    dense = np.full(n_frames, INVALID_LABEL, dtype=np.int64)
+    dense[np.subtract(frames, 1)] = labels
+    return LabelTrack(video_id=video_id, labels=dense)
 
 
 def save_labels(track: LabelTrack, path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["frame", "label"])
-    for i, label in enumerate(track.labels, start=1):
-        writer.writerow([i, int(label)])
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+    rows = zip(range(1, track.n_frames + 1), np.asarray(track.labels).tolist())
+    text = "frame,label\n" + "".join(map("%d,%d\n".__mod__, rows))
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # -- binary feature files ----------------------------------------------------------
@@ -396,6 +392,10 @@ class VideoData:
 
 # -- manifest ---------------------------------------------------------------------
 
+def _plain_file_name(name: str) -> bool:
+    return os.path.basename(name) == name and name not in ("", ".", "..")
+
+
 @dataclass
 class ManifestVideo(JsonConfig):
     video_id: str = field(metadata={"json": "id"})
@@ -416,9 +416,13 @@ class Manifest(JsonConfig):
         seen = set()
         for i, video in enumerate(self.videos):
             vid = video.video_id
-            if os.path.basename(vid) != vid or vid in ("", ".", ".."):
+            if not _plain_file_name(vid):
                 raise DataFormatError(f"manifest.videos[{i}].id must be a plain file name, "
                                       f"got {vid!r}")
+            for name in video.features:  # prepare writes features/<id>.<name>.mmft
+                if not _plain_file_name(name):
+                    raise DataFormatError(f"manifest.videos[{i}].features: set name {name!r} "
+                                          f"must be a plain file name")
             if video.n_frames < 1:
                 raise DataFormatError(f"manifest.videos[{i}].n_frames must be >= 1, "
                                       f"got {video.n_frames}")

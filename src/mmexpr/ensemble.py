@@ -8,8 +8,6 @@ Fused probabilities are the member mean.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
 
@@ -17,7 +15,7 @@ import numpy as np
 
 from .data import NUM_CLASSES
 from .errors import DataFormatError, ShapeError
-from .fileio import atomic_write_bytes, csv_rows
+from .fileio import CsvTable, atomic_write_bytes
 
 PREDICTION_HEADER = ["frame", "pred"] + [f"prob_{c}" for c in range(NUM_CLASSES)]
 
@@ -89,52 +87,43 @@ def vote(tracks: list) -> PredictionTrack:
 
 # -- prediction CSV files -----------------------------------------------------------
 
+_PREDICTION_ROW = "%d,%d," + ",".join(["%.9g"] * NUM_CLASSES) + "\n"
+_PREDICTION_TYPES = (int, int) + (float,) * NUM_CLASSES
+
+
 def write_predictions(track: PredictionTrack, path: str) -> None:
     """CSV with 1-based frame index; probabilities keep 9 significant digits."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PREDICTION_HEADER)
-    for i in range(track.n_frames):
-        row = [i + 1, int(track.labels[i])]
-        row += [format(p, ".9g") for p in track.probs[i]]
-        writer.writerow(row)
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+    rows = zip(range(1, track.n_frames + 1), track.labels.tolist(), *track.probs.T.tolist())
+    text = ",".join(PREDICTION_HEADER) + "\n" + "".join(map(_PREDICTION_ROW.__mod__, rows))
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _dense_frames(columns, lines) -> bool:
+    return columns[0] == [line - 1 for line in lines]
+
+
+def _prediction_fault(row, line):
+    try:
+        frame = int(row[0])
+        int(row[1])
+        list(map(float, row[2:]))
+    except ValueError:
+        return "malformed row"
+    if frame != line - 1:
+        return f"frame index {frame}, expected {line - 1}"
+    return None
 
 
 def read_predictions(path: str, video_id: str | None = None) -> PredictionTrack:
-    with csv_rows(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty prediction file") from None
-        if [h.strip() for h in header] != PREDICTION_HEADER:
-            raise DataFormatError(
-                f"{path}: bad header {','.join(header)!r}, expected "
-                f"{','.join(PREDICTION_HEADER)!r}")
-        labels = []
-        probs = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(PREDICTION_HEADER):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {len(PREDICTION_HEADER)} fields, "
-                    f"got {len(row)}")
-            try:
-                frame = int(row[0])
-                label = int(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError:
-                raise DataFormatError(f"{path}: line {lineno}: malformed row") from None
-            if frame != lineno - 1:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: frame index {frame}, expected {lineno - 1}")
-            labels.append(label)
-            probs.append(values)
+    table = CsvTable(path, "prediction")
+    if [h.strip() for h in table.header] != PREDICTION_HEADER:
+        raise DataFormatError(
+            f"{path}: bad header {','.join(table.header)!r}, expected "
+            f"{','.join(PREDICTION_HEADER)!r}")
+    _, labels, *probs = table.columns(_PREDICTION_TYPES, _dense_frames, _prediction_fault)
     if video_id is None:
         video_id = os.path.splitext(os.path.basename(path))[0]
-    probs_arr = np.asarray(probs, dtype=np.float64) if probs else np.zeros((0, NUM_CLASSES))
     try:
-        return PredictionTrack(video_id, np.asarray(labels, dtype=np.int64), probs_arr)
+        return PredictionTrack(video_id, np.asarray(labels, dtype=np.int64), np.column_stack(probs))
     except (ValueError, OverflowError) as exc:  # a label past int64 overflows
         raise DataFormatError(f"{path}: {exc}") from exc

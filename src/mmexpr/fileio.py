@@ -10,7 +10,6 @@ import json
 import os
 import tempfile
 import types
-from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -51,16 +50,61 @@ def read_json(path):
             raise DataFormatError(f"{path}: {exc}") from exc
 
 
-@contextmanager
-def csv_rows(path):
-    """A ``csv.reader`` over the UTF-8 file ``path``; a byte that is not UTF-8 or a
-    field the csv module refuses, met anywhere in the block, raises
-    ``DataFormatError`` naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield csv.reader(fh)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+class CsvTable:
+    """The records of the UTF-8 CSV file ``path``, read in one ``csv.reader`` pass.
+
+    ``header`` is the first record, ``rows`` the non-blank records after it
+    and ``lines[i]`` the record number of ``rows[i]``, the header's being 1.
+    A file without records raises ``DataFormatError`` naming it as an empty
+    ``what`` file. A byte that is not UTF-8 or a field the csv module refuses
+    ends the read. The records before it are kept, so that a fault in them is
+    reported first, as a row-by-row reader would; ``columns`` raises the read
+    fault only once they pass.
+    """
+
+    def __init__(self, path, what: str):
+        self.path = path
+        self.read_error = None
+        records = []
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                records.extend(csv.reader(fh))  # keeps the records read before a fault
+        except (UnicodeDecodeError, csv.Error) as exc:
+            self.read_error = DataFormatError(f"{path}: {exc}")
+        if not records:
+            raise self.read_error or DataFormatError(f"{path}: empty {what} file")
+        self.header, *body = records
+        self.rows = list(filter(None, body))
+        self.lines = (range(2, len(body) + 2) if len(self.rows) == len(body)
+                      else [line for line, row in enumerate(body, 2) if row])
+
+    def columns(self, types, valid, row_fault) -> list:
+        """The rows' columns, column ``c`` converted by ``types[c]``.
+
+        ``valid(columns, lines)`` checks the converted columns at once. When
+        a row has another field count than ``len(types)``, a conversion
+        raises ``ValueError`` or ``valid`` fails, the rows are walked to raise
+        ``DataFormatError`` for the first faulty line: its field count, else
+        ``row_fault(row, line)``, the message for that line or ``None``.
+        """
+        width = len(types)
+        columns = None
+        if set(map(len, self.rows)) <= {width}:
+            try:
+                columns = ([list(map(t, col)) for t, col in zip(types, zip(*self.rows))]
+                           or [[] for _ in types])
+            except ValueError:
+                pass
+        if columns is not None and valid(columns, self.lines):
+            if self.read_error:
+                raise self.read_error
+            return columns
+        for row, line in zip(self.rows, self.lines):
+            message = (f"expected {width} fields, got {len(row)}" if len(row) != width
+                       else row_fault(row, line))
+            if message:
+                raise DataFormatError(f"{self.path}: line {line}: {message}")
+        raise AssertionError(f"{self.path}: the column checks failed on no row")
 
 
 # field type -> (accepted JSON value types, their name in messages)

@@ -3,10 +3,22 @@
 Everything here is written directly against numpy in 64-bit arithmetic and
 never calls into the package's graph machinery, so it can serve as the
 second, independent route for gradient checks, loss values, metrics, and
-vote tallies.
+vote tallies. The row-wise CSV writers and readers at the end are the
+prediction and label file formats as first written, one row at a time with
+the ``csv`` module; the package's bulk versions must match their bytes,
+arrays and error messages.
 """
 
+import csv
+import io
+import os
+from contextlib import contextmanager
+
 import numpy as np
+
+from mmexpr.data import INVALID_LABEL, NUM_CLASSES, LabelTrack
+from mmexpr.ensemble import PREDICTION_HEADER, PredictionTrack
+from mmexpr.errors import DataFormatError
 
 
 # -- elementwise / layer math (float64) ----------------------------------------
@@ -387,3 +399,131 @@ def layer_norm_float32(x, gain, shift, g, eps=1e-5):
     gx = inv * (dn - dn.mean(axis=-1, keepdims=True)
                 - normed * (dn * normed).mean(axis=-1, keepdims=True))
     return out, (gx, (g * normed).sum(axis=lead), g.sum(axis=lead))
+
+
+# -- row-wise prediction and label CSV files -----------------------------------------
+
+def prediction_csv_bytes(track):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(PREDICTION_HEADER)
+    for i in range(track.n_frames):
+        row = [i + 1, int(track.labels[i])]
+        row += [format(p, ".9g") for p in track.probs[i]]
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+def label_csv_bytes(track):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["frame", "label"])
+    for i, label in enumerate(track.labels, start=1):
+        writer.writerow([i, int(label)])
+    return buf.getvalue().encode("utf-8")
+
+
+@contextmanager
+def _csv_rows(path):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def read_predictions(path, video_id=None):
+    with _csv_rows(path) as reader:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty prediction file") from None
+        if [h.strip() for h in header] != PREDICTION_HEADER:
+            raise DataFormatError(
+                f"{path}: bad header {','.join(header)!r}, expected "
+                f"{','.join(PREDICTION_HEADER)!r}")
+        labels = []
+        probs = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(PREDICTION_HEADER):
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected {len(PREDICTION_HEADER)} fields, "
+                    f"got {len(row)}")
+            try:
+                frame = int(row[0])
+                label = int(row[1])
+                values = [float(v) for v in row[2:]]
+            except ValueError:
+                raise DataFormatError(f"{path}: line {lineno}: malformed row") from None
+            if frame != lineno - 1:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: frame index {frame}, expected {lineno - 1}")
+            labels.append(label)
+            probs.append(values)
+    if video_id is None:
+        video_id = os.path.splitext(os.path.basename(path))[0]
+    probs_arr = np.asarray(probs, dtype=np.float64) if probs else np.zeros((0, NUM_CLASSES))
+    try:
+        return PredictionTrack(video_id, np.asarray(labels, dtype=np.int64), probs_arr)
+    except (ValueError, OverflowError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def load_labels(path, n_frames, video_id=None):
+    if video_id is None:
+        video_id = os.path.splitext(os.path.basename(path))[0]
+    with _csv_rows(path) as reader:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty label file") from None
+        if [h.strip() for h in header] != ["frame", "label"]:
+            raise DataFormatError(
+                f"{path}: expected header 'frame,label', got {','.join(header)!r}")
+        rows = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataFormatError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+            try:
+                frame = int(row[0])
+                label = int(row[1])
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: non-integer frame or label") from None
+            if frame < 1:
+                raise DataFormatError(f"{path}: line {lineno}: frame index {frame} < 1")
+            if frame > n_frames:
+                raise DataFormatError(f"{path}: line {lineno}: frame index {frame} past the "
+                                      f"manifest's {n_frames} frames")
+            if label != INVALID_LABEL and not 0 <= label < NUM_CLASSES:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: label {label} outside {{-1, 0..{NUM_CLASSES - 1}}}")
+            if frame in rows:
+                raise DataFormatError(f"{path}: line {lineno}: duplicate frame index {frame}")
+            rows[frame] = label
+    if not rows:
+        raise DataFormatError(f"{path}: no label rows")
+    n = max(rows)
+    if n != n_frames:
+        raise DataFormatError(f"video {video_id!r}: label file {path} covers {n} frames, "
+                              f"manifest says {n_frames}")
+    labels = np.full(n_frames, INVALID_LABEL, dtype=np.int64)
+    for frame, label in rows.items():
+        labels[frame - 1] = label
+    return LabelTrack(video_id=video_id, labels=labels)
+
+
+def read_outcome(read, path, **kwargs):
+    """What ``read(path, **kwargs)`` gives, in a form two readers can be compared
+    by: the message of a ``DataFormatError``, else each field of the track, an
+    array as its dtype, shape and bytes."""
+    try:
+        track = read(str(path), **kwargs)
+    except DataFormatError as exc:
+        return str(exc)
+    return {k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for k, v in vars(track).items()}

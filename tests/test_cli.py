@@ -164,21 +164,41 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("vid", ["../../escaped", "sub/v", "/abs", "..", ".", ""])
-    def test_video_id_that_is_not_a_file_name_exits_2_writing_nothing(self, synth_dir, tmp_path,
-                                                                     capsys, vid):
+    @staticmethod
+    def _prepare_writes_nothing(synth_dir, tmp_path, capsys, edit, key, registry=None):
+        """``prepare`` on the synthetic manifest after ``edit`` exits 2 naming
+        ``key`` and writes nothing under ``--out``."""
         doc = read_json(str(synth_dir / "manifest.json"))
         for video in doc["videos"]:
             video["label_file"] = str(synth_dir / video["label_file"])
             video["features"] = {k: str(synth_dir / p) for k, p in video["features"].items()}
-        doc["videos"][0]["id"] = vid
+        edit(doc["videos"][0])
         path = tmp_path / "in" / "manifest.json"
         write_json(str(path), doc)
+        config = tmp_path / "in" / "config.json"
+        cfg = small_config_doc()
+        cfg["registry"].update(registry or {})
+        write_json(str(config), cfg)
         out = tmp_path / "out" / "prep"
-        assert run_cli("prepare", "--manifest", path, "--out", out) == 2
+        assert run_cli("prepare", "--manifest", path, "--out", out, "--config", config) == 2
         err = capsys.readouterr().err
-        assert f"{path}: manifest.videos[0].id" in err and "Traceback" not in err
-        assert sorted(tmp_path.rglob("*")) == [path.parent, path]
+        assert f"{path}: {key}" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == [path.parent, config, path]
+
+    @pytest.mark.parametrize("vid", ["../../escaped", "sub/v", "/abs", "..", ".", ""])
+    def test_video_id_that_is_not_a_file_name_exits_2_writing_nothing(self, synth_dir, tmp_path,
+                                                                     capsys, vid):
+        self._prepare_writes_nothing(synth_dir, tmp_path, capsys,
+                                     lambda video: video.update(id=vid), "manifest.videos[0].id")
+
+    @pytest.mark.parametrize("name", ["x/../../../escaped", "sub/x", "/abs", "..", ".", ""])
+    def test_feature_set_name_that_is_not_a_file_name_exits_2_writing_nothing(
+            self, synth_dir, tmp_path, capsys, name):
+        def rename(video):  # the renamed set is declared, so only its name is at fault
+            video["features"][name] = video["features"].pop("synthvis")
+        self._prepare_writes_nothing(synth_dir, tmp_path, capsys, rename,
+                                     "manifest.videos[0].features",
+                                     {name: {"dim": 8, "modality": "visual"}})
 
     def test_written_manifests_round_trip_through_the_codec(self, synth_dir, tmp_path):
         out = tmp_path / "prepared"

@@ -25,6 +25,8 @@ from mmexpr.data import (
 )
 from mmexpr.errors import DataFormatError
 
+from tests import _reference as ref
+
 
 def write_label_csv(path, rows, header="frame,label"):
     lines = [header] + [f"{f},{l}" for f, l in rows]
@@ -102,6 +104,46 @@ class TestLoadLabels:
         p = tmp_path / "v.csv"
         save_labels(track, str(p))
         assert load_labels(str(p), 4).labels.tolist() == [0, -1, 7, 3]
+
+    @given(labels=st.lists(st.integers(-1, 7), max_size=40))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_written_bytes_equal_the_row_wise_writer(self, tmp_path, labels):
+        track = LabelTrack("v", np.array(labels, np.int64))
+        p = tmp_path / "v.csv"
+        save_labels(track, str(p))
+        assert p.read_bytes() == ref.label_csv_bytes(track)
+
+    @pytest.mark.parametrize("data, n_frames, expected", [
+        (b'frame,label\n"1","0"\n2,"-1"\n', 2, [0, -1]),
+        (b"frame,label\r\n1,0\r\n2,5\r\n", 2, [0, 5]),
+        (b"frame,label\n1,0\n2,5\n\n\n", 2, [0, 5]),
+        (b"frame,label\n1,0\n\n3,5\n", 3, [0, -1, 5]),
+        (b"frame,label\n1,0\n\n3,5\n2,9\n", 3, "line 5: label 9 outside"),
+        (b"frame,label\n1,99999999999999999999\n", 1, "line 2: label 99999999999999999999 outside"),
+        (b"frame,label\n1,0\n2,8\n", 2, "line 3: label 8 outside"),
+        (b"frame,label\n1,0\n2,-2\n", 2, "line 3: label -2 outside"),
+        (b"frame,label\n1,0\n0,1\n", 2, "line 3: frame index 0 < 1"),
+        (b"frame,label\n1,0\n3,1\n", 2, "line 3: frame index 3 past"),
+        (b"frame,label\n", 1, "no label rows"),
+        (b"frame,label\n2,1\n1,0\n2,3\n", 2, "line 4: duplicate frame index 2"),
+        (b"frame,label\n1,0\n2,x\n" + b"3,0\n" * 3000 + b"\xff", 3, "line 3: non-integer"),
+        (b"frame,label\n" + b"".join(b"%d,0\n" % f for f in range(1, 3001)) + b"\xff", 3000,
+         "can't decode byte 0xff"),
+    ], ids=["quoted-fields", "crlf", "trailing-blank-lines", "blank-line-mid-file",
+            "blank-line-then-a-fault",
+            "label-past-int64", "label-8", "label-minus-2", "frame-0", "frame-past-n-frames",
+            "empty-track", "duplicate-after-a-reordered-frame",
+            "fault-before-a-later-undecodable-byte", "undecodable-byte-after-valid-rows"])
+    def test_reader_matches_the_row_wise_reader(self, tmp_path, data, n_frames, expected):
+        p = tmp_path / "v.csv"
+        p.write_bytes(data)
+        outcome = ref.read_outcome(load_labels, p, n_frames=n_frames)
+        assert outcome == ref.read_outcome(ref.load_labels, p, n_frames=n_frames)
+        if isinstance(expected, str):
+            assert expected in outcome
+        else:
+            assert load_labels(str(p), n_frames).labels.tolist() == expected
 
 
 class TestImputation:

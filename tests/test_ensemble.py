@@ -4,8 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mmexpr.ensemble import PredictionTrack, read_predictions, vote, write_predictions
+from mmexpr.ensemble import (
+    PREDICTION_HEADER,
+    PredictionTrack,
+    read_predictions,
+    vote,
+    write_predictions,
+)
 from mmexpr.errors import DataFormatError, ShapeError
 
 from tests import _reference as ref
@@ -200,3 +208,58 @@ class TestPredictionFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="line 3"):
             read_predictions(str(path))
+
+
+# probabilities of at most 1/8 (edge values included), so the eighth entry of a row,
+# 1 minus the others, is never negative
+_SMALL_PROBS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-9, 0.125]) | \
+    st.floats(0.0, 0.125)
+
+
+@st.composite
+def prediction_tracks(draw):
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = draw(st.lists(_SMALL_PROBS, min_size=7, max_size=7))
+        row.insert(draw(st.integers(0, 7)), 1.0 - sum(row))
+        rows.append(row)
+    labels = draw(st.lists(st.integers(0, 7), min_size=len(rows), max_size=len(rows)))
+    return PredictionTrack("v", np.array(labels, np.int64), np.array(rows).reshape(-1, 8))
+
+
+@given(track=prediction_tracks())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_written_bytes_equal_the_row_wise_writer(tmp_path, track):
+    path = tmp_path / "v.csv"
+    write_predictions(track, str(path))
+    assert path.read_bytes() == ref.prediction_csv_bytes(track)
+
+
+_HEADER = ",".join(PREDICTION_HEADER).encode()
+_ROW1 = b"1,0,0.3,0.1,0.1,0.1,0.1,0.1,0.1,0.1"
+_ROW2 = b"2,1,0.1,0.3,0.1,0.1,0.1,0.1,0.1,0.1"
+
+
+@pytest.mark.parametrize("data, expected", [
+    (_HEADER + b'\n"1","0","0.3",0.1,0.1,0.1,0.1,0.1,0.1,"0.1"\n', 1),
+    (b"\r\n".join([_HEADER, _ROW1, _ROW2, b""]), 2),
+    (b"\n".join([_HEADER, _ROW1, _ROW2, b"", b"", b""]), 2),
+    (b"\n".join([_HEADER, _ROW1, b"", _ROW2, b""]), "line 4: frame index 2, expected 3"),
+    (_HEADER + b"\n1,99999999999999999999,0,0,0,0,0,0,0,1\n", "too large"),
+    (_HEADER + b"\n", 0),
+    (_HEADER + b"\n\n", 0),
+    (b"\n".join([_HEADER, _ROW1, b"2,x" + _ROW2[3:]] + [_ROW2] * 2000 + [b"\xff"]),
+     "line 3: malformed row"),
+], ids=["quoted-fields", "crlf", "trailing-blank-lines", "blank-line-mid-file",
+        "label-past-int64", "empty-track", "empty-track-blank-line",
+        "fault-before-a-later-undecodable-byte"])
+def test_reader_matches_the_row_wise_reader(tmp_path, data, expected):
+    path = tmp_path / "v.csv"
+    path.write_bytes(data)
+    outcome = ref.read_outcome(read_predictions, path)
+    assert outcome == ref.read_outcome(ref.read_predictions, path)
+    if isinstance(expected, str):
+        assert expected in outcome
+    else:
+        assert read_predictions(str(path)).n_frames == expected

@@ -2,7 +2,10 @@
 
 A valid TFCK checkpoint, MMFT feature file, label CSV, prediction CSV and
 manifest, each written by the package's own writer, are mutated by byte
-flips, truncation and extension. Any other exception fails the test.
+flips, truncation and extension. Any other exception fails the test. On
+those mutants, and on ones with one CSV field swapped, the label and
+prediction readers must also give what the row-wise readers in
+``tests/_reference.py`` give: the same arrays, or the same message.
 """
 
 import numpy as np
@@ -23,6 +26,8 @@ from mmexpr.data import (
 from mmexpr.ensemble import PredictionTrack, read_predictions, write_predictions
 from mmexpr.errors import DataFormatError
 from mmexpr.fileio import write_json
+
+from tests import _reference as ref
 
 FRAMES = 6
 
@@ -56,6 +61,11 @@ READERS = {
     "manifest": load_manifest,
 }
 
+ORACLES = {
+    "labels": lambda path: ref.load_labels(path, n_frames=FRAMES),
+    "predictions": ref.read_predictions,
+}
+
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
@@ -83,6 +93,20 @@ def mutants(draw, raw: bytes) -> bytes:
     return bytes(out)
 
 
+_FIELDS = st.integers(-3, 10).map(lambda v: str(v).encode()) | st.sampled_from(
+    [b"", b"x", b" 3", b'"4"', b"0.5", b"nan", b"inf", b"1e400", b"99999999999999999999"])
+
+
+@st.composite
+def field_swaps(draw, raw: bytes) -> bytes:
+    """``raw`` with one CSV field replaced, so that the readers' checks on values
+    are reached more often than byte flips reach them."""
+    lines = [line.split(b",") for line in raw.split(b"\n")]
+    fields = lines[draw(st.integers(0, len(lines) - 1))]
+    fields[draw(st.integers(0, len(fields) - 1))] = draw(_FIELDS)
+    return b"\n".join(b",".join(fields) for fields in lines)
+
+
 @pytest.mark.parametrize("fmt", list(READERS))
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
@@ -94,3 +118,13 @@ def test_mutant_loads_or_raises_data_format_error(valid_files, fmt, data):
         READERS[fmt](str(path))
     except DataFormatError as exc:
         assert str(path) in str(exc)
+
+
+@pytest.mark.parametrize("fmt", list(ORACLES))
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutant_reads_as_the_row_wise_reader_reads_it(valid_files, fmt, data):
+    root, files = valid_files
+    path = root / f"{fmt}.differential"
+    path.write_bytes(data.draw(mutants(files[fmt]) | field_swaps(files[fmt])))
+    assert ref.read_outcome(READERS[fmt], path) == ref.read_outcome(ORACLES[fmt], path)
