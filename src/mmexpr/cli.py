@@ -31,7 +31,7 @@ from .data import (
 from .ensemble import read_predictions, vote, write_predictions
 from .errors import DataFormatError, NumericError, ShapeError
 from .evaluation import evaluate_tracks
-from .fileio import JsonConfig, atomic_write_bytes, read_json, write_json
+from .fileio import JsonConfig, atomic_write_bytes, read_json, resolve_beside, write_json
 from .models import ExpressionModel
 from .training import ExperimentConfig, predict_video, synth_dataset, train
 
@@ -45,12 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
 # synth_dataset's parameters after out_dir: the synth options and their defaults
 _SYNTH_ARGS = dict(list(inspect.signature(synth_dataset).parameters.items())[1:])
-
-
-def _resolve(base_file: str, path: str) -> str:
-    if os.path.isabs(path):
-        return path
-    return os.path.join(os.path.dirname(os.path.abspath(base_file)), path)
 
 
 # -- commands ---------------------------------------------------------------------
@@ -113,8 +107,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = ExperimentConfig.from_json(read_json(args.config))
-    config.manifest = args.manifest or _resolve(args.config, config.manifest)
-    config.output_dir = args.out or _resolve(args.config, config.output_dir)
+    config.manifest = args.manifest or resolve_beside(args.config, config.manifest)
+    config.output_dir = args.out or resolve_beside(args.config, config.output_dir)
     if args.seed is not None:
         config.seed = args.seed
     if args.encoder:
@@ -130,8 +124,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config_path = args.config or os.path.join(
-        os.path.dirname(os.path.abspath(args.checkpoint)), "resolved_config.json")
+    config_path = args.config or resolve_beside(args.checkpoint, "resolved_config.json")
     config = ExperimentConfig.from_json(read_json(config_path))
     manifest = load_manifest(args.manifest)
     ids = manifest.split_ids(args.split)
@@ -205,7 +198,7 @@ class EnsembleSpec(JsonConfig):
 
 def cmd_ensemble(args) -> int:
     spec = EnsembleSpec.from_json(read_json(args.spec), "spec")
-    member_dirs = [_resolve(args.spec, m) for m in spec.members]
+    member_dirs = [resolve_beside(args.spec, m) for m in spec.members]
 
     def csv_ids(d):
         return sorted(os.path.splitext(f)[0] for f in os.listdir(d) if f.endswith(".csv"))

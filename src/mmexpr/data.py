@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .fileio import CsvTable, JsonConfig, atomic_write_bytes, read_json
+from .fileio import CsvTable, JsonConfig, atomic_write_bytes, read_json, resolve_beside
 
 NUM_CLASSES = 8
 INVALID_LABEL = -1
+LABEL_HEADER = ["frame", "label"]
 
 VISUAL = "visual"
 AUDIO = "audio"
@@ -86,6 +87,11 @@ class LabelTrack:
     video_id: str
     labels: np.ndarray  # (n,) int64, values in {-1, 0..7}
 
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.ndim != 1 or _outside_labels(self.labels).any():
+            raise ValueError("labels must be a 1-D array of values in {-1, 0..7}")
+
     @property
     def n_frames(self) -> int:
         return len(self.labels)
@@ -115,58 +121,48 @@ def load_labels(path: str, n_frames: int, video_id: str | None = None) -> LabelT
     """Read a ``frame,label`` CSV into a dense track over the manifest's
     ``n_frames`` frames.
 
-    Frames missing from the file come back as -1. Bad labels, non-integer
-    fields and duplicate frames are rejected with their line number. A frame
-    past ``n_frames`` is rejected while parsing, so nothing is sized from the
-    file, and the track must end at that frame.
+    Frames missing from the file come back as -1. The first line holding a
+    frame outside 1..``n_frames``, a label outside {-1, 0..7}, a frame seen on
+    an earlier line or a non-integer field is rejected by its number, so
+    nothing is sized from the file. The track must end at frame ``n_frames``.
     """
     if video_id is None:
         video_id = os.path.splitext(os.path.basename(path))[0]
     table = CsvTable(path, "label")
-    if [h.strip() for h in table.header] != ["frame", "label"]:
-        raise DataFormatError(f"{path}: expected header 'frame,label', got "
+    if [h.strip() for h in table.header] != LABEL_HEADER:
+        raise DataFormatError(f"{path}: expected header {','.join(LABEL_HEADER)!r}, got "
                               f"{','.join(table.header)!r}")
-
-    def valid(columns, lines) -> bool:  # the labels {-1, 0..7} are the range -1..7
-        frames, labels = columns
-        return (not frames or (1 <= min(frames) and max(frames) <= n_frames
-                               and INVALID_LABEL <= min(labels) and max(labels) < NUM_CLASSES)
-                and len(set(frames)) == len(frames))
-
-    seen = set()
-
-    def row_fault(row, line):
-        try:
-            frame = int(row[0])
-            label = int(row[1])
-        except ValueError:
-            return "non-integer frame or label"
-        if frame < 1:
-            return f"frame index {frame} < 1"
-        if frame > n_frames:
-            return f"frame index {frame} past the manifest's {n_frames} frames"
-        if label != INVALID_LABEL and not 0 <= label < NUM_CLASSES:
-            return f"label {label} outside {{-1, 0..{NUM_CLASSES - 1}}}"
-        if frame in seen:
-            return f"duplicate frame index {frame}"
-        seen.add(frame)
-        return None
-
-    frames, labels = table.columns((int, int), valid, row_fault)
-    if not frames:
+    frames, labels = table.columns((int, int), (
+        (lambda _, frame, label: frame < 1, "frame index {1} < 1"),
+        (lambda _, frame, label: frame > n_frames,
+         f"frame index {{1}} past the manifest's {n_frames} frames"),
+        (lambda _, frame, label: _outside_labels(label), "label {2} outside {{-1, 0..7}}"),
+        (lambda _, frame, label: _repeats(frame), "duplicate frame index {1}"),
+    ), "non-integer frame or label")
+    if not frames.size:
         raise DataFormatError(f"{path}: no label rows")
-    n = max(frames)
+    n = frames.max()
     if n != n_frames:
         raise DataFormatError(f"video {video_id!r}: label file {path} covers {n} frames, "
                               f"manifest says {n_frames}")
     dense = np.full(n_frames, INVALID_LABEL, dtype=np.int64)
-    dense[np.subtract(frames, 1)] = labels
+    dense[frames - 1] = labels
     return LabelTrack(video_id=video_id, labels=dense)
 
 
+def _outside_labels(labels: np.ndarray) -> np.ndarray:
+    """True where a label is not one of {-1, 0..7}."""
+    return (labels < INVALID_LABEL) | (labels >= NUM_CLASSES)
+
+
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """True where the value already stood at an earlier index: at no value's first index."""
+    return np.bincount(np.unique(values, return_index=True)[1], minlength=len(values)) == 0
+
+
 def save_labels(track: LabelTrack, path: str) -> None:
-    rows = zip(range(1, track.n_frames + 1), np.asarray(track.labels).tolist())
-    text = "frame,label\n" + "".join(map("%d,%d\n".__mod__, rows))
+    rows = zip(range(1, track.n_frames + 1), track.labels.tolist())
+    text = ",".join(LABEL_HEADER) + "\n" + "".join(map("%d,%d\n".__mod__, rows))
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
@@ -458,10 +454,9 @@ def load_manifest(path: str) -> Manifest:
         manifest = Manifest.from_json(doc, "manifest")
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    base = os.path.dirname(os.path.abspath(path))
-    for video in manifest.videos:  # an absolute path stays as it is
-        video.label_file = os.path.join(base, video.label_file)
-        video.features = {name: os.path.join(base, p) for name, p in video.features.items()}
+    for video in manifest.videos:
+        video.label_file = resolve_beside(path, video.label_file)
+        video.features = {name: resolve_beside(path, p) for name, p in video.features.items()}
     return manifest
 
 

@@ -89,6 +89,8 @@ def vote(tracks: list) -> PredictionTrack:
 
 _PREDICTION_ROW = "%d,%d," + ",".join(["%.9g"] * NUM_CLASSES) + "\n"
 _PREDICTION_TYPES = (int, int) + (float,) * NUM_CLASSES
+# a dense file holds frame k on the k-th record after its header
+_PREDICTION_RULES = ((lambda record, frame, *_: frame != record, "frame index {1}, expected {0}"),)
 
 
 def write_predictions(track: PredictionTrack, path: str) -> None:
@@ -98,32 +100,16 @@ def write_predictions(track: PredictionTrack, path: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _dense_frames(columns, lines) -> bool:
-    return columns[0] == [line - 1 for line in lines]
-
-
-def _prediction_fault(row, line):
-    try:
-        frame = int(row[0])
-        int(row[1])
-        list(map(float, row[2:]))
-    except ValueError:
-        return "malformed row"
-    if frame != line - 1:
-        return f"frame index {frame}, expected {line - 1}"
-    return None
-
-
 def read_predictions(path: str, video_id: str | None = None) -> PredictionTrack:
     table = CsvTable(path, "prediction")
     if [h.strip() for h in table.header] != PREDICTION_HEADER:
         raise DataFormatError(
             f"{path}: bad header {','.join(table.header)!r}, expected "
             f"{','.join(PREDICTION_HEADER)!r}")
-    _, labels, *probs = table.columns(_PREDICTION_TYPES, _dense_frames, _prediction_fault)
+    _, labels, *probs = table.columns(_PREDICTION_TYPES, _PREDICTION_RULES, "malformed row")
     if video_id is None:
         video_id = os.path.splitext(os.path.basename(path))[0]
     try:
-        return PredictionTrack(video_id, np.asarray(labels, dtype=np.int64), np.column_stack(probs))
+        return PredictionTrack(video_id, labels, np.column_stack(probs))
     except (ValueError, OverflowError) as exc:  # a label past int64 overflows
         raise DataFormatError(f"{path}: {exc}") from exc

@@ -1,7 +1,8 @@
-"""Atomic file writes, the JSON and CSV readers whose decoding faults name the
-file, and ``JsonConfig``, the one codec between a JSON document and a
-dataclass: the experiment config, the ensemble spec and the dataset manifest
-are all read and written through it.
+"""Atomic file writes; the JSON reader and ``CsvTable``, whose faults name the
+file, ``CsvTable`` checking a CSV format's ordered rule table over whole
+columns; ``resolve_beside`` for a path written in a file; and ``JsonConfig``,
+the one codec between a JSON document and a dataclass, through which the
+experiment config, the ensemble spec and the dataset manifest are all read.
 """
 
 import csv
@@ -12,6 +13,8 @@ import tempfile
 import types
 from dataclasses import MISSING, fields
 from typing import get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .errors import DataFormatError
 
@@ -50,6 +53,12 @@ def read_json(path):
             raise DataFormatError(f"{path}: {exc}") from exc
 
 
+def resolve_beside(base_file, path: str) -> str:
+    """``path`` as written in the file ``base_file``: a relative path resolves
+    against that file's directory, an absolute one stays as it is."""
+    return os.path.join(os.path.dirname(os.path.abspath(base_file)), path)
+
+
 class CsvTable:
     """The records of the UTF-8 CSV file ``path``, read in one ``csv.reader`` pass.
 
@@ -75,36 +84,52 @@ class CsvTable:
             raise self.read_error or DataFormatError(f"{path}: empty {what} file")
         self.header, *body = records
         self.rows = list(filter(None, body))
-        self.lines = (range(2, len(body) + 2) if len(self.rows) == len(body)
-                      else [line for line, row in enumerate(body, 2) if row])
+        self.lines = (np.arange(2, len(body) + 2) if len(self.rows) == len(body)
+                      else np.array([line for line, row in enumerate(body, 2) if row], int))
 
-    def columns(self, types, valid, row_fault) -> list:
-        """The rows' columns, column ``c`` converted by ``types[c]``.
+    def columns(self, types, rules, malformed: str) -> list:
+        """The rows' columns as arrays, column ``c`` converted by ``types[c]``,
+        ``int`` or ``float`` (object arrays of ints if one is past int64).
 
-        ``valid(columns, lines)`` checks the converted columns at once. When
-        a row has another field count than ``len(types)``, a conversion
-        raises ``ValueError`` or ``valid`` fails, the rows are walked to raise
-        ``DataFormatError`` for the first faulty line: its field count, else
-        ``row_fault(row, line)``, the message for that line or ``None``.
+        ``rules`` is the format's ordered table of ``(mask, template)`` pairs:
+        ``mask(records, *columns)`` marks the rows breaking the rule, ``records``
+        being their line numbers less 1, and ``template.format(record, *row)``
+        names the fault from the row's values. The first faulty line raises
+        ``DataFormatError``: the first row a rule marks (the earlier rule on a
+        tie) before the first with a field count other than ``len(types)`` or
+        a field its type refuses (``malformed``); else that row; else the read
+        fault.
         """
-        width = len(types)
-        columns = None
-        if set(map(len, self.rows)) <= {width}:
-            try:
-                columns = ([list(map(t, col)) for t, col in zip(types, zip(*self.rows))]
-                           or [[] for _ in types])
+        width, rows = len(types), self.rows
+        lengths = list(map(len, rows))
+        end = min(map(lengths.index, set(lengths) - {width}), default=len(rows))
+        values = []
+        for t, column in zip(types, list(zip(*rows[:end])) or [()] * width):
+            values.append([])
+            try:  # extend keeps the fields before a refused one: their count is its row
+                values[-1].extend(map(t, column[:end]))
             except ValueError:
-                pass
-        if columns is not None and valid(columns, self.lines):
-            if self.read_error:
-                raise self.read_error
-            return columns
-        for row, line in zip(self.rows, self.lines):
-            message = (f"expected {width} fields, got {len(row)}" if len(row) != width
-                       else row_fault(row, line))
-            if message:
-                raise DataFormatError(f"{self.path}: line {line}: {message}")
-        raise AssertionError(f"{self.path}: the column checks failed on no row")
+                end = len(values[-1])
+        for column in values:
+            del column[end:]
+        try:
+            arrays = [np.array(v, t) for v, t in zip(values, types)]
+        except OverflowError:  # an int past int64: compare the Python ints exactly
+            arrays = [np.array(v, float if t is float else object) for v, t in zip(values, types)]
+        records = self.lines[:end] - 1
+        first = [np.flatnonzero(mask(records, *arrays))[:1] for mask, _ in rules]
+        marked = [(hits[0], order) for order, hits in enumerate(first) if hits.size]
+        if marked:
+            row, order = min(marked)
+            fault = rules[order][1].format(records[row], *(column[row] for column in values))
+        elif end < len(rows):
+            row, fault = end, (f"expected {width} fields, got {lengths[end]}"
+                               if lengths[end] != width else malformed)
+        elif self.read_error:
+            raise self.read_error
+        else:
+            return arrays
+        raise DataFormatError(f"{self.path}: line {self.lines[row]}: {fault}")
 
 
 # field type -> (accepted JSON value types, their name in messages)

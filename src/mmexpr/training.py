@@ -32,6 +32,7 @@ from .data import (
     save_labels,
     write_feature_file,
 )
+from .ensemble import PredictionTrack
 from .errors import DataFormatError, NonFiniteError, NumericError
 from .evaluation import evaluate_tracks
 from .fileio import JsonConfig, atomic_write_text, write_json
@@ -167,8 +168,6 @@ def predict_video(model: ExpressionModel, video: VideoData):
     averaging logits per frame before the softmax. The encoder state starts
     at None and each segment's state seeds the next.
     """
-    from .ensemble import PredictionTrack
-
     cfg = model.config
     n = video.n_frames
     logit_sum = np.zeros((n, cfg.classes), np.float64)

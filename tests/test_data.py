@@ -105,6 +105,18 @@ class TestLoadLabels:
         save_labels(track, str(p))
         assert load_labels(str(p), 4).labels.tolist() == [0, -1, 7, 3]
 
+    @pytest.mark.parametrize("labels", [[9, 0], [0, -2], [[0, 1]]])
+    def test_track_outside_the_label_set_is_refused_before_anything_is_written(
+            self, tmp_path, labels):
+        p = tmp_path / "v.csv"
+        with pytest.raises(ValueError, match=r"1-D array of values in \{-1, 0\.\.7\}"):
+            save_labels(LabelTrack("v", np.array(labels)), str(p))
+        assert not p.exists()
+
+    def test_track_coerces_labels_to_int64(self):
+        assert LabelTrack("v", np.array([])).labels.dtype == np.int64
+        assert LabelTrack("v", [7, -1]).labels.tolist() == [7, -1]
+
     @given(labels=st.lists(st.integers(-1, 7), max_size=40))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -130,11 +142,32 @@ class TestLoadLabels:
         (b"frame,label\n1,0\n2,x\n" + b"3,0\n" * 3000 + b"\xff", 3, "line 3: non-integer"),
         (b"frame,label\n" + b"".join(b"%d,0\n" % f for f in range(1, 3001)) + b"\xff", 3000,
          "can't decode byte 0xff"),
+        (b"frame,label\n1,0\n3,9\n", 2, "line 3: frame index 3 past"),
+        (b"frame,label\n1,0\n2,9\n3\n", 3, "line 3: label 9 outside"),
+        (b"frame,label\n1,0\n2,x\n0,0,0\n", 3, "line 3: non-integer"),
+        (b"frame,label\n1,0\n2,0,0\n2,x\n", 3, "line 3: expected 2 fields, got 3"),
+        (b"frame,label\n1,0\n2,0\n2,0\n3,9\n", 3, "line 4: duplicate frame index 2"),
+        (b"frame,label\n+1,0\n 2,1_0\n", 2, "line 3: label 10 outside"),
+        (b"frame,label\n+1,1_0\n", 1, "line 2: label 10 outside"),
+        (b"frame,label\n+1, 3\n2,-1\n", 2, [3, -1]),
+        (b"frame,label\n1,0\n9223372036854775808,0\n-3,0\n", 2,
+         "line 3: frame index 9223372036854775808 past"),
+        (b"frame,label\n1,0\n-9223372036854775809,0\n", 2,
+         "line 3: frame index -9223372036854775809 < 1"),
+        (b"frame,label\n1,0\n2,-9223372036854775809\n", 2,
+         "line 3: label -9223372036854775809 outside"),
     ], ids=["quoted-fields", "crlf", "trailing-blank-lines", "blank-line-mid-file",
             "blank-line-then-a-fault",
             "label-past-int64", "label-8", "label-minus-2", "frame-0", "frame-past-n-frames",
             "empty-track", "duplicate-after-a-reordered-frame",
-            "fault-before-a-later-undecodable-byte", "undecodable-byte-after-valid-rows"])
+            "fault-before-a-later-undecodable-byte", "undecodable-byte-after-valid-rows",
+            "two-rules-on-a-line-name-the-first", "rule-fault-before-a-later-field-count",
+            "conversion-fault-before-a-later-field-count",
+            "field-count-before-a-later-conversion-fault",
+            "duplicate-before-a-later-label-fault", "plus-sign-and-underscore",
+            "underscore-label", "plus-sign-and-space-accepted",
+            "frame-past-uint64-beside-a-negative-frame", "frame-below-int64",
+            "label-below-int64"])
     def test_reader_matches_the_row_wise_reader(self, tmp_path, data, n_frames, expected):
         p = tmp_path / "v.csv"
         p.write_bytes(data)

@@ -251,9 +251,24 @@ _ROW2 = b"2,1,0.1,0.3,0.1,0.1,0.1,0.1,0.1,0.1"
     (_HEADER + b"\n\n", 0),
     (b"\n".join([_HEADER, _ROW1, b"2,x" + _ROW2[3:]] + [_ROW2] * 2000 + [b"\xff"]),
      "line 3: malformed row"),
+    (b"\n".join([_HEADER, b"3" + _ROW1[1:], b"2,1", b""]), "line 2: frame index 3, expected 1"),
+    (b"\n".join([_HEADER, _ROW1, b"2,1", b"9" + _ROW2[1:], b""]), "line 3: expected 10 fields"),
+    (b"\n".join([_HEADER, _ROW1, b"3,x" + _ROW2[3:], b"2,1", b""]), "line 3: malformed row"),
+    (b"\n".join([_HEADER, b"+1,1_0" + _ROW1[3:], b""]), "outside 0..7"),
+    (b"\n".join([_HEADER, b"+1, 1" + _ROW1[3:], b" 2" + _ROW2[1:], b""]), 2),
+    (b"\n".join([_HEADER, _ROW1, b"9223372036854775808" + _ROW2[1:], b""]),
+     "line 3: frame index 9223372036854775808, expected 2"),
+    (b"\n".join([_HEADER, b"-9223372036854775809" + _ROW1[1:], b""]),
+     "line 2: frame index -9223372036854775809, expected 1"),
+    (b"\n".join([_HEADER, _ROW1, b"2,9223372036854775808" + _ROW2[3:], b""]), "too large"),
+    (b"\n".join([_HEADER, b"1,-1" + _ROW1[3:], b"2,-9223372036854775809" + _ROW2[3:], b""]),
+     "too large"),
 ], ids=["quoted-fields", "crlf", "trailing-blank-lines", "blank-line-mid-file",
         "label-past-int64", "empty-track", "empty-track-blank-line",
-        "fault-before-a-later-undecodable-byte"])
+        "fault-before-a-later-undecodable-byte", "rule-fault-before-a-later-field-count",
+        "field-count-before-a-later-rule-fault", "conversion-fault-before-a-later-rule-fault",
+        "plus-sign-and-underscore", "plus-sign-and-space-accepted", "frame-past-int64",
+        "frame-below-int64", "label-past-int64-in-uint64", "label-below-int64-beside-minus-1"])
 def test_reader_matches_the_row_wise_reader(tmp_path, data, expected):
     path = tmp_path / "v.csv"
     path.write_bytes(data)

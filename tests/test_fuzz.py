@@ -94,7 +94,8 @@ def mutants(draw, raw: bytes) -> bytes:
 
 
 _FIELDS = st.integers(-3, 10).map(lambda v: str(v).encode()) | st.sampled_from(
-    [b"", b"x", b" 3", b'"4"', b"0.5", b"nan", b"inf", b"1e400", b"99999999999999999999"])
+    [b"", b"x", b" 3", b'"4"', b"0.5", b"nan", b"inf", b"1e400", b"99999999999999999999",
+     b"9223372036854775808", b"-9223372036854775809", b"+3", b"1_0"])
 
 
 @st.composite
