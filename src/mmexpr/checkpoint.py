@@ -12,32 +12,38 @@ import struct
 import numpy as np
 
 from .errors import DataFormatError
-from .fileio import atomic_write_bytes
+from .fileio import atomic_writer
 from .tensor import Tensor
 
 MAGIC = b"TFCK"
 FORMAT_VERSION = 1
 
 
-def checkpoint_bytes(params: dict) -> bytes:
-    """Serialize name -> Tensor/ndarray in the dict's iteration order."""
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<II", FORMAT_VERSION, len(params)))
+def _write_checkpoint(params: dict, fh) -> None:
+    """Serialize name -> Tensor/ndarray into the binary file ``fh`` in the
+    dict's iteration order, each array's buffer written as it is."""
+    fh.write(MAGIC)
+    fh.write(struct.pack("<II", FORMAT_VERSION, len(params)))
     for name, value in params.items():
         arr = np.ascontiguousarray(
             value.data if isinstance(value, Tensor) else value, dtype="<f4")
         encoded = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<I", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        buf.write(arr.tobytes())
+        fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded,
+                             arr.ndim, *arr.shape))
+        fh.write(arr.reshape(-1).view(np.uint8))
+
+
+def checkpoint_bytes(params: dict) -> bytes:
+    """The checkpoint file of ``params``, as bytes."""
+    buf = io.BytesIO()
+    _write_checkpoint(params, buf)
     return buf.getvalue()
 
 
 def save_checkpoint(params: dict, path: str) -> None:
-    atomic_write_bytes(path, checkpoint_bytes(params))
+    """Stream the checkpoint into a temp file that replaces ``path`` whole."""
+    with atomic_writer(path) as fh:
+        _write_checkpoint(params, fh)
 
 
 def load_checkpoint(path: str) -> dict:

@@ -88,7 +88,7 @@ class LabelTrack:
     labels: np.ndarray  # (n,) int64, values in {-1, 0..7}
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = int_labels(self.labels)
         if self.labels.ndim != 1 or _outside_labels(self.labels).any():
             raise ValueError("labels must be a 1-D array of values in {-1, 0..7}")
 
@@ -148,6 +148,17 @@ def load_labels(path: str, n_frames: int, video_id: str | None = None) -> LabelT
     dense = np.full(n_frames, INVALID_LABEL, dtype=np.int64)
     dense[frames - 1] = labels
     return LabelTrack(video_id=video_id, labels=dense)
+
+
+def int_labels(values) -> np.ndarray:
+    """``values`` as an int64 array; a value that is not a whole number raises
+    ``ValueError`` instead of being truncated."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+        labels = values.astype(np.int64, copy=False)
+    if not np.array_equal(labels, values):
+        raise ValueError(f"labels must be whole numbers, got {values[labels != values][0]}")
+    return labels
 
 
 def _outside_labels(labels: np.ndarray) -> np.ndarray:

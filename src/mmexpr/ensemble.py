@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NUM_CLASSES
+from .data import NUM_CLASSES, int_labels
 from .errors import DataFormatError, ShapeError
 from .fileio import CsvTable, atomic_write_bytes
 
@@ -29,7 +29,7 @@ class PredictionTrack:
     probs: np.ndarray   # (n, 8) float64, rows on the simplex
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = int_labels(self.labels)
         self.probs = np.asarray(self.probs, dtype=np.float64)
         n = len(self.labels)
         if self.probs.shape != (n, NUM_CLASSES):

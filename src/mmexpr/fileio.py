@@ -1,10 +1,12 @@
-"""Atomic file writes; the JSON reader and ``CsvTable``, whose faults name the
-file, ``CsvTable`` checking a CSV format's ordered rule table over whole
-columns; ``resolve_beside`` for a path written in a file; and ``JsonConfig``,
-the one codec between a JSON document and a dataclass, through which the
-experiment config, the ensemble spec and the dataset manifest are all read.
+"""Atomic file writes, streamed or whole; the JSON reader and ``CsvTable``,
+whose faults name the file, ``CsvTable`` checking a CSV format's ordered rule
+table over whole columns; ``resolve_beside`` for a path written in a file;
+and ``JsonConfig``, the one codec between a JSON document and a dataclass,
+through which the experiment config, the ensemble spec and the dataset
+manifest are all read.
 """
 
+import contextlib
 import csv
 import functools
 import json
@@ -19,19 +21,28 @@ import numpy as np
 from .errors import DataFormatError
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write bytes to path via a temp file + rename, so readers never see partial files."""
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A binary file whose bytes replace ``path`` in one rename when the block
+    ends, so readers never see a partial file; on an exception the temp file
+    goes and ``path`` stays as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write bytes to path through ``atomic_writer``."""
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -4,17 +4,19 @@ The fusion layer concatenates the per-frame visual and audio vectors and maps
 them to d_model with one affine (no activation). Temporal encoding is either
 an LSTM whose final (hidden, cell) state seeds the next segment of a video, or
 a per-segment transformer encoder that treats segments independently. Both
-answer ``encode_segment(g, x, state, masks, passes) -> (out, state)``: the
-state is a value the caller passes from one segment to the next, starting
-each video at None; the models hold none of it. A two-hidden-layer ReLU head
-produces 8-way logits.
+answer ``encode_segment(g, x, state, masks, passes, windows) -> (out, state)``:
+the state is a value the caller passes from one segment (or stack of
+segments) to the next, starting each video at None; the models hold none of
+it. A two-hidden-layer ReLU head produces 8-way logits.
 
 The two RDrop passes of a segment run as one stack of rows: ``out`` holds
 ``passes`` copies of the segment's frames, one after the other, and every
 dropout site takes one mask for the whole stack. The transformer runs its
 layers once over the stack; the LSTM encodes once and repeats its output, so
 on that path only the head's dropout tells the passes apart. Eval is the same
-code with a stack of one and no masks.
+code with no masks and one pass over a stack of a video's consecutive
+windows: ``windows`` gives their lengths, each window attends only within
+itself, and the LSTM runs on from one window into the next.
 
 The architecture settings (``ModelConfig``, ``LstmSettings``,
 ``TransformerSettings``) are ``fileio.JsonConfig`` dataclasses: the config
@@ -24,6 +26,7 @@ file's ``model`` section is read and written from their fields, and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -149,9 +152,13 @@ class LstmEncoder:
             self.weights.append((w_in, w_state, bias))
             in_dim = self.hidden
 
-    def forward(self, g: Graph, x: Tensor, state=None, masks=None, passes: int = 1):
-        """Run one segment from ``state`` (a per-layer list of (h, c) Tensors, or
-        None for zeros); the encoder has no dropout, so ``masks`` goes unused.
+    def forward(self, g: Graph, x: Tensor, state=None, masks=None, passes: int = 1,
+                windows=None):
+        """Run one segment, or a stack of consecutive ones, from ``state`` (a
+        per-layer list of (h, c) Tensors, or None for zeros). Adjacent windows
+        are consecutive frames, so one recurrence covers the stack and
+        ``windows`` goes unused; the encoder has no dropout, so ``masks`` does
+        too.
 
         Returns (the top layer's per-frame hidden outputs, repeated ``passes``
         times along the rows, and the new state).
@@ -250,35 +257,54 @@ class TransformerEncoder:
             return g.dropout(x, self.dropout, mask=next(masks))
         return x
 
-    def _split_heads(self, g, x, layer, role, passes, axes):
-        """The ``role`` projection of ``x`` as a (passes, heads, ...) stack laid
-        out by ``axes``."""
+    def _split_heads(self, g, x, layer, role, passes, runs, axes):
+        """The ``role`` projection of ``x`` as one (blocks, heads, ...) stack per
+        run of equal windows, laid out by ``axes``."""
         projected = g.affine(x, layer[role + "_w"], layer[role + "_b"], passes)
-        return g.transpose(g.reshape(projected, (passes, x.shape[0] // passes, self.heads,
-                                                 self.head_dim)), axes)
+        stacks = []
+        for start, blocks, window in runs:
+            part = (projected if len(runs) == 1
+                    else g.slice(projected, start, start + blocks * window))
+            stacks.append(g.transpose(
+                g.reshape(part, (blocks, window, self.heads, self.head_dim)), axes))
+        return stacks
 
-    def forward(self, g: Graph, x: Tensor, masks=None, passes: int = 1):
-        """Encode one segment ``passes`` times as one stack of rows.
+    def forward(self, g: Graph, x: Tensor, masks=None, passes: int = 1, windows=None):
+        """Encode a stack of windows ``passes`` times as one stack of rows.
 
-        ``masks`` yields the stacked dropout masks in ``dropout_sites`` order;
-        None runs without dropout (eval).
+        ``windows`` lists the lengths of the consecutive windows whose rows
+        ``x`` holds (None: one window of all of them). Each window takes its
+        own slice of the positional table and attends only within itself;
+        every other op runs once over all rows, and attention once per run of
+        equal-length windows. ``masks`` yields the stacked dropout masks of one
+        window in ``dropout_sites`` order; None runs without dropout (eval).
         """
-        window = x.shape[0]
-        if window > self.seg_len:
-            raise ShapeError(f"segment window {window} exceeds segment length "
-                             f"{self.seg_len}")
+        windows = [x.shape[0]] if windows is None else list(windows)
+        if sum(windows) != x.shape[0] or max(windows) > self.seg_len:
+            raise ShapeError(f"segment windows {windows} do not split {x.shape[0]} rows "
+                             f"into windows of at most {self.seg_len}")
         if self.pe is not None:
-            x = g.add(x, Tensor(self.pe[:window]))
+            x = g.add(x, Tensor(np.concatenate([self.pe[:w] for w in windows])))
         if passes > 1:
             x = g.concat([x] * passes, axis=0)
+        runs, start = [], 0  # (first row, windows, window length) per run of equal windows
+        for window, run in itertools.groupby(windows * passes):
+            blocks = len(list(run))
+            runs.append((start, blocks, window))
+            start += blocks * window
         inv_sqrt = 1.0 / math.sqrt(self.head_dim)
         for layer in self.layers:
-            q = self._split_heads(g, x, layer, "query", passes, (0, 2, 1, 3))  # (P, H, L, d_h)
-            k = self._split_heads(g, x, layer, "key", passes, (0, 2, 3, 1))    # (P, H, d_h, L)
-            v = self._split_heads(g, x, layer, "value", passes, (0, 2, 1, 3))  # (P, H, L, d_h)
-            attention = g.softmax(g.scale(g.matmul(q, k), inv_sqrt))
-            context = g.matmul(self._drop(g, attention, masks), v)
-            merged = g.reshape(g.transpose(context, (0, 2, 1, 3)), (x.shape[0], self.d_model))
+            # per run: q and v (blocks, H, L, d_h), k (blocks, H, d_h, L)
+            qs = self._split_heads(g, x, layer, "query", passes, runs, (0, 2, 1, 3))
+            ks = self._split_heads(g, x, layer, "key", passes, runs, (0, 2, 3, 1))
+            vs = self._split_heads(g, x, layer, "value", passes, runs, (0, 2, 1, 3))
+            contexts = []
+            for q, k, v in zip(qs, ks, vs):
+                attention = g.softmax(g.scale(g.matmul(q, k), inv_sqrt))
+                context = g.matmul(self._drop(g, attention, masks), v)
+                contexts.append(g.reshape(g.transpose(context, (0, 2, 1, 3)),
+                                          (context.shape[0] * context.shape[2], self.d_model)))
+            merged = contexts[0] if len(contexts) == 1 else g.concat(contexts)
             projected = self._drop(
                 g, g.affine(merged, layer["out_w"], layer["out_b"], passes), masks)
             x = g.layer_norm(g.add(x, projected), layer["norm1_gain"], layer["norm1_shift"],
@@ -291,9 +317,10 @@ class TransformerEncoder:
                              passes=passes)
         return x
 
-    def encode_segment(self, g: Graph, x: Tensor, state=None, masks=None, passes: int = 1):
+    def encode_segment(self, g: Graph, x: Tensor, state=None, masks=None, passes: int = 1,
+                       windows=None):
         """Segments are independent: ``state`` goes unused and comes back None."""
-        return self.forward(g, x, masks, passes), None
+        return self.forward(g, x, masks, passes, windows), None
 
     @property
     def output_dim(self) -> int:
@@ -411,11 +438,12 @@ class ExpressionModel:
         logits = self.head.forward(g, encoded, masks, passes=2)
         return g.slice(logits, 0, rows), g.slice(logits, rows, 2 * rows), next_state
 
-    def eval_logits(self, g: Graph, features: np.ndarray, state=None) -> tuple:
-        """Deterministic single pass (no dropout anywhere) from the encoder
-        ``state``; returns the logits and the next state."""
+    def eval_logits(self, g: Graph, features: np.ndarray, state=None, windows=None) -> tuple:
+        """Deterministic single pass (no dropout anywhere) over a stack of
+        consecutive windows of ``windows`` frames (None: one window), from the
+        encoder ``state``; returns the logits and the next state."""
         encoded, next_state = self.encoder.encode_segment(
-            g, self.fusion.apply(g, Tensor(features)), state)
+            g, self.fusion.apply(g, Tensor(features)), state, windows=windows)
         return self.head.forward(g, encoded), next_state
 
 

@@ -161,22 +161,40 @@ def load_dataset(manifest: Manifest, config: ExperimentConfig) -> LoadedDataset:
 
 # -- prediction -----------------------------------------------------------------------
 
+# Rows per eval stack: a video's consecutive windows run as one forward of at
+# most this many rows (or one window, if longer), so that its products are big
+# GEMMs; a 200-frame video at l = 128 is one stack.
+EVAL_ROWS = 2048
+
+
 def predict_video(model: ExpressionModel, video: VideoData):
     """Per-frame probabilities for one video in eval mode.
 
-    Overlapping windows (transformer with stride < length) are merged by
-    averaging logits per frame before the softmax. The encoder state starts
-    at None and each segment's state seeds the next.
+    The video's consecutive windows run in stacks of at most ``EVAL_ROWS``
+    rows, one ``eval_logits`` call each; the encoder state starts at None and
+    each stack's state seeds the next. Overlapping windows (transformer with
+    stride < length) are merged by averaging logits per frame before the
+    softmax.
     """
     cfg = model.config
     n = video.n_frames
     logit_sum = np.zeros((n, cfg.classes), np.float64)
     hits = np.zeros(n, np.int64)
-    state = None
+    stacks, rows = [], 0
     for seg in video.segments(cfg.seg_len, cfg.stride):
-        logits, state = model.eval_logits(Graph(record=False), seg.features, state)
-        logit_sum[seg.start - 1:seg.end] += logits.data
-        hits[seg.start - 1:seg.end] += 1
+        if not stacks or rows + len(seg.features) > EVAL_ROWS:
+            stacks.append([])
+            rows = 0
+        stacks[-1].append(seg)
+        rows += len(seg.features)
+    state = None
+    for stack in stacks:
+        windows = [len(seg.features) for seg in stack]
+        logits, state = model.eval_logits(
+            Graph(record=False), np.concatenate([seg.features for seg in stack]), state, windows)
+        for seg, part in zip(stack, np.split(logits.data, np.cumsum(windows)[:-1])):
+            logit_sum[seg.start - 1:seg.end] += part
+            hits[seg.start - 1:seg.end] += 1
     mean_logits = logit_sum / hits[:, None]
     shifted = mean_logits - mean_logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)

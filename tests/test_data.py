@@ -117,6 +117,12 @@ class TestLoadLabels:
         assert LabelTrack("v", np.array([])).labels.dtype == np.int64
         assert LabelTrack("v", [7, -1]).labels.tolist() == [7, -1]
 
+    def test_track_refuses_a_label_that_is_not_a_whole_number(self):
+        # casting alone would truncate these to [0, 6]
+        with pytest.raises(ValueError, match="whole numbers, got 0.5"):
+            LabelTrack("v", np.array([0.5, 6.9]))
+        assert LabelTrack("v", np.array([3.0, -1.0])).labels.tolist() == [3, -1]
+
     @given(labels=st.lists(st.integers(-1, 7), max_size=40))
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

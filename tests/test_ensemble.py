@@ -138,6 +138,11 @@ class TestPredictionTrackInvariants:
         with pytest.raises(ValueError, match="non-finite"):
             PredictionTrack("v", np.array([0, 0]), probs)
 
+    def test_label_that_is_not_a_whole_number_rejected(self):
+        # casting alone would keep label 2
+        with pytest.raises(ValueError, match="whole numbers, got 2.7"):
+            PredictionTrack("v", np.array([2.7]), np.eye(8)[[2]])
+
     def test_from_probs_argmax_consistent(self):
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(8), size=10)

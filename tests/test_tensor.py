@@ -1,5 +1,6 @@
 """Tensor core: forward semantics, autodiff vs finite differences, Adam, checkpoints."""
 
+import os
 import struct
 import sys
 import warnings
@@ -685,6 +686,25 @@ class TestCheckpoint:
     def test_same_params_same_bytes(self):
         params = {"a": np.ones((2, 2), np.float32)}
         assert checkpoint_bytes(params) == checkpoint_bytes(params)
+
+    def test_streamed_file_holds_the_checkpoint_bytes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        params = {"strided": rng.normal(size=(4, 6)).astype(np.float32)[:, ::2],
+                  "f64": rng.normal(size=(2, 3)), "t": Tensor(rng.normal(size=5)),
+                  "empty": np.zeros((0, 3), np.float32), "scalar": np.float32(1.5)}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, str(path))
+        assert path.read_bytes() == checkpoint_bytes(params)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"w": np.ones(2, np.float32)}, str(path))
+        before = path.read_bytes()
+        # the first parameter is written before the second fails to convert
+        with pytest.raises(ValueError):
+            save_checkpoint({"w": np.zeros(2, np.float32), "bad": np.array(["x"])}, str(path))
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from mmexpr import Graph, NumericError, Tensor, backward, training
-from mmexpr.data import load_manifest, read_feature_file
+from mmexpr.data import VideoData, load_manifest, read_feature_file
 from mmexpr.errors import DataFormatError
-from mmexpr.models import LstmSettings, ModelConfig, TransformerSettings
+from mmexpr.models import LstmSettings, ModelConfig, TransformerSettings, build_model
 from mmexpr.training import (
     ExperimentConfig,
     TrainingSettings,
@@ -318,7 +318,65 @@ class TestTrainLoop:
             train(cfg)
 
 
+def per_window_probs(model, video):
+    """The eval path the window stacks replaced: one ``eval_logits`` call per
+    window, the state carried from each to the next, logits averaged per frame."""
+    cfg = model.config
+    logit_sum = np.zeros((video.n_frames, cfg.classes))
+    hits = np.zeros(video.n_frames)
+    state = None
+    for seg in video.segments(cfg.seg_len, cfg.stride):
+        logits, state = model.eval_logits(Graph(record=False), seg.features, state)
+        logit_sum[seg.start - 1:seg.end] += logits.data
+        hits[seg.start - 1:seg.end] += 1
+    return ref.softmax(logit_sum / hits[:, None])
+
+
+def counted_predict(model, video, monkeypatch):
+    """``predict_video``'s track and its number of ``eval_logits`` calls."""
+    calls = []
+    eval_logits = model.eval_logits
+    monkeypatch.setattr(model, "eval_logits",
+                        lambda *args: calls.append(args) or eval_logits(*args))
+    return predict_video(model, video), len(calls)
+
+
 class TestPrediction:
+    def test_stacked_lstm_matches_per_window_eval_across_stacks(self, monkeypatch):
+        cfg = ModelConfig(encoder="lstm", d_model=12, head=(10, 6), seg_len=7, stride=7)
+        cfg.lstm = LstmSettings(hidden=9, layers=2)
+        model = build_model(cfg.validate(), input_dim=5, seed=3)
+        n = 2 * training.EVAL_ROWS + 40  # three stacks: the state crosses two boundaries
+        rng = np.random.default_rng(4)
+        video = VideoData("v", rng.integers(0, 8, n),
+                          rng.normal(size=(n, 5)).astype(np.float32))
+        track, calls = counted_predict(model, video, monkeypatch)
+        windows = -(-n // 7)
+        assert calls == -(-windows // (training.EVAL_ROWS // 7)) == 3
+        expected = per_window_probs(model, video)
+        np.testing.assert_allclose(track.probs, expected, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(track.labels, expected.argmax(axis=1))
+
+    def test_stacked_transformer_matches_per_window_eval(self, monkeypatch):
+        cfg = ModelConfig(encoder="transformer", d_model=12, head=(10, 6), seg_len=8, stride=3)
+        cfg.transformer = TransformerSettings(layers=2, heads=3, ffn_dim=16)
+        model = build_model(cfg.validate(), input_dim=5, seed=5)
+        rng = np.random.default_rng(6)
+        video = VideoData("v", rng.integers(0, 8, 30),
+                          rng.normal(size=(30, 5)).astype(np.float32))
+        scores = []
+        softmax = Graph.softmax
+        monkeypatch.setattr(Graph, "softmax",
+                            lambda g, x: scores.append(x.shape) or softmax(g, x))
+        track, calls = counted_predict(model, video, monkeypatch)
+        assert calls == 1
+        # eight full windows share one attention run; the 6- and 3-frame tails
+        # each run alone
+        assert scores == [(8, 3, 8, 8), (1, 3, 6, 6), (1, 3, 3, 3)] * 2
+        expected = per_window_probs(model, video)
+        np.testing.assert_allclose(track.probs, expected, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(track.labels, expected.argmax(axis=1))
+
     def test_probabilities_match_eval_logits_without_overlap(self, tmp_path):
         cfg = tiny_experiment(tmp_path, "lstm", epochs=1)
         result = train(cfg)
