@@ -7,6 +7,7 @@ dimension, and the data as raw 32-bit floats in row-major order.
 
 import io
 import math
+import mmap
 import struct
 
 import numpy as np
@@ -47,12 +48,23 @@ def save_checkpoint(params: dict, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint into an ordered name -> float32 ndarray dict."""
+    """Read a checkpoint into an ordered name -> float32 ndarray dict.
+
+    Each parameter's bytes are read straight into its own array, once its
+    declared size has been checked against the bytes left in the file. The
+    headers are parsed from a read-only map of the file; only the pages they
+    sit on are touched, so the load holds one copy of the parameters.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    view = memoryview(raw)
-    if raw[:4] != MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            return _read_params(path, fh, mapped)
+
+
+def _read_params(path: str, fh, view) -> dict:
+    """The parameters of the open checkpoint ``fh``, whose bytes ``view`` maps."""
     try:
         version, count = struct.unpack_from("<II", view, 4)
         if version != FORMAT_VERSION:
@@ -63,7 +75,7 @@ def load_checkpoint(path: str) -> dict:
             (name_len,) = struct.unpack_from("<I", view, offset)
             offset += 4
             try:
-                name = bytes(view[offset:offset + name_len]).decode("utf-8")
+                name = view[offset:offset + name_len].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataFormatError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
             offset += name_len
@@ -74,19 +86,23 @@ def load_checkpoint(path: str) -> dict:
             if name in params:
                 raise DataFormatError(f"{path}: parameter {name!r} appears twice")
             n = math.prod(dims)
-            if offset + 4 * n > len(raw):
+            left = len(view) - offset
+            if 4 * n <= left:  # no allocation beyond what the file holds
+                data = np.empty(n, dtype="<f4")
+                fh.seek(offset)
+                left = fh.readinto(data)
+            if 4 * n > left:
                 raise DataFormatError(
                     f"{path}: truncated checkpoint: parameter {name!r} of shape {dims} "
-                    f"needs {4 * n} bytes, {len(raw) - offset} left")
-            data = np.frombuffer(view, dtype="<f4", count=n, offset=offset)
+                    f"needs {4 * n} bytes, {left} left")
             offset += 4 * n
             try:
-                params[name] = data.reshape(dims).copy()
+                params[name] = data.reshape(dims)
             except ValueError as exc:  # numpy refuses the shape: too many dims or too big
                 raise DataFormatError(f"{path}: parameter {name!r} has an invalid shape "
                                       f"{dims} ({exc})") from exc
     except struct.error as exc:
         raise DataFormatError(f"{path}: truncated checkpoint ({exc})") from exc
-    if offset != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")
+    if offset != len(view):
+        raise DataFormatError(f"{path}: {len(view) - offset} trailing bytes")
     return params

@@ -33,28 +33,34 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
-    """Apply one bias-corrected Adam update in place.
+def adam_step(params: dict, grads, state: AdamState) -> AdamState:
+    """Apply one bias-corrected Adam update in place, parameter by parameter.
 
-    ``params`` maps name -> Tensor, ``grads`` maps name -> ndarray of the same
-    shape. Every parameter's ``data`` must be C-contiguous, since it is updated
-    through a flat view. The arrays are walked in blocks of ``BLOCK`` elements
-    shared over the available cores; every step of the update is a correctly
-    rounded float32 elementwise op, so the result is bitwise equal to applying
-    the formula to whole arrays, whatever the split. Each block is checked for
-    NaN and infinity right after its update; a parameter that is no longer
-    finite raises ``NonFiniteError`` naming it, the others are marked checked
-    (``Tensor.checked``) so that graphs need not scan them again.
+    ``params`` maps name -> Tensor. ``grads`` is a stream of (parameter
+    Tensor, gradient ndarray) pairs, as ``backward(loss, graph, update)``
+    hands it to ``update``: each parameter is updated as its pair arrives and
+    its gradient is then dropped, so the step never holds more than the
+    gradients in flight. Pairs for tensors not in ``params`` are skipped. A
+    dict name -> gradient is the stream that arrives all at once; its
+    gradients are checked (present, shape, contiguity) before any update.
+
+    Every parameter's ``data`` must be C-contiguous, since it is updated
+    through a flat view in blocks of ``BLOCK`` elements; a parameter of more
+    than one block is shared over the available cores. Every step of the
+    update is a correctly rounded float32 elementwise op, so the result is
+    bitwise equal to applying the formula to whole arrays, whatever the split
+    or the order the parameters arrive in. Each block is checked for NaN and
+    infinity right after its update. Once the stream ends, a parameter it
+    never reached raises ``KeyError``, and then a parameter that is no longer
+    finite raises ``NonFiniteError`` naming the first such one in ``params``
+    order; the others are marked checked (``Tensor.checked``) so that graphs
+    need not scan them again.
     """
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            raise KeyError(f"adam_step: missing gradient for parameter {name!r}")
-        if g.shape != p.data.shape:
-            raise ShapeError(
-                f"adam_step: grad shape {g.shape} != param shape {p.data.shape} for {name!r}")
-        if not p.data.flags.c_contiguous:
-            raise ShapeError(f"adam_step: parameter {name!r} is not C-contiguous")
+    names = {id(p): name for name, p in params.items()}
+    if isinstance(grads, dict):
+        for name, p in params.items():
+            _check(name, p, grads.get(name))
+        grads = [(p, grads[name]) for name, p in params.items()]
 
     state.step += 1
     t = state.step
@@ -64,13 +70,37 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> AdamState:
     corr1 = DTYPE(1.0 - state.beta1 ** t)
     corr2 = DTYPE(1.0 - state.beta2 ** t)
     coeffs = (b1, one - b1, b2, one - b2, corr2, DTYPE(state.eps), DTYPE(state.lr) / corr1)
-    nonfinite = _run_blocks(_blocks(params, grads, state), coeffs, _WORKERS)
-    for name, p in params.items():
+    updated, nonfinite = set(), set()
+    for p, g in grads:
+        name = names.get(id(p))
+        if name is None:
+            continue
+        _check(name, p, g)
+        blocks = _blocks({name: p}, {name: g}, state)
+        # a one-block parameter (a bias, a norm) is not worth the helper threads
+        bad = _run_blocks(blocks, coeffs, _WORKERS if len(blocks) > 1 else 1)
+        nonfinite |= bad
+        p.checked = None if bad else p.data
+        updated.add(name)
+        del g, blocks  # the walk resumes now; hold no gradient past its update
+    for name in params:
+        if name not in updated:
+            raise KeyError(f"adam_step: missing gradient for parameter {name!r}")
+    for name in params:
         if name in nonfinite:
             raise NonFiniteError(f"adam_step: NaN or infinity in parameter {name!r} "
                                  f"after the update")
-        p.checked = p.data
     return state
+
+
+def _check(name: str, p, g) -> None:
+    if g is None:
+        raise KeyError(f"adam_step: missing gradient for parameter {name!r}")
+    if g.shape != p.data.shape:
+        raise ShapeError(
+            f"adam_step: grad shape {g.shape} != param shape {p.data.shape} for {name!r}")
+    if not p.data.flags.c_contiguous:
+        raise ShapeError(f"adam_step: parameter {name!r} is not C-contiguous")
 
 
 def _blocks(params: dict, grads: dict, state: AdamState) -> list:
@@ -122,10 +152,12 @@ def _update(blocks, coeffs: tuple) -> set:
     Returns the names whose updated blocks hold NaN or infinity.
     """
     b1, one_b1, b2, one_b2, corr2, eps, lr_corr1 = coeffs
-    scratch = np.empty(BLOCK, dtype=DTYPE)
+    scratch = np.empty(0, dtype=DTYPE)  # grown to the largest block seen, at most BLOCK
     nonfinite = set()
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p, g, m, v in blocks:
+            if scratch.size < p.size:
+                scratch = np.empty(p.size, dtype=DTYPE)
             s = scratch[:p.size]
             m *= b1
             np.multiply(one_b1, g, out=s)

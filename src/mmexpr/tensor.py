@@ -189,48 +189,83 @@ class Graph:
         hidden = self.apply("lstm_seq", (pre, state_weight, h0, c0), cell_out=cell)
         return hidden, Tensor(cell)
 
-    def backward(self, loss: Tensor):
-        backward(loss, self)
+    def backward(self, loss: Tensor, update=None):
+        backward(loss, self, update)
 
 
-def backward(loss: Tensor, graph: Graph) -> None:
-    """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires_grad leaf.
+def backward(loss: Tensor, graph: Graph, update=None) -> None:
+    """Walk the tape in reverse and hand on d(loss)/d(leaf) for every
+    requires_grad leaf.
 
-    ``loss`` must be scalar. Repeated calls on the same graph overwrite leaf
-    gradients with identical values (the walk has no side effects of its own).
+    ``loss`` must be scalar. Without ``update``, each leaf's gradient goes to
+    its ``.grad`` once the walk ends. Repeated calls on the same graph
+    overwrite leaf gradients with identical values (the walk has no side
+    effects of its own).
+
+    With ``update``, ``update(stream)`` is called once, and the walk advances
+    as it consumes ``stream``. Before the walk, each leaf is matched with the
+    node the walk reaches it at last (its first consumer on the tape); right
+    after that node has run its backward rule, the leaf's gradient is complete
+    and ``stream`` yields the (leaf, gradient) pair, keeping no reference to
+    the gradient; ``.grad`` is left alone. No backward rule still to run reads
+    a leaf once it is yielded, so ``update`` may change the leaf's data in
+    place on receipt (``adam_step`` does), and a step holds only the gradients
+    in flight.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("backward: loss does not depend on any tracked tensor")
 
-    produced = {id(n.output) for n in graph.nodes}
+    nodes = graph.nodes
+    produced = {id(n.output) for n in nodes}
+    done_at: dict[int, list[Tensor]] = {}  # node index -> leaves first read there
+    seen: set[int] = set()
+    for i, node in enumerate(nodes):
+        for t in node.inputs:
+            if t.requires_grad and id(t) not in produced and id(t) not in seen:
+                seen.add(id(t))
+                done_at.setdefault(i, []).append(t)
+
+    if update is not None:
+        update(_leaf_gradients(loss, nodes, done_at))
+        return
+    leaves = [t for ts in done_at.values() for t in ts]
+    for t, g in _leaf_gradients(loss, nodes, {0: leaves}):  # all at the walk's end
+        t.grad = np.asarray(g, dtype=DTYPE, order="C")
+
+
+def _leaf_gradients(loss: Tensor, nodes: list, done_at: dict):
+    """The reverse walk of ``backward``: yields (leaf, gradient) pairs, each
+    right after the leaf's ``done_at`` node has run its backward rule."""
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=DTYPE)}
-    leaves: dict[int, Tensor] = {}
     owned: set[int] = set()  # buffers safe for in-place accumulation
 
-    for node in reversed(graph.nodes):
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
         g = grads.pop(id(node.output), None)
-        if g is None:
-            continue
-        input_grads = node.backward_fn(g)
-        for t, gt in zip(node.inputs, input_grads):
-            if gt is None or not t.requires_grad:
-                continue
-            tid = id(t)
-            acc = grads.get(tid)
-            if acc is None:
-                grads[tid] = gt  # may alias another buffer; not owned yet
-            elif tid in owned:
-                np.add(acc, gt, out=acc)
-            else:
-                grads[tid] = acc + gt
-                owned.add(tid)
-            if tid not in produced:
-                leaves[tid] = t
+        if g is not None:
+            _accumulate(grads, owned, node.inputs, node.backward_fn(g))
+            del g
+        for t in done_at.get(i, ()):
+            if id(t) in grads:
+                yield t, grads.pop(id(t))
 
-    for tid, t in leaves.items():
-        t.grad = np.asarray(grads[tid], dtype=DTYPE, order="C")
+
+def _accumulate(grads: dict, owned: set, inputs, input_grads) -> None:
+    """Add one node's input gradients into ``grads``, keyed by tensor id."""
+    for t, gt in zip(inputs, input_grads):
+        if gt is None or not t.requires_grad:
+            continue
+        tid = id(t)
+        acc = grads.get(tid)
+        if acc is None:
+            grads[tid] = gt  # may alias another buffer; not owned yet
+        elif tid in owned:
+            np.add(acc, gt, out=acc)
+        else:
+            grads[tid] = acc + gt
+            owned.add(tid)
 
 
 # -- op implementations -------------------------------------------------------

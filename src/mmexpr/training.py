@@ -37,7 +37,9 @@ from .errors import DataFormatError, NonFiniteError, NumericError
 from .evaluation import evaluate_tracks
 from .fileio import JsonConfig, atomic_write_text, write_json
 from .models import ExpressionModel, ModelConfig
-from .optim import AdamState, adam_step, collect_grads, zero_grads
+# collect_grads and zero_grads are not called here any more, but bench/tracing.py
+# wraps them by their name in this module
+from .optim import AdamState, adam_step, collect_grads, zero_grads  # noqa: F401
 from .tensor import DTYPE, Graph, Tensor
 
 
@@ -306,13 +308,11 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
                 if loss is None:
                     continue  # every frame masked; the batch contributes nothing
                 value = loss.item()
-                g.backward(loss)
-                grads = collect_grads(model.parameters())
-                adam_step(model.parameters(), grads, adam)
+                # each parameter is updated as soon as the walk completes its gradient
+                g.backward(loss, lambda grads: adam_step(model.parameters(), grads, adam))
             except NonFiniteError as exc:
                 raise NumericError(f"non-finite value at epoch {epoch} batch {batch_idx}: "
                                    f"{exc}") from exc
-            zero_grads(model.parameters())
             n_valid = int(np.concatenate(masks).sum())
             loss_sum += value * n_valid
             valid_sum += n_valid

@@ -3,6 +3,7 @@
 import os
 import struct
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -654,6 +655,42 @@ class TestAdam:
         np.testing.assert_array_equal(p.data, before)
         assert state.step == 0
 
+    def test_stream_updates_each_parameter_as_it_arrives(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        other = Tensor(np.ones(4), requires_grad=True)  # a leaf that is no parameter
+        seen = []
+
+        def stream():
+            yield b, np.ones(2, np.float32)
+            seen.append(b.data.copy())  # b is already updated when the stream resumes
+            yield other, np.ones(4, np.float32)
+            yield a, np.ones(3, np.float32)
+
+        state = AdamState(lr=0.1)
+        adam_step({"a": a, "b": b}, stream(), state)
+        np.testing.assert_allclose(seen[0], 0.9, rtol=1e-5)
+        np.testing.assert_allclose(a.data, 0.9, rtol=1e-5)
+        np.testing.assert_array_equal(other.data, 1.0)
+        assert state.step == 1 and set(state.m) == {"a", "b"}
+        assert a.checked is a.data and b.checked is b.data
+
+    def test_stream_missing_a_parameter_raises_once_it_ends(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        state = AdamState(lr=0.1)
+        with pytest.raises(KeyError, match="missing gradient for parameter 'b'"):
+            adam_step({"a": a, "b": b}, iter([(a, np.ones(3, np.float32))]), state)
+        assert state.step == 1
+
+    def test_stream_names_the_first_nonfinite_parameter_in_params_order(self):
+        params = {name: Tensor(np.full(3, -3.4e38), requires_grad=True)
+                  for name in ("first", "second")}
+        grads = [(params[name], np.ones(3, np.float32)) for name in ("second", "first")]
+        with pytest.raises(NonFiniteError, match="'first'"):
+            adam_step(params, iter(grads), AdamState(lr=1e37))
+        assert all(p.checked is None for p in params.values())
+
 
 class TestCheckpoint:
     def test_load_state_rejects_nan_naming_the_parameter(self, tmp_path):
@@ -705,6 +742,21 @@ class TestCheckpoint:
             save_checkpoint({"w": np.zeros(2, np.float32), "bad": np.array(["x"])}, str(path))
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+
+    def test_load_holds_one_copy_of_the_parameters(self, tmp_path):
+        params = {f"w{i}": np.full((256, 256), i, np.float32) for i in range(8)}
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(params, str(path))
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(a.nbytes for a in params.values())
+        assert peak < 1.1 * nbytes, (peak, nbytes)
+        for k, a in params.items():
+            np.testing.assert_array_equal(loaded[k], a)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

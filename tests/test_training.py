@@ -1,6 +1,7 @@
 """Training: RDrop identities, the loop's determinism, synthetic data."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mmexpr import Graph, NumericError, Tensor, backward, training
 from mmexpr.data import VideoData, load_manifest, read_feature_file
 from mmexpr.errors import DataFormatError
 from mmexpr.models import LstmSettings, ModelConfig, TransformerSettings, build_model
+from mmexpr.optim import BLOCK, AdamState, adam_step, collect_grads, zero_grads
 from mmexpr.training import (
     ExperimentConfig,
     TrainingSettings,
@@ -316,6 +318,104 @@ class TestTrainLoop:
         with pytest.raises(NumericError,
                            match=r"epoch 1 batch 0: adam_step: .* parameter '[\w.]+'"):
             train(cfg)
+
+
+def step_graph(model, segments, seed):
+    """One training step's tape over ``segments`` ((features, labels) pairs of
+    one video, in order), as ``train`` builds it; returns (graph, loss)."""
+    g = Graph()
+    rng = np.random.default_rng(seed)
+    firsts, seconds, state = [], [], None
+    for features, _ in segments:
+        l1, l2, state = model.two_pass_logits(g, features, state, rng)
+        firsts.append(l1)
+        seconds.append(l2)
+    labels = np.concatenate([labels for _, labels in segments])
+    join = (lambda ts: g.concat(ts, axis=0)) if len(segments) > 1 else (lambda ts: ts[0])
+    loss = rdrop_loss(g, join(firsts), join(seconds), labels, np.ones(len(labels), bool), 5.0)
+    return g, loss
+
+
+def consumers(graph, tensor):
+    return sum(any(t is tensor for t in node.inputs) for node in graph.nodes)
+
+
+def stream_model(encoder, ffn_dim=1040, layers=1):
+    """A small model and the number of segments its test step runs."""
+    if encoder == "lstm":
+        # two segments of one video: the LSTM weights, the fusion and the head
+        # each feed two nodes, so their gradients sum over two consumers
+        cfg = ModelConfig(encoder="lstm", d_model=24, head=(16, 8), seg_len=6, stride=6)
+        cfg.lstm = LstmSettings(hidden=10, layers=1)
+        n_segments = 2
+    else:
+        # one segment; at the default ffn_dim the FFN weights span two Adam
+        # blocks (64 * 1040 > BLOCK)
+        cfg = ModelConfig(encoder="transformer", d_model=64, head=(32, 16), seg_len=8,
+                          stride=8)
+        cfg.transformer = TransformerSettings(layers=layers, heads=4, ffn_dim=ffn_dim)
+        n_segments = 1
+    return build_model(cfg.validate(), input_dim=7, seed=0), n_segments
+
+
+class TestStreamedUpdate:
+    @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+    def test_streamed_update_bitwise_equals_backward_then_adam_step(self, encoder):
+        streamed, n_segments = stream_model(encoder)
+        plain, _ = stream_model(encoder)
+        p_stream, p_plain = streamed.parameters(), plain.parameters()
+        s_stream, s_plain = AdamState(lr=1e-2), AdamState(lr=1e-2)
+        rows = streamed.config.seg_len
+        rng = np.random.default_rng(8)
+        for step in range(3):
+            segments = [(rng.normal(size=(rows, 7)).astype(np.float32),
+                         rng.integers(0, 8, rows)) for _ in range(n_segments)]
+            g, loss = step_graph(streamed, segments, seed=step)
+            if step == 0 and encoder == "lstm":
+                for name in ("lstm0.state_weight", "lstm0.input_weight", "lstm0.bias"):
+                    assert consumers(g, p_stream[name]) == 2, name
+            if step == 0 and encoder == "transformer":
+                assert max(p.size for p in p_stream.values()) > BLOCK
+            backward(loss, g, lambda grads: adam_step(p_stream, grads, s_stream))
+            assert all(p.grad is None for p in p_stream.values())
+
+            g, loss = step_graph(plain, segments, seed=step)
+            backward(loss, g)
+            adam_step(p_plain, collect_grads(p_plain), s_plain)
+            zero_grads(p_plain)
+        assert s_stream.step == s_plain.step == 3
+        for name, p in p_plain.items():
+            assert p_stream[name].data.tobytes() == p.data.tobytes(), name
+            assert s_stream.m[name].tobytes() == s_plain.m[name].tobytes(), name
+            assert s_stream.v[name].tobytes() == s_plain.v[name].tobytes(), name
+
+    def test_streamed_update_holds_only_the_gradients_in_flight(self):
+        # one-block parameters only, so no helper thread's scratch buffer
+        # makes the peaks depend on thread timing
+        model, _ = stream_model("transformer", ffn_dim=1000, layers=3)
+        params = model.parameters()
+        state = AdamState(lr=1e-3)
+        rng = np.random.default_rng(9)
+        segment = [(rng.normal(size=(8, 7)).astype(np.float32), rng.integers(0, 8, 8))]
+
+        def update(grads):
+            adam_step(params, grads, state)
+
+        def peak(step):
+            g, loss = step_graph(model, segment, seed=1)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                step(g, loss)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        update({n: np.zeros_like(p.data) for n, p in params.items()})  # creates m and v
+        streamed = peak(lambda g, loss: backward(loss, g, update))
+        whole = peak(lambda g, loss: (backward(loss, g), update(collect_grads(params))))
+        grad_bytes = sum(p.data.nbytes for p in params.values())
+        assert whole - streamed >= grad_bytes / 2, (whole, streamed, grad_bytes)
 
 
 def per_window_probs(model, video):
