@@ -17,9 +17,10 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .data import (
-    FeatureRegistry,
     Manifest,
     ManifestVideo,
+    feature_spec,
+    feature_specs,
     impute_missing,
     imputation_plan,
     load_feature_track,
@@ -55,7 +56,7 @@ def cmd_prepare(args) -> int:
     extra = {}
     if args.config:
         extra = ExperimentConfig.read_field(read_json(args.config), "registry_extra")
-    registry = FeatureRegistry(extra=extra)
+    specs = feature_specs(extra)
 
     out = args.out
     entries = []
@@ -69,7 +70,7 @@ def cmd_prepare(args) -> int:
         repairs = {}
         feature_paths = {}
         for name in sorted(video.features):
-            feat = load_feature_track(video, name, registry)
+            feat = load_feature_track(video, name, feature_spec(specs, name))
             plan = imputation_plan(feat.present)
             repaired = impute_missing(feat)
             # the written file persists the repair; the report keeps the audit
@@ -131,10 +132,9 @@ def cmd_predict(args) -> int:
     if not ids:
         raise DataFormatError(f"split {args.split!r} is empty")
     model = ExpressionModel.from_state(config.model, load_checkpoint(args.checkpoint))
-    registry = config.registry()
+    specs = feature_specs(config.registry_extra)
     for vid in ids:
-        video = load_video(manifest.video(vid), registry,
-                           config.visual_features, config.audio_features)
+        video = load_video(manifest.video(vid), specs, config.feature_names())
         track = predict_video(model, video)
         write_predictions(track, os.path.join(args.out, f"{vid}.csv"))
     write_json(os.path.join(args.out, "resolved_config.json"), {

@@ -25,59 +25,55 @@ LABEL_HEADER = ["frame", "label"]
 VISUAL = "visual"
 AUDIO = "audio"
 
-# name -> (dimension, modality) for the stock per-frame embedding families
-DEFAULT_FEATURE_SETS = {
-    "densenet": (342, VISUAL),
-    "mae": (768, VISUAL),
-    "ires100": (512, VISUAL),
-    "fau": (512, VISUAL),
-    "mobilenet": (512, VISUAL),
-    "egemaps": (23, AUDIO),
-    "compare": (130, AUDIO),
-    "fbank": (80, AUDIO),
-    "wav2vec": (1024, AUDIO),
-    "ecapatdnn": (512, AUDIO),
-    "vggish": (128, AUDIO),
-    "hubert": (512, AUDIO),
-}
-
 
 @dataclass(frozen=True)
-class FeatureSpec:
+class FeatureSpec(JsonConfig):
+    """A feature set's per-frame dimension and its modality, visual or audio."""
+
     dim: int
     modality: str
 
 
-class FeatureRegistry:
-    """Immutable map from feature-set name to its expected dimension and modality."""
+# the stock per-frame embedding families
+DEFAULT_FEATURE_SETS = {
+    "densenet": FeatureSpec(342, VISUAL),
+    "mae": FeatureSpec(768, VISUAL),
+    "ires100": FeatureSpec(512, VISUAL),
+    "fau": FeatureSpec(512, VISUAL),
+    "mobilenet": FeatureSpec(512, VISUAL),
+    "egemaps": FeatureSpec(23, AUDIO),
+    "compare": FeatureSpec(130, AUDIO),
+    "fbank": FeatureSpec(80, AUDIO),
+    "wav2vec": FeatureSpec(1024, AUDIO),
+    "ecapatdnn": FeatureSpec(512, AUDIO),
+    "vggish": FeatureSpec(128, AUDIO),
+    "hubert": FeatureSpec(512, AUDIO),
+}
 
-    def __init__(self, extra: dict | None = None):
-        """``extra`` maps set names to ``{"dim": int >= 1, "modality": "visual"|"audio"}``."""
-        entries = {name: FeatureSpec(dim, mod) for name, (dim, mod) in DEFAULT_FEATURE_SETS.items()}
-        extra = {} if extra is None else extra
-        if not isinstance(extra, dict):
-            raise DataFormatError(f"registry: expected an object, got {extra!r}")
-        for name, spec in extra.items():
-            if not (isinstance(spec, dict) and type(spec.get("dim")) is int and spec["dim"] >= 1
-                    and spec.get("modality") in (VISUAL, AUDIO)):
-                raise DataFormatError(
-                    f"registry entry {name!r} must be an object with an integer 'dim' >= 1 "
-                    f"and a 'modality' of 'visual' or 'audio', got {spec!r}")
-            entries[name] = FeatureSpec(spec["dim"], spec["modality"])
-        self._entries = entries
 
-    def spec(self, name) -> FeatureSpec:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise DataFormatError(
-                f"unknown feature set {name!r} (declare it in the config's 'registry')") from None
+def feature_specs(extra: dict) -> dict[str, FeatureSpec]:
+    """The stock sets plus each entry of a config's ``registry`` object, which
+    maps a set name to ``{"dim": int >= 1, "modality": "visual"|"audio"}``;
+    a bad entry raises ``DataFormatError`` naming ``registry.<name>``."""
+    specs = dict(DEFAULT_FEATURE_SETS)
+    for name, doc in extra.items():
+        key = f"registry.{name}"
+        spec = specs[name] = FeatureSpec.from_json(doc, key)
+        if spec.dim < 1:
+            raise DataFormatError(f"{key}.dim must be >= 1, got {spec.dim}")
+        if spec.modality not in (VISUAL, AUDIO):
+            raise DataFormatError(f"{key}.modality must be 'visual' or 'audio', "
+                                  f"got {spec.modality!r}")
+    return specs
 
-    def dim(self, name) -> int:
-        return self.spec(name).dim
 
-    def modality(self, name) -> str:
-        return self.spec(name).modality
+def feature_spec(specs: dict[str, FeatureSpec], name) -> FeatureSpec:
+    """``specs[name]``; a name neither stock nor declared raises ``DataFormatError``."""
+    try:
+        return specs[name]
+    except KeyError:
+        raise DataFormatError(
+            f"unknown feature set {name!r} (declare it in the config's 'registry')") from None
 
 
 @dataclass
@@ -293,37 +289,6 @@ def imputation_plan(present: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i) + 1, int(donors[i]) + 1) for i in absent]
 
 
-# -- assembly ---------------------------------------------------------------------
-
-def assemble_inputs(tracks: list[FeatureTrack], visual_names, audio_names,
-                    registry: FeatureRegistry) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-frame vectors into one visual and one audio matrix.
-
-    Column order follows the given name order. Tracks come checked and
-    repaired (``load_feature_track``, ``impute_missing``); this checks only
-    the selection: registered names of the right modality, each loaded, all
-    of one length.
-    """
-    by_name = {t.feature_set: t for t in tracks}
-    lengths = {t.feature_set: t.n_frames for t in tracks}
-    if len(set(lengths.values())) > 1:
-        raise DataFormatError(f"track lengths differ: {lengths}")
-
-    def gather(names, modality):
-        parts = []
-        for name in names:
-            if registry.modality(name) != modality:
-                raise DataFormatError(f"feature set {name!r} is not {modality}")
-            if name not in by_name:
-                raise DataFormatError(f"no track loaded for feature set {name!r}")
-            parts.append(by_name[name].matrix)
-        if not parts:
-            raise DataFormatError(f"no {modality} feature sets selected")
-        return np.concatenate(parts, axis=1)
-
-    return gather(visual_names, VISUAL), gather(audio_names, AUDIO)
-
-
 # -- segmentation --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -471,13 +436,13 @@ def load_manifest(path: str) -> Manifest:
     return manifest
 
 
-def load_feature_track(entry: ManifestVideo, name: str,
-                       registry: FeatureRegistry) -> FeatureTrack:
-    """Read one feature set of a manifest video, checked against the entry and registry.
+def load_feature_track(entry: ManifestVideo, name: str, spec: FeatureSpec) -> FeatureTrack:
+    """Read one feature set of a manifest video, checked against the entry and
+    the set's ``spec``.
 
-    The set name inside the file, registry membership and dim, and the frame
-    count are checked here; the reader itself checks the format and that
-    present rows are finite. The track comes back unrepaired.
+    The set name inside the file, the dim and the frame count are checked
+    here; the reader itself checks the format and that present rows are
+    finite. The track comes back unrepaired.
     """
     if name not in entry.features:
         raise DataFormatError(f"video {entry.video_id!r}: no file for feature set {name!r}")
@@ -487,10 +452,10 @@ def load_feature_track(entry: ManifestVideo, name: str,
         raise DataFormatError(
             f"video {entry.video_id!r}: file {path} holds feature set "
             f"{track.feature_set!r}, expected {name!r}")
-    if track.dim != registry.dim(name):
+    if track.dim != spec.dim:
         raise DataFormatError(
             f"video {entry.video_id!r}: feature set {name!r} has dim {track.dim}, "
-            f"registry expects {registry.dim(name)}")
+            f"registry expects {spec.dim}")
     if track.n_frames != entry.n_frames:
         raise DataFormatError(
             f"video {entry.video_id!r}: feature set {name!r} covers "
@@ -498,11 +463,11 @@ def load_feature_track(entry: ManifestVideo, name: str,
     return track
 
 
-def load_video(entry: ManifestVideo, registry: FeatureRegistry,
-               visual_names, audio_names) -> VideoData:
-    """Load, validate, repair and assemble one video's tracks."""
+def load_video(entry: ManifestVideo, specs: dict[str, FeatureSpec], names) -> VideoData:
+    """Load, validate and repair one video's tracks and join them into its
+    input matrix, columns in the order of ``names`` (visual sets, then audio:
+    ``ExperimentConfig.feature_names``)."""
     track = load_labels(entry.label_file, video_id=entry.video_id, n_frames=entry.n_frames)
-    tracks = [impute_missing(load_feature_track(entry, name, registry))
-              for name in list(visual_names) + list(audio_names)]
-    visual, audio = assemble_inputs(tracks, visual_names, audio_names, registry)
-    return VideoData(entry.video_id, track.labels, np.concatenate([visual, audio], axis=1))
+    parts = [impute_missing(load_feature_track(entry, name, feature_spec(specs, name))).matrix
+             for name in names]
+    return VideoData(entry.video_id, track.labels, np.concatenate(parts, axis=1))

@@ -446,7 +446,3 @@ class ExpressionModel:
             g, self.fusion.apply(g, Tensor(features)), state, windows=windows)
         return self.head.forward(g, encoded), next_state
 
-
-def build_model(config: ModelConfig, input_dim: int, seed) -> ExpressionModel:
-    rng = np.random.default_rng(seed)
-    return ExpressionModel(config, input_dim, rng)

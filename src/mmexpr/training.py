@@ -20,13 +20,16 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import (
+    AUDIO,
     NUM_CLASSES,
-    FeatureRegistry,
+    VISUAL,
     FeatureTrack,
     LabelTrack,
     Manifest,
     ManifestVideo,
     VideoData,
+    feature_spec,
+    feature_specs,
     load_manifest,
     load_video,
     save_labels,
@@ -74,17 +77,20 @@ class ExperimentConfig(JsonConfig):
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainingSettings = field(default_factory=TrainingSettings)
 
-    def registry(self) -> FeatureRegistry:
-        return FeatureRegistry(extra=self.registry_extra)
+    def feature_names(self) -> list[str]:
+        """The selected sets in input column order: visual, then audio."""
+        return self.visual_features + self.audio_features
 
     def validate(self):
-        if not self.visual_features:
-            raise DataFormatError("config selects no visual feature sets")
-        if not self.audio_features:
-            raise DataFormatError("config selects no audio feature sets")
-        registry = self.registry()
-        for name in self.visual_features + self.audio_features:
-            registry.spec(name)  # raises on an unknown set
+        selection = ((self.visual_features, VISUAL), (self.audio_features, AUDIO))
+        for names, modality in selection:
+            if not names:
+                raise DataFormatError(f"config selects no {modality} feature sets")
+        specs = feature_specs(self.registry_extra)
+        for names, modality in selection:
+            for name in names:
+                if feature_spec(specs, name).modality != modality:
+                    raise DataFormatError(f"feature set {name!r} is not {modality}")
         self.model.validate()
         self.training.validate()
         return self
@@ -146,15 +152,14 @@ class LoadedDataset:
 
 
 def load_dataset(manifest: Manifest, config: ExperimentConfig) -> LoadedDataset:
-    registry = config.registry()
+    specs = feature_specs(config.registry_extra)
     train_ids = manifest.split_ids("train")
     val_ids = manifest.split_ids("val")
     if not train_ids:
         raise DataFormatError("train split is empty")
     videos = {}
     for vid in dict.fromkeys(train_ids + val_ids):
-        videos[vid] = load_video(manifest.video(vid), registry,
-                                 config.visual_features, config.audio_features)
+        videos[vid] = load_video(manifest.video(vid), specs, config.feature_names())
     dims = {v.input_dim for v in videos.values()}
     if len(dims) != 1:
         raise DataFormatError(f"videos disagree on fused input dim: {sorted(dims)}")

@@ -17,11 +17,11 @@ from mmexpr.data import segment_video
 from mmexpr.ensemble import PredictionTrack, vote
 from mmexpr.evaluation import confusion, macro_f1
 from mmexpr.models import (
+    ExpressionModel,
     LstmEncoder,
     LstmSettings,
     ModelConfig,
     TransformerSettings,
-    build_model,
 )
 from mmexpr.training import (
     ExperimentConfig,
@@ -180,7 +180,8 @@ class TestCriterion1GradientSuite:
                 cfg.transformer = TransformerSettings(layers=2, heads=2, dropout=0.3,
                                                       ffn_dim=16)
                 cfg.lstm = LstmSettings(hidden=9, layers=1)
-                model = build_model(cfg, input_dim=7, seed=instance_rng.integers(2**32))
+                model = ExpressionModel(
+                    cfg, 7, np.random.default_rng(instance_rng.integers(2**32)))
                 x = instance_rng.normal(size=(5, 7)).astype(np.float32)
                 labels = instance_rng.integers(0, 8, 5)
                 mask = instance_rng.random(5) < 0.8

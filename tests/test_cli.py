@@ -7,11 +7,13 @@ import struct
 import numpy as np
 import pytest
 
+from mmexpr import data
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from mmexpr.cli import main
 from mmexpr.data import (
     FeatureTrack,
     Manifest,
+    feature_specs,
     load_labels,
     load_manifest,
     load_video,
@@ -305,7 +307,7 @@ class TestSharedChecks:
         config = ExperimentConfig.from_json(read_json(str(config_path)))
         entry = load_manifest(str(manifest_path)).video("v")
         with pytest.raises(DataFormatError, match=message) as caught:
-            load_video(entry, config.registry(), config.visual_features, config.audio_features)
+            load_video(entry, feature_specs(config.registry_extra), config.feature_names())
         assert run_cli("prepare", "--manifest", manifest_path, "--out", tmp_path / "out",
                        "--config", config_path) == 2
         assert capsys.readouterr().err == f"error: {caught.value}\n"
@@ -314,8 +316,7 @@ class TestSharedChecks:
         manifest_path, config_path = write_one_video_dataset(tmp_path, lambda files: None)
         config = ExperimentConfig.from_json(read_json(str(config_path)))
         entry = load_manifest(str(manifest_path)).video("v")
-        video = load_video(entry, config.registry(), config.visual_features,
-                           config.audio_features)
+        video = load_video(entry, feature_specs(config.registry_extra), config.feature_names())
         assert video.features.shape == (4, 12)
         assert run_cli("prepare", "--manifest", manifest_path, "--out", tmp_path / "out",
                        "--config", config_path) == 0
@@ -585,8 +586,10 @@ class TestConfigChecks:
         assert not (tmp_path / "run" / "resolved_config.json").exists()
 
     @pytest.mark.parametrize("entry", [5, {"modality": "visual"},
-                                       {"dim": 0, "modality": "visual"}],
-                             ids=["not-object", "no-dim", "dim-0"])
+                                       {"dim": 0, "modality": "visual"},
+                                       {"dim": True, "modality": "visual"},
+                                       {"dim": 3, "modality": "video"}],
+                             ids=["not-object", "no-dim", "dim-0", "dim-bool", "modality-video"])
     @pytest.mark.parametrize("command", ["prepare", "train"])
     def test_registry_entry_rejected_naming_the_set(self, synth_dir, tmp_path, capsys,
                                                     command, entry):
@@ -597,7 +600,22 @@ class TestConfigChecks:
         args = {"prepare": ["--manifest", synth_dir / "manifest.json", "--out", tmp_path / "p"],
                 "train": []}[command]
         assert run_cli(command, "--config", tmp_path / "bad.json", *args) == 2
-        assert "registry entry 'synthvis'" in capsys.readouterr().err
+        assert "error: registry.synthvis" in capsys.readouterr().err
+
+    def test_set_under_the_other_modality_is_rejected_before_any_feature_file_is_read(
+            self, synth_dir, tmp_path, capsys, monkeypatch):
+        doc = small_config_doc(manifest=str(synth_dir / "manifest.json"),
+                               out=str(tmp_path / "run"), epochs=1)
+        doc["features"]["visual"].append("egemaps")
+        with pytest.raises(DataFormatError, match="feature set 'egemaps' is not visual"):
+            ExperimentConfig.from_json(doc)
+        write_json(str(tmp_path / "bad.json"), doc)
+        read = []
+        monkeypatch.setattr(data, "read_feature_file",
+                            lambda path, *args, **kwargs: read.append(path))
+        assert run_cli("train", "--config", tmp_path / "bad.json") == 2
+        assert "feature set 'egemaps' is not visual" in capsys.readouterr().err
+        assert read == [] and not (tmp_path / "run").exists()
 
     def _predict(self, synth_dir, trained_run, tmp_path, arrays):
         save_checkpoint(arrays, str(tmp_path / "edited.ckpt"))

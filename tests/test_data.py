@@ -8,22 +8,25 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmexpr.data import (
-    FeatureRegistry,
+    FeatureSpec,
     FeatureTrack,
     LabelTrack,
+    ManifestVideo,
     VideoData,
-    assemble_inputs,
     feature_file_bytes,
+    feature_specs,
     impute_missing,
     imputation_plan,
     load_labels,
     load_manifest,
+    load_video,
     read_feature_file,
     save_labels,
     segment_video,
     write_feature_file,
 )
 from mmexpr.errors import DataFormatError
+from mmexpr.training import ExperimentConfig
 
 from tests import _reference as ref
 
@@ -224,67 +227,77 @@ class TestImputation:
         assert np.isfinite(fixed.matrix).all()
 
 
+def write_video(root, tracks) -> ManifestVideo:
+    """Manifest entry of video "v": its label file covers the first track's
+    frames and each track is written to its own feature file."""
+    n = tracks[0].n_frames
+    write_label_csv(root / "v.csv", [(f, 0) for f in range(1, n + 1)])
+    paths = {t.feature_set: str(root / f"v.{t.feature_set}.mmft") for t in tracks}
+    for t in tracks:
+        write_feature_file(t, paths[t.feature_set])
+    return ManifestVideo("v", n, str(root / "v.csv"), paths)
+
+
+def selection_doc(visual, audio):
+    return {"features": {"visual": visual, "audio": audio}}
+
+
 class TestAssembly:
-    def test_visual_concat_dim_matches_registry(self):
-        reg = FeatureRegistry()
+    def test_visual_concat_dim_matches_registry(self, tmp_path):
         tracks = [make_track([True] * 2, dim=768, name="mae"),
                   make_track([True] * 2, dim=512, name="ires100"),
                   make_track([True] * 2, dim=512, name="hubert")]
-        visual, audio = assemble_inputs(tracks, ["mae", "ires100"], ["hubert"], reg)
-        assert visual.shape == (2, 1280)
-        assert audio.shape == (2, 512)
+        video = load_video(write_video(tmp_path, tracks), feature_specs({}),
+                           ["mae", "ires100", "hubert"])
+        assert video.features.shape == (2, 1280 + 512)
+        np.testing.assert_array_equal(video.features[:, 1280:], tracks[2].matrix)
 
-    def test_audio_concat_dim(self):
-        reg = FeatureRegistry()
+    def test_audio_concat_dim(self, tmp_path):
         tracks = [make_track([True] * 3, dim=342, name="densenet"),
                   make_track([True] * 3, dim=512, name="ecapatdnn"),
                   make_track([True] * 3, dim=512, name="hubert")]
-        _, audio = assemble_inputs(tracks, ["densenet"], ["ecapatdnn", "hubert"], reg)
-        assert audio.shape == (3, 1024)
+        video = load_video(write_video(tmp_path, tracks), feature_specs({}),
+                           ["densenet", "ecapatdnn", "hubert"])
+        assert video.features.shape == (3, 342 + 1024)
 
-    def test_single_set_is_identity(self):
-        reg = FeatureRegistry()
+    def test_single_set_is_identity(self, tmp_path):
         t = make_track([True] * 4, dim=342, name="densenet")
         a = make_track([True] * 4, dim=23, name="egemaps")
-        visual, _ = assemble_inputs([t, a], ["densenet"], ["egemaps"], reg)
-        np.testing.assert_array_equal(visual, t.matrix)
+        video = load_video(write_video(tmp_path, [t, a]), feature_specs({}),
+                           ["densenet", "egemaps"])
+        np.testing.assert_array_equal(video.features[:, :342], t.matrix)
 
-    def test_projection_property(self):
-        # columns of the concatenation restricted to the first set equal that set
-        reg = FeatureRegistry()
-        a = make_track([True] * 5, dim=768, name="mae", seed=1)
+    def test_projection_property(self, tmp_path):
+        # the columns of each set, in the order given, are that set's repaired track
+        a = make_track([True, False, True, True, False], dim=768, name="mae", seed=1)
         b = make_track([True] * 5, dim=512, name="ires100", seed=2)
-        au = make_track([True] * 5, dim=512, name="hubert", seed=3)
-        visual, _ = assemble_inputs([a, b, au], ["mae", "ires100"], ["hubert"], reg)
-        np.testing.assert_array_equal(visual[:, :768], a.matrix)
-        np.testing.assert_array_equal(visual[:, 768:], b.matrix)
+        au = make_track([False, True, True, False, True], dim=512, name="hubert", seed=3)
+        video = load_video(write_video(tmp_path, [a, b, au]), feature_specs({}),
+                           ["ires100", "mae", "hubert"])
+        np.testing.assert_array_equal(video.features[:, :512], b.matrix)
+        np.testing.assert_array_equal(video.features[:, 512:1280], impute_missing(a).matrix)
+        np.testing.assert_array_equal(video.features[:, 1280:], impute_missing(au).matrix)
 
     def test_unknown_name_rejected(self):
-        reg = FeatureRegistry()
-        t = make_track([True] * 2, dim=23, name="egemaps")
-        with pytest.raises(DataFormatError, match="unknown feature set"):
-            assemble_inputs([t], ["mystery"], ["egemaps"], reg)
+        with pytest.raises(DataFormatError, match="unknown feature set 'mystery'"):
+            ExperimentConfig.from_json(selection_doc(["mystery"], ["egemaps"]))
 
-    def test_length_mismatch_rejected(self):
-        reg = FeatureRegistry()
+    def test_length_mismatch_rejected(self, tmp_path):
         a = make_track([True] * 2, dim=768, name="mae")
         b = make_track([True] * 3, dim=512, name="hubert")
-        with pytest.raises(DataFormatError, match="lengths differ"):
-            assemble_inputs([a, b], ["mae"], ["hubert"], reg)
+        with pytest.raises(DataFormatError, match="covers 3 frames, manifest says 2"):
+            load_video(write_video(tmp_path, [a, b]), feature_specs({}), ["mae", "hubert"])
 
     def test_modality_mixup_rejected(self):
-        reg = FeatureRegistry()
-        t = make_track([True] * 2, dim=768, name="mae")
-        v = make_track([True] * 2, dim=342, name="densenet")
-        with pytest.raises(DataFormatError, match="not audio"):
-            assemble_inputs([v, t], ["densenet"], ["mae"], reg)
+        with pytest.raises(DataFormatError, match="feature set 'mae' is not audio"):
+            ExperimentConfig.from_json(selection_doc(["densenet"], ["mae"]))
 
     def test_registry_extras(self):
-        reg = FeatureRegistry(extra={"synthvis": {"dim": 64, "modality": "visual"},
-                                     "synthaud": {"dim": 32, "modality": "audio"}})
-        assert reg.dim("synthvis") == 64
-        assert reg.modality("synthaud") == "audio"
-        assert reg.dim("mae") == 768  # defaults still present
+        specs = feature_specs({"synthvis": {"dim": 64, "modality": "visual"},
+                               "synthaud": {"dim": 32, "modality": "audio"}})
+        assert specs["synthvis"] == FeatureSpec(64, "visual")
+        assert specs["synthaud"].modality == "audio"
+        assert specs["mae"].dim == 768  # defaults still present
 
 
 class TestSegmentation:
@@ -488,16 +501,7 @@ class TestManifest:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_one_value_swapped_loads_or_raises_data_format_error(self, tmp_path, data):
-        doc = _valid_manifest_doc()
-        where = data.draw(st.sampled_from(list(_value_paths(doc))))
-        value = data.draw(_JSON_VALUES)
-        if where:
-            node = doc
-            for step in where[:-1]:
-                node = node[step]
-            node[where[-1]] = value
-        else:
-            doc = value
+        doc = swap_one_value(data, _valid_manifest_doc())
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps(doc))
         try:
@@ -513,6 +517,20 @@ def _json_containers(inner):
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     _json_containers, max_leaves=8)
+
+
+def swap_one_value(data, doc):
+    """``doc`` with one value drawn from its values, the root included,
+    replaced by an arbitrary JSON value."""
+    where = data.draw(st.sampled_from(list(_value_paths(doc))))
+    value = data.draw(_JSON_VALUES)
+    if not where:
+        return value
+    node = doc
+    for step in where[:-1]:
+        node = node[step]
+    node[where[-1]] = value
+    return doc
 
 
 def _valid_manifest_doc():

@@ -5,7 +5,9 @@ manifest, each written by the package's own writer, are mutated by byte
 flips, truncation and extension. Any other exception fails the test. On
 those mutants, and on ones with one CSV field swapped, the label and
 prediction readers must also give what the row-wise readers in
-``tests/_reference.py`` give: the same arrays, or the same message.
+``tests/_reference.py`` give: the same arrays, or the same message. An
+experiment config with any one value swapped for an arbitrary JSON value
+reads or raises DataFormatError.
 """
 
 import numpy as np
@@ -26,8 +28,10 @@ from mmexpr.data import (
 from mmexpr.ensemble import PredictionTrack, read_predictions, write_predictions
 from mmexpr.errors import DataFormatError
 from mmexpr.fileio import write_json
+from mmexpr.training import ExperimentConfig
 
 from tests import _reference as ref
+from tests.test_data import swap_one_value
 
 FRAMES = 6
 
@@ -129,3 +133,29 @@ def test_mutant_reads_as_the_row_wise_reader_reads_it(valid_files, fmt, data):
     path = root / f"{fmt}.differential"
     path.write_bytes(data.draw(mutants(files[fmt]) | field_swaps(files[fmt])))
     assert ref.read_outcome(READERS[fmt], path) == ref.read_outcome(ORACLES[fmt], path)
+
+
+def _valid_config_doc():
+    return {
+        "manifest": "manifest.json", "output_dir": "run", "seed": 3,
+        "features": {"visual": ["synthvis", "mae"], "audio": ["synthaud"]},
+        "registry": {"synthvis": {"dim": 8, "modality": "visual"},
+                     "synthaud": {"dim": 4, "modality": "audio"}},
+        "model": {"encoder": "transformer", "d_model": 16, "head": [12, 8], "classes": 8,
+                  "segment": {"l": 6, "p": 3}, "head_dropout": 0.1,
+                  "transformer": {"layers": 1, "heads": 2, "dropout": 0.1, "ffn_dim": 32,
+                                  "positional_encoding": True},
+                  "lstm": {"hidden": 10, "layers": 1}},
+        "training": {"lr": 1e-3, "epochs": 2, "alpha": 5.0,
+                     "batch_segments": 1, "batch_videos": 1},
+    }
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_config_with_one_value_swapped_reads_or_raises_data_format_error(data):
+    ExperimentConfig.from_json(_valid_config_doc())  # the unmutated config reads
+    try:
+        ExperimentConfig.from_json(swap_one_value(data, _valid_config_doc()))
+    except DataFormatError:
+        pass

@@ -10,13 +10,13 @@ from mmexpr.checkpoint import load_checkpoint
 from mmexpr.data import segment_video
 from mmexpr.models import (
     ClassificationHead,
+    ExpressionModel,
     FusionLayer,
     LstmEncoder,
     LstmSettings,
     ModelConfig,
     TransformerEncoder,
     TransformerSettings,
-    build_model,
     sinusoidal_table,
 )
 
@@ -157,7 +157,8 @@ class TestLstmEncoder:
         stored = np.load(base + ".npz")
         cfg = ModelConfig(encoder="lstm", d_model=8, head=(6, 4), seg_len=4, stride=4)
         cfg.lstm = LstmSettings(hidden=6, layers=2)
-        model = build_model(cfg, input_dim=5, seed=0).load_state(load_checkpoint(base + ".ckpt"))
+        model = ExpressionModel(cfg, 5, np.random.default_rng(0))
+        model.load_state(load_checkpoint(base + ".ckpt"))
         features = stored["features"]
         logits, encoded = [], []
         model_state = encoder_state = None
@@ -244,7 +245,8 @@ class TestTransformerEncoder:
         stored = np.load(base + ".npz")
         cfg = tiny_config("transformer", seg_len=5, stride=5, d_model=8, ffn_dim=12,
                           head=(6, 4))
-        model = build_model(cfg, input_dim=5, seed=0).load_state(load_checkpoint(base + ".ckpt"))
+        model = ExpressionModel(cfg, 5, np.random.default_rng(0))
+        model.load_state(load_checkpoint(base + ".ckpt"))
         full, short = stored["features"][:5], stored["features"][5:]
         for features, key in ((full, "eval_full"), (short, "eval_short")):
             logits, _ = model.eval_logits(Graph(record=False), features)
@@ -359,7 +361,7 @@ class TestClassificationHead:
 class TestExpressionModel:
     @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
     def test_every_parameter_gets_gradient(self, encoder):
-        model = build_model(tiny_config(encoder), input_dim=7, seed=0)
+        model = ExpressionModel(tiny_config(encoder), 7, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(6, 7)).astype(np.float32)
         g = Graph()
@@ -375,7 +377,7 @@ class TestExpressionModel:
 
     @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
     def test_eval_passes_bitwise_identical(self, encoder):
-        model = build_model(tiny_config(encoder), input_dim=5, seed=3)
+        model = ExpressionModel(tiny_config(encoder), 5, np.random.default_rng(3))
         feats = np.random.default_rng(4).normal(size=(6, 5)).astype(np.float32)
         outs = []
         for _ in range(2):
@@ -385,7 +387,8 @@ class TestExpressionModel:
 
     @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
     def test_eval_from_one_state_twice_is_bitwise_equal(self, encoder):
-        model = build_model(tiny_config(encoder, lstm_layers=2), input_dim=5, seed=6)
+        model = ExpressionModel(tiny_config(encoder, lstm_layers=2), 5,
+                                np.random.default_rng(6))
         feats = np.random.default_rng(7).normal(size=(12, 5)).astype(np.float32)
         _, state = model.eval_logits(Graph(record=False), feats[:6])
         before = [(h.data.tobytes(), c.data.tobytes()) for h, c in state or []]
@@ -403,7 +406,7 @@ class TestExpressionModel:
 
     @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
     def test_encoders_answer_one_interface(self, encoder):
-        model = build_model(tiny_config(encoder), input_dim=5, seed=2)
+        model = ExpressionModel(tiny_config(encoder), 5, np.random.default_rng(2))
         x = Tensor(np.random.default_rng(3).normal(size=(6, 16)))
         g = Graph(record=False)
         first, state = model.encoder.encode_segment(g, x)
@@ -426,7 +429,7 @@ class TestExpressionModel:
     def test_tape_masks_equal_site_by_site_draws(self, encoder):
         """The stacked masks, split per pass, are the masks two passes run one
         after the other draw: pass 1's encoder then head sites, then pass 2's."""
-        model = build_model(tiny_config(encoder), input_dim=5, seed=9)
+        model = ExpressionModel(tiny_config(encoder), 5, np.random.default_rng(9))
         rng = np.random.default_rng(10)
         clone = np.random.default_rng(10)
         feats = np.random.default_rng(13).normal(size=(6, 5)).astype(np.float32)
@@ -455,7 +458,7 @@ class TestExpressionModel:
 
     @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
     def test_stacked_halves_match_single_passes(self, encoder):
-        model = build_model(tiny_config(encoder), input_dim=5, seed=11)
+        model = ExpressionModel(tiny_config(encoder), 5, np.random.default_rng(11))
         rng = np.random.default_rng(12)
         feats = rng.normal(size=(6, 5)).astype(np.float32)
         g = Graph()
@@ -471,7 +474,7 @@ class TestExpressionModel:
             np.testing.assert_allclose(half.data, alone.data, rtol=0, atol=1e-6)
 
     def test_two_passes_differ_under_dropout(self):
-        model = build_model(tiny_config("transformer"), input_dim=5, seed=5)
+        model = ExpressionModel(tiny_config("transformer"), 5, np.random.default_rng(5))
         rng = np.random.default_rng(6)
         feats = rng.normal(size=(6, 5)).astype(np.float32)
         g = Graph()
@@ -480,9 +483,9 @@ class TestExpressionModel:
 
     def test_checkpoint_roundtrip_through_state(self):
         cfg = tiny_config("lstm")
-        model = build_model(cfg, input_dim=5, seed=7)
+        model = ExpressionModel(cfg, 5, np.random.default_rng(7))
         state = {k: v.data.copy() for k, v in model.parameters().items()}
-        clone = build_model(cfg, input_dim=5, seed=99).load_state(state)
+        clone = ExpressionModel(cfg, 5, np.random.default_rng(99)).load_state(state)
         feats = np.random.default_rng(8).normal(size=(4, 5)).astype(np.float32)
         g = Graph(record=False)
         a = model.eval_logits(g, feats)[0].data

@@ -13,7 +13,7 @@ from mmexpr import (AdamState, DataFormatError, Graph, NonFiniteError, ShapeErro
                     adam_step, backward)
 from mmexpr import optim, tensor
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
-from mmexpr.models import LstmSettings, ModelConfig, build_model
+from mmexpr.models import ExpressionModel, LstmSettings, ModelConfig
 from mmexpr.optim import BLOCK
 
 from tests import _reference as ref
@@ -696,7 +696,7 @@ class TestCheckpoint:
     def test_load_state_rejects_nan_naming_the_parameter(self, tmp_path):
         config = ModelConfig(encoder="lstm", d_model=4, head=(3, 3), seg_len=4)
         config.lstm = LstmSettings(hidden=3)
-        model = build_model(config, input_dim=2, seed=0)
+        model = ExpressionModel(config, 2, np.random.default_rng(0))
         arrays = {k: p.data.copy() for k, p in model.parameters().items()}
         arrays["head.out.bias"][1] = np.nan
         save_checkpoint(arrays, str(tmp_path / "nan.ckpt"))

@@ -9,7 +9,7 @@ import pytest
 from mmexpr import Graph, NumericError, Tensor, backward, training
 from mmexpr.data import VideoData, load_manifest, read_feature_file
 from mmexpr.errors import DataFormatError
-from mmexpr.models import LstmSettings, ModelConfig, TransformerSettings, build_model
+from mmexpr.models import ExpressionModel, LstmSettings, ModelConfig, TransformerSettings
 from mmexpr.optim import BLOCK, AdamState, adam_step, collect_grads, zero_grads
 from mmexpr.training import (
     ExperimentConfig,
@@ -248,10 +248,8 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "adam_step", zero_rate_step)
         cfg = tiny_experiment(tmp_path, "lstm", epochs=2)
         result = train(cfg)
-        from mmexpr.models import build_model
         streams = np.random.SeedSequence(cfg.seed).spawn(3)
-        fresh = build_model(cfg.model, input_dim=12,
-                            seed=np.random.default_rng(streams[0]))
+        fresh = ExpressionModel(cfg.model, 12, np.random.default_rng(streams[0]))
         for name, p in result.model.parameters().items():
             np.testing.assert_array_equal(p.data, fresh.parameters()[name].data)
 
@@ -355,7 +353,7 @@ def stream_model(encoder, ffn_dim=1040, layers=1):
                           stride=8)
         cfg.transformer = TransformerSettings(layers=layers, heads=4, ffn_dim=ffn_dim)
         n_segments = 1
-    return build_model(cfg.validate(), input_dim=7, seed=0), n_segments
+    return ExpressionModel(cfg.validate(), 7, np.random.default_rng(0)), n_segments
 
 
 class TestStreamedUpdate:
@@ -445,7 +443,7 @@ class TestPrediction:
     def test_stacked_lstm_matches_per_window_eval_across_stacks(self, monkeypatch):
         cfg = ModelConfig(encoder="lstm", d_model=12, head=(10, 6), seg_len=7, stride=7)
         cfg.lstm = LstmSettings(hidden=9, layers=2)
-        model = build_model(cfg.validate(), input_dim=5, seed=3)
+        model = ExpressionModel(cfg.validate(), 5, np.random.default_rng(3))
         n = 2 * training.EVAL_ROWS + 40  # three stacks: the state crosses two boundaries
         rng = np.random.default_rng(4)
         video = VideoData("v", rng.integers(0, 8, n),
@@ -460,7 +458,7 @@ class TestPrediction:
     def test_stacked_transformer_matches_per_window_eval(self, monkeypatch):
         cfg = ModelConfig(encoder="transformer", d_model=12, head=(10, 6), seg_len=8, stride=3)
         cfg.transformer = TransformerSettings(layers=2, heads=3, ffn_dim=16)
-        model = build_model(cfg.validate(), input_dim=5, seed=5)
+        model = ExpressionModel(cfg.validate(), 5, np.random.default_rng(5))
         rng = np.random.default_rng(6)
         video = VideoData("v", rng.integers(0, 8, 30),
                           rng.normal(size=(30, 5)).astype(np.float32))
