@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataFormatError, ShapeError
 from .fileio import CsvTable, JsonConfig, atomic_write_bytes, read_json, resolve_beside
+from .tensor import all_finite
 
 NUM_CLASSES = 8
 INVALID_LABEL = -1
@@ -207,39 +208,47 @@ def write_feature_file(track: FeatureTrack, path: str) -> None:
 
 
 def read_feature_file(path: str, video_id: str | None = None) -> FeatureTrack:
+    """Read a feature file, checking its header against the file's size before
+    anything is sized from it; the floats are read straight into the matrix."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != FEATURE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {FEATURE_MAGIC!r}")
-    if len(raw) < 12:
-        raise DataFormatError(f"{path}: truncated feature file: {len(raw)} bytes, "
-                              f"the header needs 12")
-    version, name_len = struct.unpack_from("<II", raw, 4)
-    if version != FEATURE_VERSION:
-        raise DataFormatError(f"{path}: unsupported feature file version {version}")
-    offset = 12 + name_len
-    if offset + 8 > len(raw):
-        raise DataFormatError(f"{path}: truncated feature file: the header needs "
-                              f"{offset + 8} bytes, the file has {len(raw)}")
-    try:
-        name = raw[12:offset].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: feature set name is not UTF-8 ({exc})") from exc
-    n, dim = struct.unpack_from("<II", raw, offset)
-    offset += 8
-    bitmap_len = (n + 7) // 8
-    size = bitmap_len + 4 * n * dim
-    if offset + size > len(raw):
-        raise DataFormatError(f"{path}: truncated feature file: {n} frames of dim {dim} "
-                              f"need {size} bytes, {len(raw) - offset} left")
-    if offset + size < len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - offset - size} trailing bytes")
-    bitmap = np.frombuffer(raw, dtype=np.uint8, count=bitmap_len, offset=offset)
-    data = np.frombuffer(raw, dtype="<f4", count=n * dim, offset=offset + bitmap_len)
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != FEATURE_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}")
+        if len(head) < 12:
+            raise DataFormatError(f"{path}: truncated feature file: {len(head)} bytes, "
+                                  f"the header needs 12")
+        version, name_len = struct.unpack_from("<II", head, 4)
+        if version != FEATURE_VERSION:
+            raise DataFormatError(f"{path}: unsupported feature file version {version}")
+        offset = 12 + name_len
+        if offset + 8 > file_size:
+            raise DataFormatError(f"{path}: truncated feature file: the header needs "
+                                  f"{offset + 8} bytes, the file has {file_size}")
+        try:
+            name = fh.read(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: feature set name is not UTF-8 ({exc})") from exc
+        n, dim = struct.unpack("<II", fh.read(8))
+        offset += 8
+        bitmap_len = (n + 7) // 8
+        size = bitmap_len + 4 * n * dim
+        if offset + size > file_size:
+            raise DataFormatError(f"{path}: truncated feature file: {n} frames of dim {dim} "
+                                  f"need {size} bytes, {file_size - offset} left")
+        if offset + size < file_size:
+            raise DataFormatError(f"{path}: {file_size - offset - size} trailing bytes")
+        bitmap = np.frombuffer(fh.read(bitmap_len), dtype=np.uint8)
+        matrix = np.empty((n, dim), dtype="<f4")
+        got = len(bitmap) + fh.readinto(matrix)
+        if got < size:  # the file shrank since its size was taken
+            raise DataFormatError(f"{path}: truncated feature file: {n} frames of dim {dim} "
+                                  f"need {size} bytes, {got} left")
     present = np.unpackbits(bitmap, bitorder="little", count=n).astype(bool)
-    matrix = data.reshape(n, dim).copy()
     matrix[~present] = 0.0
-    if not np.isfinite(matrix).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all_finite(matrix)
+    if not finite:
         frame = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0]) + 1
         raise DataFormatError(f"{path}: feature set {name!r} has a non-finite value "
                               f"in present frame {frame}")
@@ -272,14 +281,13 @@ def impute_missing(track: FeatureTrack) -> FeatureTrack:
     """Fill absent rows from the temporally nearest present frame.
 
     Presence flags are kept as loaded so the repair remains auditable.
-    Identity on already-complete tracks.
+    Identity on already-complete tracks: ``track`` itself comes back, with no
+    copy made.
     """
     if track.present.all():
-        return FeatureTrack(track.video_id, track.feature_set,
-                            track.matrix.copy(), track.present.copy())
+        return track
     donors = nearest_present_donors(track.present)
-    return FeatureTrack(track.video_id, track.feature_set,
-                        track.matrix[donors].copy(), track.present.copy())
+    return FeatureTrack(track.video_id, track.feature_set, track.matrix[donors], track.present)
 
 
 def imputation_plan(present: np.ndarray) -> list[tuple[int, int]]:
@@ -466,8 +474,14 @@ def load_feature_track(entry: ManifestVideo, name: str, spec: FeatureSpec) -> Fe
 def load_video(entry: ManifestVideo, specs: dict[str, FeatureSpec], names) -> VideoData:
     """Load, validate and repair one video's tracks and join them into its
     input matrix, columns in the order of ``names`` (visual sets, then audio:
-    ``ExperimentConfig.feature_names``)."""
+    ``ExperimentConfig.feature_names``). The matrix is allocated once and each
+    repaired track copied into its column block as soon as it is read."""
     track = load_labels(entry.label_file, video_id=entry.video_id, n_frames=entry.n_frames)
-    parts = [impute_missing(load_feature_track(entry, name, feature_spec(specs, name))).matrix
-             for name in names]
-    return VideoData(entry.video_id, track.labels, np.concatenate(parts, axis=1))
+    sets = [(name, feature_spec(specs, name)) for name in names]
+    features = np.empty((entry.n_frames, sum(spec.dim for _, spec in sets)), np.float32)
+    col = 0
+    for name, spec in sets:
+        features[:, col:col + spec.dim] = impute_missing(
+            load_feature_track(entry, name, spec)).matrix
+        col += spec.dim
+    return VideoData(entry.video_id, track.labels, features)

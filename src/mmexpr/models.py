@@ -284,7 +284,10 @@ class TransformerEncoder:
             raise ShapeError(f"segment windows {windows} do not split {x.shape[0]} rows "
                              f"into windows of at most {self.seg_len}")
         if self.pe is not None:
-            x = g.add(x, Tensor(np.concatenate([self.pe[:w] for w in windows])))
+            # one window adds a view of the table; a stack joins one slice per window
+            pe = (self.pe[:windows[0]] if len(windows) == 1
+                  else np.concatenate([self.pe[:w] for w in windows]))
+            x = g.add(x, Tensor(pe))
         if passes > 1:
             x = g.concat([x] * passes, axis=0)
         runs, start = [], 0  # (first row, windows, window length) per run of equal windows

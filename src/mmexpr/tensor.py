@@ -27,13 +27,13 @@ def all_finite(a: np.ndarray) -> bool:
     """True when no element of ``a`` is NaN or infinite.
 
     The one finiteness check: ``Graph.apply`` runs it on each op output and
-    on each input not yet checked, ``adam_step`` on each updated block and
-    ``load_state`` on each installed array. One BLAS pass: x.x is NaN or inf
-    if any element is, and otherwise finite unless it overflows, which the
-    exact np.isfinite scan settles. For C-order data the flat view is not a
-    copy. Callers run it under ``np.errstate(over="ignore")``, entered once
-    around their loop, since an errstate block per call costs more than the
-    dot product.
+    on each input not yet checked, ``adam_step`` on each updated block,
+    ``load_state`` on each installed array and ``read_feature_file`` on each
+    track's floats. One BLAS pass: x.x is NaN or inf if any element is, and
+    otherwise finite unless it overflows, which the exact np.isfinite scan
+    settles. For C-order data the flat view is not a copy. Callers run it
+    under ``np.errstate(over="ignore")``, entered once around their loop,
+    since an errstate block per call costs more than the dot product.
     """
     flat = a.reshape(-1)
     return math.isfinite(np.dot(flat, flat)) or bool(np.isfinite(flat).all())
@@ -79,7 +79,9 @@ class Node:
     """One executed operation: inputs, output, backward rule, and its attrs.
 
     ``attrs`` keeps the op's parameters (axis, rate, the dropout mask,
-    ...) so a recorded graph can be audited or replayed.
+    ...) so a recorded graph can be audited or replayed. Backward rules read
+    the node's own arrays (inputs, output, dropout's ``attrs["mask"]``), not
+    private copies of them.
     """
 
     __slots__ = ("kind", "inputs", "output", "backward_fn", "attrs")
@@ -468,20 +470,28 @@ def dropout_mask(rng, shape, rate: float) -> np.ndarray:
 
 
 def _op_dropout(inputs, attrs):
+    """``x * mask / (1 - rate)``. Backward reads ``attrs["mask"]`` (stored back
+    as bool) and rebuilds the float scale from it as forward does."""
     (x,) = _arity(inputs, 1, "dropout")
     rate = float(attrs["rate"])
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    mask = np.asarray(attrs["mask"], dtype=bool)
+    mask = attrs["mask"] = np.asarray(attrs["mask"], dtype=bool)
     if mask.shape != x.shape:
         raise ShapeError(f"dropout: mask shape {mask.shape} != input shape {x.shape}")
-    # inverted scaling: expectation matches eval mode, which applies no-op
-    keep = mask.astype(DTYPE) / DTYPE(1.0 - rate)
+    scale = DTYPE(1.0 - rate)
+
+    def scaled(a):
+        # inverted scaling: expectation matches eval mode, which applies no-op
+        out = mask.astype(DTYPE)
+        out /= scale
+        out *= a
+        return out
 
     def bw(g):
-        return (g * keep,)
+        return (scaled(g),)
 
-    return x.data * keep, bw
+    return scaled(x.data), bw
 
 
 def _op_layer_norm(inputs, attrs):
@@ -509,9 +519,13 @@ def _op_layer_norm(inputs, attrs):
     nx, ng, ns = x.requires_grad, gain.requires_grad, shift.requires_grad
 
     def bw(g):
-        # gx = inv * ((dn - mean(dn)) - normed * mean(dn * normed)), dn = g * gain,
-        # in fresh buffers: a second backward over the graph reads normed and inv again
+        # gx = inv * ((dn - mean(dn)) - normed * mean(dn * normed)), dn = g * gain;
+        # normed is rebuilt by forward's ops from xd and the per-row mu and inv, in
+        # fresh buffers: a second backward over the graph reads them again
         gx = scratch = None
+        if nx or ng:
+            normed = np.subtract(xd, mu)
+            normed *= inv
         if nx:
             gx = np.multiply(g, gain.data)
             scratch = np.multiply(gx, normed)
@@ -590,11 +604,11 @@ def _op_lstm_seq(inputs, attrs):
     gates = np.empty((steps, 4, h_dim), DTYPE)   # activated i, f, g, o per frame
     hidden = np.empty((steps + 1, h_dim), DTYPE)  # row t holds h_{t-1}
     cells = np.empty((steps + 1, h_dim), DTYPE)   # row t holds c_{t-1}
-    tanh_c = np.empty((steps, h_dim), DTYPE)
     hidden[0] = h0.data[0]
     cells[0] = c0.data[0]
     z = np.empty((4, h_dim), DTYPE)
     z_flat = z.reshape(-1)
+    tanh_c = np.empty(h_dim, DTYPE)
     for t in range(steps):
         np.matmul(hidden[t], wd, out=z_flat)
         z_flat += pre_d[t]
@@ -604,8 +618,8 @@ def _op_lstm_seq(inputs, attrs):
         c = cells[t + 1]
         np.multiply(a[1], cells[t], out=c)
         c += a[0] * a[2]
-        np.tanh(c, out=tanh_c[t])
-        np.multiply(a[3], tanh_c[t], out=hidden[t + 1])
+        np.tanh(c, out=tanh_c)
+        np.multiply(a[3], tanh_c, out=hidden[t + 1])
     cell_out = attrs.get("cell_out")
     if cell_out is not None:
         cell_out[...] = cells[-1:]
@@ -615,6 +629,7 @@ def _op_lstm_seq(inputs, attrs):
         i, f, cand, o = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
         deriv = gates * (1.0 - gates)  # sigmoid'; the candidate row is replaced by tanh'
         deriv[:, 2] = 1.0 - cand * cand
+        tanh_c = np.tanh(cells[1:])  # forward's values: tanh runs elementwise
         # dz for (i, f, g) is dc times these; dz for o is dh times o_factor
         c_factor = np.stack([cand, cells[:-1], i], axis=1) * deriv[:, :3]
         o_factor = tanh_c * deriv[:, 3]

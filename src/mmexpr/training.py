@@ -227,11 +227,11 @@ class TrainResult:
 
 
 def _training_batches(dataset, config, order_rng):
-    """Yield per-step lists of segments; an LSTM step holds whole videos, each
-    video's segments in order."""
+    """Yield per-step lists of (video id, segment) pairs; an LSTM step holds
+    whole videos, each video's segments in order."""
     model_cfg = config.model
     if model_cfg.encoder == "transformer":
-        segments = [seg for vid in dataset.train_ids
+        segments = [(vid, seg) for vid in dataset.train_ids
                     for seg in dataset.videos[vid].segments(model_cfg.seg_len, model_cfg.stride)]
         order = order_rng.permutation(len(segments))
         size = config.training.batch_segments
@@ -242,8 +242,46 @@ def _training_batches(dataset, config, order_rng):
         order = order_rng.permutation(len(ids))
         size = config.training.batch_videos
         for i in range(0, len(order), size):
-            yield [seg for j in order[i:i + size]
+            yield [(ids[j], seg) for j in order[i:i + size]
                    for seg in dataset.videos[ids[j]].segments(model_cfg.seg_len, model_cfg.stride)]
+
+
+def _train_step(model, batch, adam, alpha, dropout_rng, where):
+    """One step: both passes of each (video id, segment) of ``batch``, the RDrop
+    loss and the streamed Adam update; (loss, valid frames), or None when every
+    frame is masked. The graph dies on return, before the caller evaluates or
+    saves. A non-finite value raises ``NumericError`` at ``where``, naming the
+    video and segment if a segment's forward met it."""
+    g = Graph()
+    firsts, seconds, labels, masks = [], [], [], []
+    state = None  # the transformer's is always None; an LSTM batch holds whole videos
+    for vid, seg in batch:
+        if seg.index == 1:
+            state = None
+        try:
+            l1, l2, state = model.two_pass_logits(g, seg.features, state, dropout_rng)
+        except NonFiniteError as exc:
+            raise NumericError(f"non-finite value at {where} video {vid} segment {seg.index}: "
+                               f"{exc}") from exc
+        firsts.append(l1)
+        seconds.append(l2)
+        labels.append(seg.labels)
+        masks.append(seg.valid)
+    mask = np.concatenate(masks)
+    try:
+        loss = rdrop_loss(
+            g,
+            g.concat(firsts, axis=0) if len(firsts) > 1 else firsts[0],
+            g.concat(seconds, axis=0) if len(seconds) > 1 else seconds[0],
+            np.concatenate(labels), mask, alpha)
+        if loss is None:
+            return None  # every frame masked; the batch contributes nothing
+        value = loss.item()
+        # each parameter is updated as soon as the walk completes its gradient
+        g.backward(loss, lambda grads: adam_step(model.parameters(), grads, adam))
+    except NonFiniteError as exc:
+        raise NumericError(f"non-finite value at {where}: {exc}") from exc
+    return value, int(mask.sum())
 
 
 def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
@@ -293,34 +331,12 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
         loss_sum = 0.0
         valid_sum = 0
         for batch_idx, batch in enumerate(_training_batches(dataset, config, order_rng)):
-            g = Graph()
-            firsts, seconds, labels, masks = [], [], [], []
-            state = None  # the transformer's is always None; an LSTM batch holds whole videos
-            try:
-                for seg in batch:
-                    if seg.index == 1:
-                        state = None
-                    l1, l2, state = model.two_pass_logits(g, seg.features, state, dropout_rng)
-                    firsts.append(l1)
-                    seconds.append(l2)
-                    labels.append(seg.labels)
-                    masks.append(seg.valid)
-                loss = rdrop_loss(
-                    g,
-                    g.concat(firsts, axis=0) if len(firsts) > 1 else firsts[0],
-                    g.concat(seconds, axis=0) if len(seconds) > 1 else seconds[0],
-                    np.concatenate(labels), np.concatenate(masks), alpha)
-                if loss is None:
-                    continue  # every frame masked; the batch contributes nothing
-                value = loss.item()
-                # each parameter is updated as soon as the walk completes its gradient
-                g.backward(loss, lambda grads: adam_step(model.parameters(), grads, adam))
-            except NonFiniteError as exc:
-                raise NumericError(f"non-finite value at epoch {epoch} batch {batch_idx}: "
-                                   f"{exc}") from exc
-            n_valid = int(np.concatenate(masks).sum())
-            loss_sum += value * n_valid
-            valid_sum += n_valid
+            step = _train_step(model, batch, adam, alpha, dropout_rng,
+                               f"epoch {epoch} batch {batch_idx}")
+            if step is not None:
+                value, n_valid = step
+                loss_sum += value * n_valid
+                valid_sum += n_valid
 
         report, _ = evaluate_split(model, dataset, dataset.val_ids)
         train_loss = loss_sum / valid_sum if valid_sum else 0.0

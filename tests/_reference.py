@@ -401,6 +401,57 @@ def layer_norm_float32(x, gain, shift, g, eps=1e-5):
     return out, (gx, (g * normed).sum(axis=lead), g.sum(axis=lead))
 
 
+# -- the dropout and layer-norm tape rules as first written, holding a float
+# copy (the scale, the normalized input) for backward; the tape ops that
+# rebuild it from the node's own arrays must match them bit for bit
+
+def dropout_kept_scale(x, rate, mask):
+    """(output, backward rule) of dropout with the float scale kept."""
+    keep = mask.astype(np.float32) / np.float32(1.0 - rate)
+    return x * keep, lambda g: (g * keep,)
+
+
+def _sum_over_passes(fn, passes, *arrays):
+    rows = arrays[0].shape[0] // passes
+    total = fn(*(a[:rows] for a in arrays))
+    for p in range(1, passes):
+        total += fn(*(a[p * rows:(p + 1) * rows] for a in arrays))
+    return total
+
+
+def layer_norm_kept_normed(x, gain, shift, passes=1, eps=1e-5, needs=(True, True, True)):
+    """(output, backward rule) of layer norm with the normalized input kept."""
+    f32 = np.float32
+    mu = x.mean(axis=-1, keepdims=True)
+    normed = np.subtract(x, mu)
+    out = np.multiply(normed, normed)
+    inv = out.mean(axis=-1, keepdims=True)
+    inv += f32(eps)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    normed *= inv
+    np.multiply(normed, gain, out=out)
+    out += shift
+    lead = tuple(range(x.ndim - 1))
+    nx, ng, ns = needs
+
+    def bw(g):
+        gx = scratch = None
+        if nx:
+            gx = np.multiply(g, gain)
+            scratch = np.multiply(gx, normed)
+            dot = scratch.mean(axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= np.multiply(normed, dot, out=scratch)
+            gx *= inv
+        ggain = (_sum_over_passes(lambda b: b.sum(axis=lead), passes,
+                                  np.multiply(g, normed, out=scratch)) if ng else None)
+        gshift = _sum_over_passes(lambda b: b.sum(axis=lead), passes, g) if ns else None
+        return gx, ggain, gshift
+
+    return out, bw
+
+
 # -- row-wise prediction and label CSV files -----------------------------------------
 
 def prediction_csv_bytes(track):

@@ -1,6 +1,7 @@
 """Data pipeline: label parsing, feature files, repair, assembly, segmentation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,10 @@ class TestImputation:
         fixed_again = impute_missing(fixed)
         np.testing.assert_array_equal(fixed_again.matrix, fixed.matrix)
 
+    def test_complete_track_comes_back_uncopied(self):
+        track = make_track([True] * 6)
+        assert impute_missing(track) is track
+
     def test_zero_present_rejected(self):
         track = make_track([False, False])
         with pytest.raises(DataFormatError, match="zero present"):
@@ -277,6 +282,24 @@ class TestAssembly:
         np.testing.assert_array_equal(video.features[:, :512], b.matrix)
         np.testing.assert_array_equal(video.features[:, 512:1280], impute_missing(a).matrix)
         np.testing.assert_array_equal(video.features[:, 1280:], impute_missing(au).matrix)
+
+    def test_load_holds_the_matrix_and_one_track(self, tmp_path):
+        # the input matrix is allocated once and each set is copied into its
+        # column block as soon as it is read; joining the tracks at the end
+        # took twice the matrix
+        tracks = [make_track([True] * 2000, dim=512, name=name, seed=i)
+                  for i, name in enumerate(["ires100", "hubert"])]
+        entry = write_video(tmp_path, tracks)
+        specs = feature_specs({})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            video = load_video(entry, specs, ["ires100", "hubert"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * video.features.nbytes, (peak, video.features.nbytes)
+        np.testing.assert_array_equal(video.features, np.hstack([t.matrix for t in tracks]))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DataFormatError, match="unknown feature set 'mystery'"):

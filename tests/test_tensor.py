@@ -5,6 +5,7 @@ import struct
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from mmexpr import (AdamState, DataFormatError, Graph, NonFiniteError, ShapeErro
                     adam_step, backward)
 from mmexpr import optim, tensor
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
-from mmexpr.models import ExpressionModel, LstmSettings, ModelConfig
+from mmexpr.models import ExpressionModel, LstmSettings, ModelConfig, TransformerSettings
 from mmexpr.optim import BLOCK
+from mmexpr.training import rdrop_loss
 
 from tests import _reference as ref
 
@@ -501,6 +503,103 @@ class TestBitwiseAgainstFormulas:
                     assert np.array_equal(bits(got), bits(want))
                 else:
                     assert got is None
+
+
+# a (rows, width) activation and a (blocks, heads, L, L) attention stack; the
+# first axis is one pass's and stacks ``passes`` times
+TAPE_SHAPES = [(6, 40), (2, 3, 5, 5)]
+
+
+def stacked(rng, shape, passes):
+    return rng.standard_normal((shape[0] * passes, *shape[1:])).astype(np.float32)
+
+
+class TestRulesKeepNoCopies:
+    """``dropout`` and ``layer_norm`` rebuild what they once kept, with the same bits."""
+
+    @pytest.mark.parametrize("shape", TAPE_SHAPES, ids=["2d", "bhll"])
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_dropout_bitwise_equals_the_kept_scale_rule(self, shape, passes, rate):
+        rng = np.random.default_rng(len(shape) * 10 + passes)
+        x = stacked(rng, shape, passes)
+        mask = np.concatenate([tensor.dropout_mask(rng, shape, rate) for _ in range(passes)])
+        grad_out = stacked(rng, shape, passes)
+        g = Graph()
+        out = g.dropout(Tensor(x, requires_grad=True), rate, mask)
+        (node,) = g.nodes
+        assert node.attrs["mask"] is mask
+        expected, expected_bw = ref.dropout_kept_scale(x, rate, mask)
+        assert np.array_equal(bits(out.data), bits(expected))
+        (want,) = expected_bw(grad_out)
+        for _ in range(2):
+            (got,) = node.backward_fn(grad_out)
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("shape", TAPE_SHAPES, ids=["2d", "bhll"])
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("requires", [(True, True, True), (False, True, False),
+                                          (True, False, False)], ids=["all", "gain", "x"])
+    def test_layer_norm_bitwise_equals_the_kept_normed_rule(self, shape, passes, requires):
+        rng = np.random.default_rng(len(shape) * 10 + passes)
+        x = stacked(rng, shape, passes) * 3 + 1
+        gain = rng.uniform(0.5, 1.5, shape[-1]).astype(np.float32)
+        shift = rng.standard_normal(shape[-1]).astype(np.float32)
+        grad_out = stacked(rng, shape, passes)
+        g = Graph()
+        inputs = [Tensor(a, requires_grad=r) for a, r in zip((x, gain, shift), requires)]
+        out = g.layer_norm(*inputs, passes=passes)
+        (node,) = g.nodes
+        expected, expected_bw = ref.layer_norm_kept_normed(x, gain, shift, passes,
+                                                           needs=requires)
+        assert np.array_equal(bits(out.data), bits(expected))
+        wants = expected_bw(grad_out)
+        for _ in range(2):  # a second backward rebuilds the same normalized input
+            for got, want in zip(node.backward_fn(grad_out), wants):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(bits(got), bits(want))
+
+    def test_transformer_step_keeps_at_most_one_value_per_row(self):
+        # every array buffer alive once a step's forward has run, less the
+        # buffers the nodes hold as inputs, outputs and attrs, is what the
+        # backward rules keep privately; each may hold one float32 per row
+        cfg = ModelConfig(encoder="transformer", d_model=32, head=(24, 16), seg_len=8,
+                          stride=8)
+        cfg.transformer = TransformerSettings(layers=2, heads=4, ffn_dim=48)
+        model = ExpressionModel(cfg.validate(), 7, np.random.default_rng(0))
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(8, 7)).astype(np.float32)
+        rows = 2 * len(features)  # two stacked passes
+
+        def buffer(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
+
+        older = {id(p.data) for p in model.parameters().values()}
+        older |= {id(model.encoder.pe), id(features)}
+        tracemalloc.start()
+        try:
+            g = Graph()
+            l1, l2, _ = model.two_pass_logits(g, features, None, np.random.default_rng(1))
+            rdrop_loss(g, l1, l2, rng.integers(0, 8, 8), np.ones(8, bool), 5.0)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        traced = Counter(t.size for t in snapshot.filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces)
+        own = {}
+        for node in g.nodes:
+            arrays = [t.data for t in node.inputs] + [node.output.data]
+            arrays += [a for a in node.attrs.values() if isinstance(a, np.ndarray)]
+            for a in map(buffer, arrays):
+                if id(a) not in older:
+                    own[id(a)] = a
+        own_sizes = Counter(a.nbytes for a in own.values())
+        assert not own_sizes - traced  # every buffer the nodes hold was made in the step
+        private = sorted((traced - own_sizes).elements())
+        assert private and max(private) <= 4 * rows, private
 
 
 class TestAdam:

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -307,6 +308,58 @@ class TestTrainLoop:
         with pytest.raises(NumericError,
                            match=r"^non-finite value at epoch 1 batch 0: scale: NaN or infinity"):
             train(cfg)
+
+    @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+    def test_nan_parameter_names_the_video_and_segment(self, tmp_path, monkeypatch, encoder):
+        # the third forward of the first step finds a NaN in the fusion weight
+        batches = []
+        real_batches = training._training_batches
+
+        def recorded(*args):
+            for batch in real_batches(*args):
+                batches.append(batch)
+                yield batch
+
+        calls = []
+        real_forward = ExpressionModel.two_pass_logits
+
+        def forward(model, *args):
+            calls.append(None)
+            if len(calls) == 3:
+                weight = model.parameters()["fusion.weight"]
+                weight.data = weight.data.copy()
+                weight.data[0, 0] = np.nan
+            return real_forward(model, *args)
+
+        monkeypatch.setattr(training, "_training_batches", recorded)
+        monkeypatch.setattr(ExpressionModel, "two_pass_logits", forward)
+        cfg = tiny_experiment(tmp_path, encoder, epochs=1)
+        with pytest.raises(NumericError) as caught:
+            train(cfg)
+        vid, seg = batches[0][2]
+        assert str(caught.value) == (
+            f"non-finite value at epoch 1 batch 0 video {vid} segment {seg.index}: "
+            "affine: NaN or infinity in input tensor 'fusion.weight'")
+        assert encoder == "transformer" or seg.index == 3  # one LSTM video per batch
+
+    def test_step_graph_is_gone_before_validation(self, tmp_path, monkeypatch):
+        graphs = []
+
+        class RecordedGraph(Graph):
+            def __init__(self, record=True):
+                super().__init__(record)
+                if record:
+                    graphs.append(weakref.ref(self))
+
+        real_evaluate = training.evaluate_split
+
+        def evaluate(*args):
+            assert graphs and all(graph() is None for graph in graphs)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(training, "Graph", RecordedGraph)
+        monkeypatch.setattr(training, "evaluate_split", evaluate)
+        train(tiny_experiment(tmp_path, "transformer", epochs=2))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_adam_update_aborts_with_coordinates(self, tmp_path):
