@@ -47,9 +47,16 @@ class Tensor:
     last found finite by the code that made or changed it (the op that
     produced it, ``adam_step``, ``load_state``); graphs skip the scan while it
     is still ``data``. Other tensors are scanned at each use.
+
+    A tensor made by a recording graph carries that graph's token as
+    ``tape`` and the index of its ``node`` there. The graph holds no
+    reference to the tensor, so its array lives only as long as the caller or
+    some backward rule holds it, and a tensor kept after its step keeps none
+    of the tape alive. In any other graph the tensor is a leaf, like a
+    parameter.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "checked")
+    __slots__ = ("data", "requires_grad", "grad", "name", "checked", "node", "tape")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         # note: ascontiguousarray would promote 0-d to 1-d; asarray keeps ()
@@ -58,6 +65,8 @@ class Tensor:
         self.grad = None
         self.name = name
         self.checked = None
+        self.node = None
+        self.tape = None
 
     @property
     def shape(self) -> tuple:
@@ -76,20 +85,25 @@ class Tensor:
 
 
 class Node:
-    """One executed operation: inputs, output, backward rule, and its attrs.
+    """One executed operation: its kind, backward rule and attrs, and where
+    each input came from.
 
-    ``attrs`` keeps the op's parameters (axis, rate, the dropout mask,
-    ...) so a recorded graph can be audited or replayed. Backward rules read
-    the node's own arrays (inputs, output, dropout's ``attrs["mask"]``), not
-    private copies of them.
+    ``inputs`` holds, per input, the index of the node in this graph that
+    produced it, the leaf ``Tensor`` itself (a parameter, or a tracked tensor
+    another graph made), or None for an untracked constant. A node holds no
+    output and no intermediate input: the backward rule keeps what it reads
+    (an input's or its output's array, layer_norm's per-row ``mu`` and
+    ``inv``, lstm_seq's gates), and ``attrs`` keeps the op's parameters (axis,
+    rate, the dropout mask, ...) so a recorded graph can be audited or
+    replayed. Every other array is freed as soon as the caller drops it,
+    during the forward.
     """
 
-    __slots__ = ("kind", "inputs", "output", "backward_fn", "attrs")
+    __slots__ = ("kind", "inputs", "backward_fn", "attrs")
 
-    def __init__(self, kind, inputs, output, backward_fn, attrs):
+    def __init__(self, kind, inputs, backward_fn, attrs):
         self.kind = kind
         self.inputs = inputs
-        self.output = output
         self.backward_fn = backward_fn
         self.attrs = attrs
 
@@ -104,6 +118,7 @@ class Graph:
     def __init__(self, record: bool = True):
         self.nodes: list[Node] = []
         self.record = record
+        self.token = object()  # what the tensors this graph records carry as ``tape``
 
     # -- generic entry point -------------------------------------------------
 
@@ -130,7 +145,11 @@ class Graph:
                 raise NonFiniteError(f"{kind}: NaN or infinity in its output")
         out.checked = out.data
         if requires:
-            self.nodes.append(Node(kind, inputs, out, backward_fn, attrs))
+            token = self.token
+            sources = tuple(t.node if t.tape is token else t if t.requires_grad else None
+                            for t in inputs)
+            out.node, out.tape = len(self.nodes), token
+            self.nodes.append(Node(kind, sources, backward_fn, attrs))
         return out
 
     # -- op shorthands --------------------------------------------------------
@@ -199,10 +218,10 @@ def backward(loss: Tensor, graph: Graph, update=None) -> None:
     """Walk the tape in reverse and hand on d(loss)/d(leaf) for every
     requires_grad leaf.
 
-    ``loss`` must be scalar. Without ``update``, each leaf's gradient goes to
-    its ``.grad`` once the walk ends. Repeated calls on the same graph
-    overwrite leaf gradients with identical values (the walk has no side
-    effects of its own).
+    ``loss`` must be a scalar that ``graph`` recorded. Without ``update``,
+    each leaf's gradient goes to its ``.grad`` once the walk ends. Repeated
+    calls on the same graph overwrite leaf gradients with identical values
+    (the walk has no side effects of its own).
 
     With ``update``, ``update(stream)`` is called once, and the walk advances
     as it consumes ``stream``. Before the walk, each leaf is matched with the
@@ -213,61 +232,67 @@ def backward(loss: Tensor, graph: Graph, update=None) -> None:
     a leaf once it is yielded, so ``update`` may change the leaf's data in
     place on receipt (``adam_step`` does), and a step holds only the gradients
     in flight.
+
+    The walk reads nothing but the nodes: their backward rules and where
+    their inputs came from. Intermediate gradients are keyed by node index,
+    leaf gradients by the leaf.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("backward: loss does not depend on any tracked tensor")
+    if loss.tape is not graph.token:
+        raise ValueError("backward: loss was not recorded by this graph")
 
     nodes = graph.nodes
-    produced = {id(n.output) for n in nodes}
     done_at: dict[int, list[Tensor]] = {}  # node index -> leaves first read there
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     for i, node in enumerate(nodes):
-        for t in node.inputs:
-            if t.requires_grad and id(t) not in produced and id(t) not in seen:
-                seen.add(id(t))
-                done_at.setdefault(i, []).append(t)
+        for src in node.inputs:
+            if isinstance(src, Tensor) and src not in seen:
+                seen.add(src)
+                done_at.setdefault(i, []).append(src)
 
     if update is not None:
-        update(_leaf_gradients(loss, nodes, done_at))
+        update(_leaf_gradients(loss.node, nodes, done_at))
         return
     leaves = [t for ts in done_at.values() for t in ts]
-    for t, g in _leaf_gradients(loss, nodes, {0: leaves}):  # all at the walk's end
+    for t, g in _leaf_gradients(loss.node, nodes, {0: leaves}):  # all at the walk's end
         t.grad = np.asarray(g, dtype=DTYPE, order="C")
 
 
-def _leaf_gradients(loss: Tensor, nodes: list, done_at: dict):
-    """The reverse walk of ``backward``: yields (leaf, gradient) pairs, each
-    right after the leaf's ``done_at`` node has run its backward rule."""
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=DTYPE)}
-    owned: set[int] = set()  # buffers safe for in-place accumulation
+def _leaf_gradients(start: int, nodes: list, done_at: dict):
+    """The reverse walk of ``backward`` from node ``start`` (the loss's):
+    yields (leaf, gradient) pairs, each right after the leaf's ``done_at``
+    node has run its backward rule."""
+    grads: dict = {start: np.ones((), dtype=DTYPE)}  # node index or leaf -> gradient
+    owned: set = set()  # keys whose buffer is safe for in-place accumulation
 
-    for i in range(len(nodes) - 1, -1, -1):
+    for i in range(start, -1, -1):
         node = nodes[i]
-        g = grads.pop(id(node.output), None)
+        g = grads.pop(i, None)
         if g is not None:
             _accumulate(grads, owned, node.inputs, node.backward_fn(g))
             del g
         for t in done_at.get(i, ()):
-            if id(t) in grads:
-                yield t, grads.pop(id(t))
+            if t in grads:
+                yield t, grads.pop(t)
 
 
-def _accumulate(grads: dict, owned: set, inputs, input_grads) -> None:
-    """Add one node's input gradients into ``grads``, keyed by tensor id."""
-    for t, gt in zip(inputs, input_grads):
-        if gt is None or not t.requires_grad:
+def _accumulate(grads: dict, owned: set, sources, input_grads) -> None:
+    """Add one node's input gradients into ``grads``, keyed by the producing
+    node's index or by the leaf; untracked constants (None) take none."""
+    for src, gt in zip(sources, input_grads):
+        if gt is None or src is None:
             continue
-        tid = id(t)
-        acc = grads.get(tid)
+        acc = grads.get(src)
         if acc is None:
-            grads[tid] = gt  # may alias another buffer; not owned yet
-        elif tid in owned:
+            grads[src] = gt  # may alias another buffer; not owned yet
+        elif src in owned:
             np.add(acc, gt, out=acc)
         else:
-            grads[tid] = acc + gt
-            owned.add(tid)
+            grads[src] = acc + gt
+            owned.add(src)
 
 
 # -- op implementations -------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tensor core: forward semantics, autodiff vs finite differences, Adam, checkpoints."""
 
+import gc
+import itertools
 import os
 import struct
 import sys
 import tracemalloc
+import types
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -302,11 +306,9 @@ class TestBackwardBasics:
         x, w = leaf(rng, 3, 3), leaf(rng, 3, 3)
         h = g.relu(g.matmul(x, w))
         g.sum(g.add(h, g.softmax(h)))
-        seen = {id(x), id(w)}
-        for node in g.nodes:
-            for t in node.inputs:
-                assert id(t) in seen or not t.requires_grad
-            seen.add(id(node.output))
+        for i, node in enumerate(g.nodes):
+            for src in node.inputs:
+                assert src is x or src is w or src is None or 0 <= src < i
 
 
 def fd_check(build, make_params, trials, seed, tol=1e-4, step=1e-3):
@@ -560,45 +562,154 @@ class TestRulesKeepNoCopies:
                 if want is not None:
                     assert np.array_equal(bits(got), bits(want))
 
-    def test_transformer_step_keeps_at_most_one_value_per_row(self):
-        # every array buffer alive once a step's forward has run, less the
-        # buffers the nodes hold as inputs, outputs and attrs, is what the
-        # backward rules keep privately; each may hold one float32 per row
-        cfg = ModelConfig(encoder="transformer", d_model=32, head=(24, 16), seg_len=8,
-                          stride=8)
-        cfg.transformer = TransformerSettings(layers=2, heads=4, ffn_dim=48)
-        model = ExpressionModel(cfg.validate(), 7, np.random.default_rng(0))
-        rng = np.random.default_rng(3)
+
+def small_transformer():
+    cfg = ModelConfig(encoder="transformer", d_model=32, head=(24, 16), seg_len=8, stride=8)
+    cfg.transformer = TransformerSettings(layers=2, heads=4, ffn_dim=48)
+    return ExpressionModel(cfg.validate(), 7, np.random.default_rng(0))
+
+
+def buffer(a):
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def rule_arrays(node):
+    """(the arrays ``node``'s backward rule captures, through nested functions
+    and tensors; the arrays in its attrs)."""
+    captured, todo = [], [node.backward_fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, types.FunctionType):
+                todo.append(value)
+            elif isinstance(value, Tensor):
+                captured.append(value.data)
+            elif isinstance(value, np.ndarray):
+                captured.append(value)
+    return captured, [a for a in node.attrs.values() if isinstance(a, np.ndarray)]
+
+
+class TestTapeHoldsOnlyWhatBackwardReads:
+    """A node keeps no output and no intermediate input; an array lives only
+    as long as the caller or some backward rule holds it."""
+
+    def test_an_output_no_rule_reads_dies_with_its_tensor(self):
+        # affine -> relu -> dropout -> affine: ReLU's rule reads the first
+        # affine's output and the second affine's rule the dropout output, but
+        # no rule reads ReLU's output
+        rng = np.random.default_rng(11)
+        g = Graph()
+        hidden = g.affine(Tensor(rng.normal(size=(4, 5))), leaf(rng, 5, 6), leaf(rng, 6))
+        relu = g.relu(hidden)
+        dropped = g.dropout(relu, 0.5, tensor.dropout_mask(rng, relu.shape, 0.5))
+        g.affine(dropped, leaf(rng, 6, 3), leaf(rng, 3))
+        refs = {name: weakref.ref(t.data)
+                for name, t in (("affine", hidden), ("relu", relu), ("dropout", dropped))}
+        del hidden, relu, dropped
+        assert refs["relu"]() is None
+        assert refs["affine"]() is not None and refs["dropout"]() is not None
+        del g
+        assert refs["affine"]() is None and refs["dropout"]() is None
+
+    @pytest.mark.parametrize("keep", ["loss", "logits"])
+    def test_dropping_the_graph_frees_every_array_its_rules_held(self, keep):
+        model = small_transformer()
+        rng = np.random.default_rng(4)
         features = rng.normal(size=(8, 7)).astype(np.float32)
-        rows = 2 * len(features)  # two stacked passes
-
-        def buffer(a):
-            while isinstance(a.base, np.ndarray):
-                a = a.base
-            return a
-
+        labels, valid = rng.integers(0, 8, 8), np.ones(8, bool)
         older = {id(p.data) for p in model.parameters().values()}
         older |= {id(model.encoder.pe), id(features)}
-        tracemalloc.start()
+        enabled = gc.isenabled()
+        gc.disable()  # only reference counts free anything: no cycle may hold the tape
         try:
             g = Graph()
             l1, l2, _ = model.two_pass_logits(g, features, None, np.random.default_rng(1))
-            rdrop_loss(g, l1, l2, rng.integers(0, 8, 8), np.ones(8, bool), 5.0)
+            loss = rdrop_loss(g, l1, l2, labels, valid, 5.0)
+            backward(loss, g)
+            kept = loss if keep == "loss" else l1
+            refs = [weakref.ref(b) for node in g.nodes
+                    for b in map(buffer, itertools.chain(*rule_arrays(node)))
+                    if id(b) not in older]
+            assert refs
+            del g, l1, l2, loss
+            alive = [r().shape for r in refs if r() is not None]
+            assert not alive, alive
+            assert kept.requires_grad and kept.data.size
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_tensor_of_another_graph_is_a_leaf(self):
+        rng = np.random.default_rng(12)
+        first = Graph()
+        x = leaf(rng, 3, 4)
+        h = first.relu(first.matmul(x, leaf(rng, 4, 5)))
+        c = rng.normal(size=(3, 5)).astype(np.float32)
+        second = Graph()
+        loss = second.sum(second.mul(h, Tensor(c)))
+        assert second.nodes[0].inputs == (h, None)
+        backward(loss, second)
+        np.testing.assert_array_equal(h.grad, c)
+        assert x.grad is None  # the walk stays on the second graph's tape
+        streamed = []
+        backward(loss, second, streamed.extend)
+        ((t, grad),) = streamed
+        assert t is h
+        np.testing.assert_array_equal(grad, c)
+
+    def test_loss_of_another_graph_is_rejected(self):
+        first, second = Graph(), Graph()
+        loss = first.sum(leaf(np.random.default_rng(13), 2, 3))
+        with pytest.raises(ValueError, match="not recorded by this graph"):
+            backward(loss, second)
+
+    def test_transformer_step_holds_only_what_backward_reads(self):
+        # every array buffer alive once a step's forward and loss have run is
+        # held by the caller (l1, l2, the loss) or captured by some node's
+        # backward rule or attrs; a captured buffer that was no op's input or
+        # output (layer_norm's per-row mu and inv) holds one float32 per row
+        model = small_transformer()
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(8, 7)).astype(np.float32)
+        labels, valid = rng.integers(0, 8, 8), np.ones(8, bool)
+        rows = 2 * len(features)  # two stacked passes
+        older = {id(p.data) for p in model.parameters().values()}
+        older |= {id(model.encoder.pe), id(features)}
+        g = Graph()
+        io = []  # weakrefs to the buffer of every op input and output
+
+        def apply(kind, inputs, **attrs):
+            out = Graph.apply(g, kind, inputs, **attrs)
+            io.extend(weakref.ref(buffer(t.data)) for t in (*inputs, out))
+            return out
+
+        g.apply = apply
+        tracemalloc.start()
+        try:
+            l1, l2, _ = model.two_pass_logits(g, features, None, np.random.default_rng(1))
+            loss = rdrop_loss(g, l1, l2, labels, valid, 5.0)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
         traced = Counter(t.size for t in snapshot.filter_traces(
             [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces)
-        own = {}
+
+        def made(arrays):  # the buffers of ``arrays`` made in the step, by id
+            return {id(b): b for b in map(buffer, arrays) if id(b) not in older}
+
+        held, rules, attrs = made(t.data for t in (l1, l2, loss)), {}, {}
         for node in g.nodes:
-            arrays = [t.data for t in node.inputs] + [node.output.data]
-            arrays += [a for a in node.attrs.values() if isinstance(a, np.ndarray)]
-            for a in map(buffer, arrays):
-                if id(a) not in older:
-                    own[id(a)] = a
-        own_sizes = Counter(a.nbytes for a in own.values())
-        assert not own_sizes - traced  # every buffer the nodes hold was made in the step
-        private = sorted((traced - own_sizes).elements())
+            captured, kept = rule_arrays(node)
+            rules.update(made(captured))
+            attrs.update(made(kept))
+        held.update(rules)
+        held.update(attrs)
+        assert Counter(b.nbytes for b in held.values()) == traced
+        was_io = {id(r()) for r in io if r() is not None}
+        private = sorted(b.nbytes for i, b in rules.items() if i not in was_io | set(attrs))
         assert private and max(private) <= 4 * rows, private
 
 
