@@ -410,9 +410,13 @@ class Manifest(JsonConfig):
                 raise DataFormatError(f"duplicate video id {vid!r}")
             seen.add(vid)
         for name, ids in self.splits.items():
+            listed = set()
             for vid in ids:
                 if vid not in seen:
                     raise DataFormatError(f"split {name!r} references unknown video {vid!r}")
+                if vid in listed:
+                    raise DataFormatError(f"manifest.splits.{name} lists video {vid!r} twice")
+                listed.add(vid)
         return self
 
     def video(self, video_id: str) -> ManifestVideo:

@@ -463,6 +463,15 @@ class TestManifest:
         with pytest.raises(DataFormatError, match="duplicate"):
             load_manifest(str(mpath))
 
+    def test_video_listed_twice_in_a_split_rejected(self, tmp_path):
+        doc = _valid_manifest_doc()
+        doc["splits"]["train"] = ["a", "b", "a"]
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as caught:
+            load_manifest(str(mpath))
+        assert str(caught.value) == f"{mpath}: manifest.splits.train lists video 'a' twice"
+
     @pytest.mark.parametrize("edit, key", [
         (lambda doc: doc["videos"][0].update(n_frames="200"), "videos[0].n_frames"),
         (lambda doc: doc["videos"][0].update(n_frames=200.9), "videos[0].n_frames"),

@@ -4,7 +4,7 @@ import gc
 import itertools
 import os
 import struct
-import sys
+import threading
 import tracemalloc
 import types
 import warnings
@@ -16,7 +16,7 @@ import pytest
 
 from mmexpr import (AdamState, DataFormatError, Graph, NonFiniteError, ShapeError, Tensor,
                     adam_step, backward)
-from mmexpr import optim, tensor
+from mmexpr import tensor
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from mmexpr.models import ExpressionModel, LstmSettings, ModelConfig, TransformerSettings
 from mmexpr.optim import BLOCK
@@ -769,35 +769,6 @@ class TestAdam:
             assert np.array_equal(state.m[k], ref_state.m[k])
             assert np.array_equal(state.v[k], ref_state.v[k])
 
-    def test_worker_split_gives_identical_bits(self):
-        rng = np.random.default_rng(42)
-        init = {f"w{i}": np.asarray(rng.standard_normal(s), np.float32)
-                for i, s in enumerate([(7,), (BLOCK + 3,), (), (3 * BLOCK - 1,)])}
-        grads = {k: np.asarray(rng.standard_normal(a.shape), np.float32)
-                 for k, a in init.items()}
-        coeffs = tuple(np.float32(c) for c in (0.9, 0.1, 0.999, 1e-3, 1e-3, 1e-8, 1e-2))
-        runs = []
-        # frequent thread switches, and one more thread than cores, so a block
-        # taken twice or never from the shared iterator would change the bits
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, optim._WORKERS + 1):
-                params = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
-                state = AdamState()
-                for _ in range(2):
-                    optim._run_blocks(optim._blocks(params, grads, state), coeffs, workers)
-                runs.append((params, state))
-        finally:
-            sys.setswitchinterval(interval)
-        p1, s1 = runs[0]
-        for p2, s2 in runs[1:]:
-            for k, a in init.items():
-                assert not np.array_equal(p1[k].data, a)
-                assert np.array_equal(p1[k].data, p2[k].data)
-                assert np.array_equal(s1.m[k], s2.m[k])
-                assert np.array_equal(s1.v[k], s2.v[k])
-
     @pytest.mark.parametrize("bad", [None, np.ones(4, np.float32)], ids=["missing", "shape"])
     def test_bad_grad_raises_before_any_update(self, bad):
         first = Tensor(np.arange(3.0), requires_grad=True)
@@ -821,16 +792,20 @@ class TestAdam:
         assert np.isneginf(edge.data).all() and np.isfinite(fine.data).all()
         assert fine.checked is fine.data and edge.checked is not edge.data
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_blocks_returns_the_nonfinite_names(self, workers):
+    def test_nan_in_a_later_block_names_the_parameter(self):
         params = {"a": Tensor(np.ones(BLOCK + 3), requires_grad=True),
                   "b": Tensor(np.ones(2 * BLOCK), requires_grad=True)}
         grads = {"a": np.ones(BLOCK + 3, np.float32), "b": np.ones(2 * BLOCK, np.float32)}
         grads["b"][BLOCK + 1] = np.nan  # only the second block of b goes bad
-        coeffs = tuple(np.float32(c) for c in (0.9, 0.1, 0.999, 1e-3, 1e-3, 1e-8, 1e-2))
-        blocks = optim._blocks(params, grads, AdamState())
-        assert optim._run_blocks(blocks, coeffs, workers) == {"b"}
+        with pytest.raises(NonFiniteError, match="'b'"):
+            adam_step(params, grads, AdamState(lr=1e-2))
         assert np.isnan(params["b"].data[BLOCK + 1])
+        assert params["a"].checked is params["a"].data and params["b"].checked is None
+
+    def test_multi_block_update_starts_no_thread(self):
+        p = Tensor(np.ones(3 * BLOCK + 1), requires_grad=True)
+        adam_step({"p": p}, {"p": np.ones(3 * BLOCK + 1, np.float32)}, AdamState())
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("adam")]
 
     def test_update_marks_parameters_checked_and_skips_their_scan(self, monkeypatch):
         p = Tensor(np.ones((2, 2)), requires_grad=True, name="w")

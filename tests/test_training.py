@@ -441,9 +441,7 @@ class TestStreamedUpdate:
             assert s_stream.v[name].tobytes() == s_plain.v[name].tobytes(), name
 
     def test_streamed_update_holds_only_the_gradients_in_flight(self):
-        # one-block parameters only, so no helper thread's scratch buffer
-        # makes the peaks depend on thread timing
-        model, _ = stream_model("transformer", ffn_dim=1000, layers=3)
+        model, _ = stream_model("transformer", layers=3)
         params = model.parameters()
         state = AdamState(lr=1e-3)
         rng = np.random.default_rng(9)
