@@ -792,14 +792,17 @@ class TestAdam:
         assert np.isneginf(edge.data).all() and np.isfinite(fine.data).all()
         assert fine.checked is fine.data and edge.checked is not edge.data
 
-    def test_nan_in_a_later_block_names_the_parameter(self):
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_run_blocks_returns_the_nonfinite_names(self, block):
         params = {"a": Tensor(np.ones(BLOCK + 3), requires_grad=True),
-                  "b": Tensor(np.ones(2 * BLOCK), requires_grad=True)}
-        grads = {"a": np.ones(BLOCK + 3, np.float32), "b": np.ones(2 * BLOCK, np.float32)}
-        grads["b"][BLOCK + 1] = np.nan  # only the second block of b goes bad
+                  "b": Tensor(np.ones(3 * BLOCK), requires_grad=True)}
+        grads = {"a": np.ones(BLOCK + 3, np.float32), "b": np.ones(3 * BLOCK, np.float32)}
+        bad = block * BLOCK + 1
+        grads["b"][bad] = np.nan  # only one later block of b goes bad
         with pytest.raises(NonFiniteError, match="'b'"):
             adam_step(params, grads, AdamState(lr=1e-2))
-        assert np.isnan(params["b"].data[BLOCK + 1])
+        assert np.isnan(params["b"].data[bad])
+        assert np.isfinite(np.delete(params["b"].data, bad)).all()
         assert params["a"].checked is params["a"].data and params["b"].checked is None
 
     def test_multi_block_update_starts_no_thread(self):
