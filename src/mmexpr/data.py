@@ -299,21 +299,10 @@ def imputation_plan(present: np.ndarray) -> list[tuple[int, int]]:
 
 # -- segmentation --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SegmentSpan:
-    """One window of frames, 1-based inclusive on both ends."""
-
-    index: int
-    start: int
-    end: int
-
-
-def segment_video(n_frames: int, seg_len: int, stride: int) -> list[SegmentSpan]:
-    """Split frames 1..n into floor(n/stride)+1 candidate windows of seg_len.
-
-    Candidates starting past the last frame are pruned and the final window
-    is truncated at n, so the result covers every frame and is never empty.
-    """
+def segment_video(n_frames: int, seg_len: int, stride: int) -> list[tuple[int, int]]:
+    """The (start, end) frames, 1-based inclusive, of the windows of ``seg_len``
+    frames starting at frames 1, 1 + stride, ... <= n; each is truncated at n,
+    so the windows cover every frame and there is at least one."""
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     if seg_len < 1:
@@ -321,20 +310,13 @@ def segment_video(n_frames: int, seg_len: int, stride: int) -> list[SegmentSpan]
     if not 1 <= stride <= seg_len:
         raise ValueError(
             f"stride must be in [1, segment length]; got stride={stride}, length={seg_len}")
-    spans = []
-    candidates = n_frames // stride + 1
-    for i in range(1, candidates + 1):
-        start = (i - 1) * stride + 1
-        if start > n_frames:
-            continue
-        end = min(start + seg_len - 1, n_frames)
-        spans.append(SegmentSpan(index=len(spans) + 1, start=start, end=end))
-    return spans
+    return [(start, min(start + seg_len - 1, n_frames))
+            for start in range(1, n_frames + 1, stride)]
 
 
 @dataclass
 class Segment:
-    """Contiguous window of fused-input features with labels and validity."""
+    """Window ``index`` (from 1) of a video: frames ``start``..``end``, with their data."""
 
     index: int
     start: int
@@ -361,13 +343,9 @@ class VideoData:
         return self.features.shape[1]
 
     def segments(self, seg_len: int, stride: int) -> list[Segment]:
-        out = []
-        for span in segment_video(self.n_frames, seg_len, stride):
-            sl = slice(span.start - 1, span.end)
-            out.append(Segment(span.index, span.start, span.end,
-                               self.features[sl], self.labels[sl],
-                               self.labels[sl] != INVALID_LABEL))
-        return out
+        spans = enumerate(segment_video(self.n_frames, seg_len, stride), 1)
+        return [Segment(i, start, end, self.features[start - 1:end], self.labels[start - 1:end],
+                        self.labels[start - 1:end] != INVALID_LABEL) for i, (start, end) in spans]
 
 
 # -- manifest ---------------------------------------------------------------------

@@ -7,7 +7,8 @@ a per-segment transformer encoder that treats segments independently. Both
 answer ``encode_segment(g, x, state, masks, passes, windows) -> (out, state)``:
 the state is a value the caller passes from one segment (or stack of
 segments) to the next, starting each video at None; the models hold none of
-it. A two-hidden-layer ReLU head produces 8-way logits.
+it. A two-hidden-layer ReLU head produces 8-way logits. ``parameter`` makes
+every trainable tensor and ``drop`` applies every dropout site.
 
 The two RDrop passes of a segment run as one stack of rows: ``out`` holds
 ``passes`` copies of the segment's frames, one after the other, and every
@@ -106,18 +107,27 @@ def xavier(rng, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
     return rng.uniform(-limit, limit, shape or (fan_in, fan_out)).astype(DTYPE)
 
 
+def parameter(params: dict, name: str, data) -> Tensor:
+    """A trainable tensor, added to ``params`` (whose order the checkpoint keeps)."""
+    params[name] = Tensor(data, requires_grad=True, name=name)
+    return params[name]
+
+
+def drop(g: Graph, x: Tensor, rate: float, masks) -> Tensor:
+    """Dropout with the next of ``masks``; identity in eval (``masks`` None) or at rate 0."""
+    if masks is not None and rate > 0.0:
+        return g.dropout(x, rate, mask=next(masks))
+    return x
+
+
 class FusionLayer:
     """Concat-then-affine map from modality vectors to d_model (no activation)."""
 
     def __init__(self, input_dim: int, d_model: int, rng, params: dict, prefix="fusion"):
         self.input_dim = input_dim
         self.d_model = d_model
-        self.weight = Tensor(xavier(rng, input_dim, d_model), requires_grad=True,
-                             name=f"{prefix}.weight")
-        self.bias = Tensor(np.zeros(d_model, DTYPE), requires_grad=True,
-                           name=f"{prefix}.bias")
-        params[self.weight.name] = self.weight
-        params[self.bias.name] = self.bias
+        self.weight = parameter(params, f"{prefix}.weight", xavier(rng, input_dim, d_model))
+        self.bias = parameter(params, f"{prefix}.bias", np.zeros(d_model, DTYPE))
 
     def apply(self, g: Graph, fused_inputs: Tensor) -> Tensor:
         if fused_inputs.shape[-1] != self.input_dim:
@@ -140,16 +150,12 @@ class LstmEncoder:
         self.weights = []
         in_dim = input_dim
         for li in range(self.num_layers):
-            w_in = Tensor(xavier(rng, in_dim, 4 * self.hidden), requires_grad=True,
-                          name=f"lstm{li}.input_weight")
-            w_state = Tensor(xavier(rng, self.hidden, 4 * self.hidden), requires_grad=True,
-                             name=f"lstm{li}.state_weight")
+            w_in = parameter(params, f"lstm{li}.input_weight", xavier(rng, in_dim, 4 * self.hidden))
+            w_state = parameter(params, f"lstm{li}.state_weight",
+                                xavier(rng, self.hidden, 4 * self.hidden))
             bias_init = np.zeros(4 * self.hidden, DTYPE)
             bias_init[self.hidden:2 * self.hidden] = 1.0  # open forget gates at start
-            bias = Tensor(bias_init, requires_grad=True, name=f"lstm{li}.bias")
-            for t in (w_in, w_state, bias):
-                params[t.name] = t
-            self.weights.append((w_in, w_state, bias))
+            self.weights.append((w_in, w_state, parameter(params, f"lstm{li}.bias", bias_init)))
             in_dim = self.hidden
 
     def forward(self, g: Graph, x: Tensor, state=None, masks=None, passes: int = 1,
@@ -219,27 +225,23 @@ class TransformerEncoder:
             layer = {}
             for role in ("query", "key", "value", "out"):
                 scale = shrink if role == "out" else DTYPE(1)
-                layer[role + "_w"] = Tensor(xavier(rng, d_model, d_model) * scale,
-                                            requires_grad=True,
-                                            name=f"trm{li}.attn.{role}_weight")
-                layer[role + "_b"] = Tensor(np.zeros(d_model, DTYPE), requires_grad=True,
-                                            name=f"trm{li}.attn.{role}_bias")
-            layer["ffn_in_w"] = Tensor(xavier(rng, d_model, settings.ffn_dim), requires_grad=True,
-                                       name=f"trm{li}.ffn.in_weight")
-            layer["ffn_in_b"] = Tensor(np.zeros(settings.ffn_dim, DTYPE), requires_grad=True,
-                                       name=f"trm{li}.ffn.in_bias")
-            layer["ffn_out_w"] = Tensor(xavier(rng, settings.ffn_dim, d_model) * shrink,
-                                        requires_grad=True,
-                                        name=f"trm{li}.ffn.out_weight")
-            layer["ffn_out_b"] = Tensor(np.zeros(d_model, DTYPE), requires_grad=True,
-                                        name=f"trm{li}.ffn.out_bias")
+                layer[role + "_w"] = parameter(params, f"trm{li}.attn.{role}_weight",
+                                               xavier(rng, d_model, d_model) * scale)
+                layer[role + "_b"] = parameter(params, f"trm{li}.attn.{role}_bias",
+                                               np.zeros(d_model, DTYPE))
+            layer["ffn_in_w"] = parameter(params, f"trm{li}.ffn.in_weight",
+                                          xavier(rng, d_model, settings.ffn_dim))
+            layer["ffn_in_b"] = parameter(params, f"trm{li}.ffn.in_bias",
+                                          np.zeros(settings.ffn_dim, DTYPE))
+            layer["ffn_out_w"] = parameter(params, f"trm{li}.ffn.out_weight",
+                                           xavier(rng, settings.ffn_dim, d_model) * shrink)
+            layer["ffn_out_b"] = parameter(params, f"trm{li}.ffn.out_bias",
+                                           np.zeros(d_model, DTYPE))
             for norm in ("norm1", "norm2"):
-                layer[norm + "_gain"] = Tensor(np.ones(d_model, DTYPE), requires_grad=True,
-                                               name=f"trm{li}.{norm}.gain")
-                layer[norm + "_shift"] = Tensor(np.zeros(d_model, DTYPE), requires_grad=True,
-                                                name=f"trm{li}.{norm}.shift")
-            for t in layer.values():
-                params[t.name] = t
+                layer[norm + "_gain"] = parameter(params, f"trm{li}.{norm}.gain",
+                                                  np.ones(d_model, DTYPE))
+                layer[norm + "_shift"] = parameter(params, f"trm{li}.{norm}.shift",
+                                                   np.zeros(d_model, DTYPE))
             self.layers.append(layer)
 
     def dropout_sites(self, window: int) -> list:
@@ -251,11 +253,6 @@ class TransformerEncoder:
         per_layer = [(1, self.heads, window, window), (window, self.d_model),
                      (window, self.ffn_dim), (window, self.d_model)]
         return [(shape, self.dropout) for _ in self.layers for shape in per_layer]
-
-    def _drop(self, g, x, masks):
-        if masks is not None and self.dropout > 0.0:
-            return g.dropout(x, self.dropout, mask=next(masks))
-        return x
 
     def _split_heads(self, g, x, layer, role, passes, runs, axes):
         """The ``role`` projection of ``x`` as one (blocks, heads, ...) stack per
@@ -304,18 +301,18 @@ class TransformerEncoder:
             contexts = []
             for q, k, v in zip(qs, ks, vs):
                 attention = g.softmax(g.scale(g.matmul(q, k), inv_sqrt))
-                context = g.matmul(self._drop(g, attention, masks), v)
+                context = g.matmul(drop(g, attention, self.dropout, masks), v)
                 contexts.append(g.reshape(g.transpose(context, (0, 2, 1, 3)),
                                           (context.shape[0] * context.shape[2], self.d_model)))
             merged = contexts[0] if len(contexts) == 1 else g.concat(contexts)
-            projected = self._drop(
-                g, g.affine(merged, layer["out_w"], layer["out_b"], passes), masks)
+            projected = drop(
+                g, g.affine(merged, layer["out_w"], layer["out_b"], passes), self.dropout, masks)
             x = g.layer_norm(g.add(x, projected), layer["norm1_gain"], layer["norm1_shift"],
                              passes=passes)
-            mid = self._drop(
-                g, g.relu(g.affine(x, layer["ffn_in_w"], layer["ffn_in_b"], passes)), masks)
-            ffn = self._drop(
-                g, g.affine(mid, layer["ffn_out_w"], layer["ffn_out_b"], passes), masks)
+            mid = drop(g, g.relu(g.affine(x, layer["ffn_in_w"], layer["ffn_in_b"], passes)),
+                       self.dropout, masks)
+            ffn = drop(g, g.affine(mid, layer["ffn_out_w"], layer["ffn_out_b"], passes),
+                       self.dropout, masks)
             x = g.layer_norm(g.add(x, ffn), layer["norm2_gain"], layer["norm2_shift"],
                              passes=passes)
         return x
@@ -344,16 +341,12 @@ class ClassificationHead:
         self.stages = []
         in_dim = input_dim
         for i, size in enumerate(hidden_sizes):
-            w = Tensor(xavier(rng, in_dim, size), requires_grad=True, name=f"head.hidden{i}.weight")
-            b = Tensor(np.zeros(size, DTYPE), requires_grad=True, name=f"head.hidden{i}.bias")
-            params[w.name] = w
-            params[b.name] = b
-            self.stages.append((w, b))
+            self.stages.append((
+                parameter(params, f"head.hidden{i}.weight", xavier(rng, in_dim, size)),
+                parameter(params, f"head.hidden{i}.bias", np.zeros(size, DTYPE))))
             in_dim = size
-        self.out_w = Tensor(xavier(rng, in_dim, classes), requires_grad=True, name="head.out.weight")
-        self.out_b = Tensor(np.zeros(classes, DTYPE), requires_grad=True, name="head.out.bias")
-        params[self.out_w.name] = self.out_w
-        params[self.out_b.name] = self.out_b
+        self.out_w = parameter(params, "head.out.weight", xavier(rng, in_dim, classes))
+        self.out_b = parameter(params, "head.out.bias", np.zeros(classes, DTYPE))
 
     def dropout_sites(self, rows: int) -> list:
         """(shape, rate) of each dropout mask one pass over ``rows`` frames takes."""
@@ -366,9 +359,7 @@ class ClassificationHead:
         yields one dropout mask per hidden stage, and None runs without
         dropout (eval)."""
         for w, b in self.stages:
-            if masks is not None and self.dropout > 0.0:
-                x = g.dropout(x, self.dropout, mask=next(masks))
-            x = g.relu(g.affine(x, w, b, passes))
+            x = g.relu(g.affine(drop(g, x, self.dropout, masks), w, b, passes))
         return g.affine(x, self.out_w, self.out_b, passes)
 
 

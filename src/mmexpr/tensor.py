@@ -210,9 +210,6 @@ class Graph:
         hidden = self.apply("lstm_seq", (pre, state_weight, h0, c0), cell_out=cell)
         return hidden, Tensor(cell)
 
-    def backward(self, loss: Tensor, update=None):
-        backward(loss, self, update)
-
 
 def backward(loss: Tensor, graph: Graph, update=None) -> None:
     """Walk the tape in reverse and hand on d(loss)/d(leaf) for every

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .models import ExpressionModel, ModelConfig
 # collect_grads and zero_grads are not called here any more, but bench/tracing.py
 # wraps them by their name in this module
 from .optim import AdamState, adam_step, collect_grads, zero_grads  # noqa: F401
-from .tensor import DTYPE, Graph, Tensor
+from .tensor import DTYPE, Graph, Tensor, backward
 
 
 @dataclass
@@ -82,15 +82,19 @@ class ExperimentConfig(JsonConfig):
         return self.visual_features + self.audio_features
 
     def validate(self):
+        if self.seed < 0:
+            raise DataFormatError(f"seed must be >= 0, got {self.seed}")
         selection = ((self.visual_features, VISUAL), (self.audio_features, AUDIO))
         for names, modality in selection:
             if not names:
                 raise DataFormatError(f"config selects no {modality} feature sets")
         specs = feature_specs(self.registry_extra)
         for names, modality in selection:
-            for name in names:
+            for i, name in enumerate(names):
                 if feature_spec(specs, name).modality != modality:
                     raise DataFormatError(f"feature set {name!r} is not {modality}")
+                if name in names[:i]:
+                    raise DataFormatError(f"features.{modality} lists {name!r} twice")
         self.model.validate()
         self.training.validate()
         return self
@@ -160,10 +164,8 @@ def load_dataset(manifest: Manifest, config: ExperimentConfig) -> LoadedDataset:
     videos = {}
     for vid in dict.fromkeys(train_ids + val_ids):
         videos[vid] = load_video(manifest.video(vid), specs, config.feature_names())
-    dims = {v.input_dim for v in videos.values()}
-    if len(dims) != 1:
-        raise DataFormatError(f"videos disagree on fused input dim: {sorted(dims)}")
-    return LoadedDataset(videos, train_ids, val_ids, dims.pop())
+    # every video's matrix is allocated as the sum of the selected specs' dims
+    return LoadedDataset(videos, train_ids, val_ids, videos[train_ids[0]].input_dim)
 
 
 # -- prediction -----------------------------------------------------------------------
@@ -278,7 +280,7 @@ def _train_step(model, batch, adam, alpha, dropout_rng, where):
             return None  # every frame masked; the batch contributes nothing
         value = loss.item()
         # each parameter is updated as soon as the walk completes its gradient
-        g.backward(loss, lambda grads: adam_step(model.parameters(), grads, adam))
+        backward(loss, g, lambda grads: adam_step(model.parameters(), grads, adam))
     except NonFiniteError as exc:
         raise NumericError(f"non-finite value at {where}: {exc}") from exc
     return value, int(mask.sum())
@@ -290,11 +292,11 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
 
     Writes resolved_config.json, train_log.jsonl (one record per epoch with
     epoch, train_loss, val_macro_f1, per_class_f1 and wall_ms) and best.ckpt
-    into the config's output directory.
+    into the config's output directory. ``seed`` overrides the config's seed.
     """
+    if seed is not None:
+        config = replace(config, seed=int(seed))
     config.validate()
-    if seed is None:
-        seed = config.seed
     if manifest is None:
         manifest = load_manifest(config.manifest)
     dataset = load_dataset(manifest, config)
@@ -305,13 +307,12 @@ def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     resolved = config.to_json()
-    resolved["seed"] = int(seed)
     resolved["fused_input_dim"] = dataset.input_dim
     resolved["feature_order"] = {"visual": list(config.visual_features),
                                  "audio": list(config.audio_features)}
     write_json(os.path.join(out_dir, "resolved_config.json"), resolved)
 
-    streams = np.random.SeedSequence(seed).spawn(3)
+    streams = np.random.SeedSequence(config.seed).spawn(3)
     init_rng = np.random.default_rng(streams[0])
     order_rng = np.random.default_rng(streams[1])
     dropout_rng = np.random.default_rng(streams[2])

@@ -275,6 +275,20 @@ def split_dropout_masks(flat, trm_layers, heads, head_stages):
     return tuple((enc[p] if trm_layers else None, heads_per_pass[p]) for p in range(2))
 
 
+# -- segmentation -----------------------------------------------------------------
+
+def segment_video(n_frames, seg_len, stride):
+    """(start, end) windows as first written: n // stride + 1 candidate windows,
+    the ones that start past the last frame pruned, the rest cut at n."""
+    spans = []
+    for i in range(1, n_frames // stride + 2):
+        start = (i - 1) * stride + 1
+        if start > n_frames:
+            continue
+        spans.append((start, min(start + seg_len - 1, n_frames)))
+    return spans
+
+
 # -- metrics ----------------------------------------------------------------------
 
 def brute_force_macro_f1(labels, predictions, mask, classes=8):

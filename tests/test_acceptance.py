@@ -256,9 +256,9 @@ class TestCriterion2LstmCarryover:
                 g = Graph(record=False)
                 full, _ = enc.forward(g, Tensor(x))
                 pieces, state = [], None
-                for span in segment_video(n, seg_len, seg_len):
+                for start, end in segment_video(n, seg_len, seg_len):
                     piece, state = enc.encode_segment(
-                        g, Tensor(x[span.start - 1:span.end]), state)
+                        g, Tensor(x[start - 1:end]), state)
                     pieces.append(piece.data)
                 diff = float(np.abs(np.vstack(pieces) - full.data).max())
                 assert diff < 1e-5, f"l=p={seg_len}: diff {diff}"
@@ -371,8 +371,8 @@ class TestCriterion5Segmentation:
         for n in range(1, 1001):
             spans = segment_video(n, 128, 128)
             counts = np.zeros(n, np.int64)
-            for s in spans:
-                counts[s.start - 1:s.end] += 1
+            for start, end in spans:
+                counts[start - 1:end] += 1
             assert (counts == 1).all(), f"n={n}: coverage not exactly once"
             candidates = n // 128 + 1
             pruned = 1 if n % 128 == 0 else 0

@@ -560,6 +560,9 @@ BAD_CONFIGS = [
     pytest.param(_set("training.lr", 0), "training.lr", id="lr-0"),
     pytest.param(_set("training.lr", float("nan")), "training.lr", id="lr-nan"),
     pytest.param(_set("training.alpha", float("nan")), "training.alpha", id="alpha-nan"),
+    pytest.param(_set("seed", -5), "seed must be >= 0, got -5", id="seed-negative"),
+    pytest.param(_set("features.visual", ["synthvis", "synthvis"]),
+                 "features.visual lists 'synthvis' twice", id="visual-set-twice"),
 ]
 
 
@@ -574,6 +577,14 @@ class TestConfigChecks:
         write_json(str(tmp_path / "bad.json"), doc)
         assert run_cli("train", "--config", tmp_path / "bad.json") == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "run" / "resolved_config.json").exists()
+
+    def test_negative_seed_option_exits_2_before_writing(self, synth_dir, tmp_path, capsys):
+        doc = small_config_doc(manifest=str(synth_dir / "manifest.json"),
+                               out=str(tmp_path / "run"), epochs=1)
+        write_json(str(tmp_path / "config.json"), doc)
+        assert run_cli("train", "--config", tmp_path / "config.json", "--seed", -1) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "run" / "resolved_config.json").exists()
 
     def test_encoder_option_is_validated_before_writing(self, synth_dir, tmp_path, capsys):

@@ -326,16 +326,24 @@ class TestAssembly:
 class TestSegmentation:
     def test_300_frames_three_segments(self):
         spans = segment_video(300, 128, 128)
-        assert [(s.start, s.end) for s in spans] == [(1, 128), (129, 256), (257, 300)]
-        assert [s.index for s in spans] == [1, 2, 3]
+        assert spans == [(1, 128), (129, 256), (257, 300)]
+        video = VideoData("v", np.zeros(300, np.int64), np.zeros((300, 1), np.float32))
+        assert [s.index for s in video.segments(128, 128)] == [1, 2, 3]
 
     def test_short_video_single_segment(self):
         spans = segment_video(100, 128, 128)
-        assert [(s.start, s.end) for s in spans] == [(1, 100)]
+        assert spans == [(1, 100)]
 
     def test_exact_multiple_prunes_empty_candidate(self):
         spans = segment_video(256, 128, 128)
-        assert [(s.start, s.end) for s in spans] == [(1, 128), (129, 256)]
+        assert spans == [(1, 128), (129, 256)]
+
+    @pytest.mark.parametrize("seg_len", [1, 2, 3, 7, 16, 128])
+    def test_windows_equal_the_candidate_and_prune_reference(self, seg_len):
+        for n in range(1, 400):
+            for stride in range(1, seg_len + 1):
+                expected = ref.segment_video(n, seg_len, stride)
+                assert segment_video(n, seg_len, stride) == expected, f"n={n} l={seg_len} p={stride}"
 
     def test_stride_larger_than_length_rejected(self):
         with pytest.raises(ValueError, match="stride"):
@@ -346,9 +354,9 @@ class TestSegmentation:
     def test_no_overlap_coverage_is_exact(self, n, seg_len):
         spans = segment_video(n, seg_len, seg_len)
         counts = np.zeros(n, dtype=int)
-        for s in spans:
-            assert 1 <= s.start <= s.end <= n
-            counts[s.start - 1:s.end] += 1
+        for start, end in spans:
+            assert 1 <= start <= end <= n
+            counts[start - 1:end] += 1
         assert (counts == 1).all()
         assert len(spans) <= n // seg_len + 1
 
@@ -358,8 +366,8 @@ class TestSegmentation:
         stride = data.draw(st.integers(1, seg_len))
         spans = segment_video(n, seg_len, stride)
         counts = np.zeros(n, dtype=int)
-        for s in spans:
-            counts[s.start - 1:s.end] += 1
+        for start, end in spans:
+            counts[start - 1:end] += 1
         assert (counts >= 1).all()
 
     def test_video_segments_carry_labels_and_mask(self):

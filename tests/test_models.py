@@ -110,8 +110,8 @@ class TestLstmEncoder:
         g = Graph(record=False)
         full, _ = enc.forward(g, Tensor(x))
         pieces, state = [], None
-        for span in segment_video(n, seg_len, seg_len):
-            piece, state = enc.encode_segment(g, Tensor(x[span.start - 1:span.end]), state)
+        for start, end in segment_video(n, seg_len, seg_len):
+            piece, state = enc.encode_segment(g, Tensor(x[start - 1:end]), state)
             pieces.append(piece.data)
         np.testing.assert_allclose(np.vstack(pieces), full.data, atol=1e-5)
 
@@ -162,9 +162,9 @@ class TestLstmEncoder:
         features = stored["features"]
         logits, encoded = [], []
         model_state = encoder_state = None
-        for span in segment_video(len(features), 4, 4):
+        for start, end in segment_video(len(features), 4, 4):
             g = Graph(record=False)
-            x = features[span.start - 1:span.end]
+            x = features[start - 1:end]
             out, model_state = model.eval_logits(g, x, model_state)
             logits.append(out.data)
             fused = model.fusion.apply(g, Tensor(x))
@@ -492,6 +492,20 @@ class TestExpressionModel:
         a = model.eval_logits(g, feats)[0].data
         b = clone.eval_logits(g, feats)[0].data
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("fixture", ["lstm_per_frame", "trm_per_head"])
+    def test_parameter_order_is_the_checkpoint_layout(self, fixture):
+        """The parameters are made in the order the fixtures' checkpoints list
+        them, and ``save_checkpoint`` writes them in ``parameters()`` order."""
+        if fixture == "lstm_per_frame":
+            cfg = ModelConfig(encoder="lstm", d_model=8, head=(6, 4), seg_len=4, stride=4)
+            cfg.lstm = LstmSettings(hidden=6, layers=2)
+        else:
+            cfg = tiny_config("transformer", seg_len=5, stride=5, d_model=8, ffn_dim=12,
+                              head=(6, 4))
+        model = ExpressionModel(cfg, 5, np.random.default_rng(0))
+        path = os.path.join(os.path.dirname(__file__), "fixtures", fixture + ".ckpt")
+        assert list(model.parameters()) == list(load_checkpoint(path))
 
     def test_config_json_roundtrip(self):
         cfg = tiny_config("transformer", positional_encoding=False)

@@ -581,6 +581,27 @@ class TestExperimentConfig:
         with pytest.raises(DataFormatError, match=f"training.{field}"):
             TrainingSettings.from_json(json.loads(json.dumps({field: value})), "training")
 
+    @pytest.mark.parametrize("section", ["visual", "audio"])
+    def test_set_listed_twice_rejected(self, tmp_path, section):
+        doc = tiny_experiment(tmp_path, "lstm").to_json()
+        doc["features"][section] *= 2
+        name = doc["features"][section][0]
+        with pytest.raises(DataFormatError, match=f"features.{section} lists '{name}' twice"):
+            ExperimentConfig.from_json(doc)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        doc = tiny_experiment(tmp_path, "lstm").to_json()
+        doc["seed"] = -5
+        with pytest.raises(DataFormatError, match="seed must be >= 0, got -5"):
+            ExperimentConfig.from_json(doc)
+
+    def test_negative_seed_argument_rejected_before_writing(self, tmp_path):
+        cfg = tiny_experiment(tmp_path, "lstm")
+        with pytest.raises(DataFormatError, match="seed must be >= 0, got -1"):
+            train(cfg, seed=-1)
+        assert not (tmp_path / "run" / "resolved_config.json").exists()
+        assert cfg.seed == 11  # the argument does not change the caller's config
+
     def test_empty_selection_rejected(self):
         with pytest.raises(DataFormatError, match="no visual"):
             ExperimentConfig(visual_features=[], audio_features=["hubert"]).validate()
