@@ -9,10 +9,12 @@ manifest are all read.
 import contextlib
 import csv
 import functools
+import io
 import json
 import os
 import tempfile
 import types
+import warnings
 from dataclasses import MISSING, fields
 from typing import get_args, get_origin, get_type_hints
 
@@ -71,28 +73,48 @@ def resolve_beside(base_file, path: str) -> str:
 
 
 class CsvTable:
-    """The records of the UTF-8 CSV file ``path``, read in one ``csv.reader`` pass.
+    """The records of the UTF-8 CSV file ``path``.
 
-    ``header`` is the first record, ``rows`` the non-blank records after it
-    and ``lines[i]`` the record number of ``rows[i]``, the header's being 1.
-    A file without records raises ``DataFormatError`` naming it as an empty
-    ``what`` file. A byte that is not UTF-8 or a field the csv module refuses
-    ends the read. The records before it are kept, so that a fault in them is
-    reported first, as a row-by-row reader would; ``columns`` raises the read
-    fault only once they pass.
+    ``header`` is the first record. A plain file, as the package's writers
+    write, has an ASCII header line without ``"``, CR or NUL, no line blank or
+    past the csv field size limit, and only the bytes ``0-9.eE+-,`` and LF
+    after its header, where NumPy's parsers read a token as ``int`` and
+    ``float`` do. ``columns`` parses its body in one ``np.loadtxt`` call.
+    Any other file, or a plain one that call refuses or a rule faults, is read
+    in one ``csv.reader`` pass, which defines the format and words each fault:
+    ``rows`` are the non-blank records after the header and ``lines[i]`` is the
+    record number of ``rows[i]``, the header's being 1. A file without records
+    raises ``DataFormatError`` naming it as an empty ``what`` file. A byte that
+    is not UTF-8 or a field the csv module refuses ends the read. The records
+    before it are kept, so that a fault in them is reported first, as a
+    row-by-row reader would; ``columns`` raises the read fault only once they
+    pass.
     """
 
     def __init__(self, path, what: str):
-        self.path = path
+        self.path, self.what = path, what
+        with open(path, "rb") as fh:
+            self.data = fh.read()
+        lines = self.data.split(b"\n")
+        self.n_rows = len(lines) - 1 - (lines[-1] == b"")  # the lines after the header
+        self.plain = (len(lines) > 1 and b"" not in lines[:-1] and lines[0].isascii()
+                      and not any(c in lines[0] for c in b'"\r\0')
+                      and not self.data[len(lines[0]):].translate(None, b"0123456789.eE+-,\n")
+                      and max(map(len, lines)) <= csv.field_size_limit())
+        if self.plain:
+            self.header = lines[0].decode().split(",")
+        else:
+            self._read()
+
+    def _read(self) -> None:
         self.read_error = None
         records = []
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                records.extend(csv.reader(fh))  # keeps the records read before a fault
+        try:  # extend keeps the records read before a fault
+            records.extend(csv.reader(io.TextIOWrapper(io.BytesIO(self.data), "utf-8", newline="")))
         except (UnicodeDecodeError, csv.Error) as exc:
-            self.read_error = DataFormatError(f"{path}: {exc}")
+            self.read_error = DataFormatError(f"{self.path}: {exc}")
         if not records:
-            raise self.read_error or DataFormatError(f"{path}: empty {what} file")
+            raise self.read_error or DataFormatError(f"{self.path}: empty {self.what} file")
         self.header, *body = records
         self.rows = list(filter(None, body))
         self.lines = (np.arange(2, len(body) + 2) if len(self.rows) == len(body)
@@ -111,6 +133,21 @@ class CsvTable:
         a field its type refuses (``malformed``); else that row; else the read
         fault.
         """
+        if self.plain:
+            dtype = [(str(c), np.int64 if t is int else np.float64) for c, t in enumerate(types)]
+            try:  # NumPy < 2 warns as it reads 1.0 into an int column: a refusal here
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    table = np.loadtxt(io.StringIO(self.data.partition(b"\n")[2].decode()), dtype,
+                                       comments=None, delimiter=",", ndmin=1)
+            except (ValueError, OverflowError, Warning):
+                table = None
+            if table is not None and len(table) == self.n_rows:
+                arrays = [table[name].copy() for name, _ in dtype]  # copies free the row records
+                records = np.arange(1, len(table) + 1)
+                if not any(mask(records, *arrays).any() for mask, _ in rules):
+                    return arrays
+            self._read()
         width, rows = len(types), self.rows
         lengths = list(map(len, rows))
         end = min(map(lengths.index, set(lengths) - {width}), default=len(rows))

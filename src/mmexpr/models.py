@@ -123,11 +123,11 @@ def drop(g: Graph, x: Tensor, rate: float, masks) -> Tensor:
 class FusionLayer:
     """Concat-then-affine map from modality vectors to d_model (no activation)."""
 
-    def __init__(self, input_dim: int, d_model: int, rng, params: dict, prefix="fusion"):
+    def __init__(self, input_dim: int, d_model: int, rng, params: dict):
         self.input_dim = input_dim
         self.d_model = d_model
-        self.weight = parameter(params, f"{prefix}.weight", xavier(rng, input_dim, d_model))
-        self.bias = parameter(params, f"{prefix}.bias", np.zeros(d_model, DTYPE))
+        self.weight = parameter(params, "fusion.weight", xavier(rng, input_dim, d_model))
+        self.bias = parameter(params, "fusion.bias", np.zeros(d_model, DTYPE))
 
     def apply(self, g: Graph, fused_inputs: Tensor) -> Tensor:
         if fused_inputs.shape[-1] != self.input_dim:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -286,16 +286,13 @@ def _train_step(model, batch, adam, alpha, dropout_rng, where):
     return value, int(mask.sum())
 
 
-def train(config: ExperimentConfig, seed=None, manifest: Manifest | None = None,
-          log_fn=None) -> TrainResult:
+def train(config: ExperimentConfig, manifest: Manifest | None = None, log_fn=None) -> TrainResult:
     """Run the full training loop and retain the best-validation checkpoint.
 
     Writes resolved_config.json, train_log.jsonl (one record per epoch with
     epoch, train_loss, val_macro_f1, per_class_f1 and wall_ms) and best.ckpt
-    into the config's output directory. ``seed`` overrides the config's seed.
+    into the config's output directory.
     """
-    if seed is not None:
-        config = replace(config, seed=int(seed))
     config.validate()
     if manifest is None:
         manifest = load_manifest(config.manifest)

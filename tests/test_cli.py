@@ -1,12 +1,16 @@
 """End-to-end command-line workflows on small synthetic datasets."""
 
+import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mmexpr
 from mmexpr import data
 from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from mmexpr.cli import main
@@ -684,3 +688,39 @@ class TestConfigChecks:
         assert self._predict(synth_dir, trained_run, tmp_path, arrays) == 2
         assert "fusion.weight" in capsys.readouterr().err
         assert not (tmp_path / "preds").exists()
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("encoder", ["transformer", "lstm"])
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path, encoder):
+        """Train and predict in fresh interpreters at 1, 2 and 4 BLAS threads.
+        At d_model 256 and l = 128 each transformer projection is 8.4M
+        multiply-adds, which OpenBLAS splits across its threads."""
+        assert run_cli("synth", "--out", tmp_path, "--videos", 2, "--frames", 256,
+                       "--visual-dim", 8, "--audio-dim", 4, "--seed", 0) == 0
+        doc = small_config_doc(encoder=encoder, epochs=2)
+        doc["model"].update(d_model=256, segment={"l": 128, "p": 128}, lstm={"hidden": 256, "layers": 1})
+        doc["model"]["transformer"].update(heads=4, ffn_dim=512)
+        write_json(str(tmp_path / "config.json"), doc)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mmexpr.__file__)))
+        digests = {}
+        script = "import sys; from mmexpr.cli import main; sys.exit(main(sys.argv[1:6]) or main(sys.argv[6:]))"
+        for threads in ("1", "2", "4"):
+            run, preds = tmp_path / f"run{threads}", tmp_path / f"preds{threads}"
+            argv = ["train", "--config", tmp_path / "config.json", "--out", run,
+                    "predict", "--checkpoint", run / "best.ckpt", "--manifest", tmp_path / "manifest.json",
+                    "--split", "val", "--out", preds]
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            result = subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            log = [json.loads(line) for line in (run / "train_log.jsonl").read_text().splitlines()]
+            for record in log:
+                del record["wall_ms"]
+            files = [(run / "best.ckpt").read_bytes(), json.dumps(log).encode()]
+            files += [path.read_bytes() for path in sorted(preds.glob("*.csv"))]
+            digests[threads] = [hashlib.sha256(f).hexdigest() for f in files]
+        assert len(digests["1"]) == 4  # checkpoint, log and two prediction files
+        assert digests["2"] == digests["1"]
+        assert digests["4"] == digests["1"]

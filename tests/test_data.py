@@ -1,5 +1,6 @@
 """Data pipeline: label parsing, feature files, repair, assembly, segmentation."""
 
+import csv
 import json
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mmexpr import fileio
 from mmexpr.data import (
     FeatureSpec,
     FeatureTrack,
@@ -26,6 +28,7 @@ from mmexpr.data import (
     segment_video,
     write_feature_file,
 )
+from mmexpr.ensemble import PREDICTION_HEADER, PredictionTrack, read_predictions, write_predictions
 from mmexpr.errors import DataFormatError
 from mmexpr.training import ExperimentConfig
 
@@ -187,6 +190,68 @@ class TestLoadLabels:
             assert expected in outcome
         else:
             assert load_labels(str(p), n_frames).labels.tolist() == expected
+
+
+def _count_csv_reads(monkeypatch):
+    """Patch ``csv.reader`` to count its calls; returns the count list."""
+    calls, reader = [], csv.reader
+    monkeypatch.setattr(fileio.csv, "reader", lambda *args, **kw: calls.append(1) or reader(*args, **kw))
+    return calls
+
+
+class TestCsvReadPath:
+    """Plain files, which the writers write, are parsed by NumPy; every other
+    file reads as before through ``csv.reader``."""
+
+    def test_written_files_read_without_csv_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        pred, label = tmp_path / "p.csv", tmp_path / "l.csv"
+        write_predictions(PredictionTrack.from_probs("p", rng.dirichlet(np.ones(8), 300)), str(pred))
+        save_labels(LabelTrack("l", rng.integers(-1, 8, 300)), str(label))
+        expected = (ref.read_outcome(ref.read_predictions, pred),
+                    ref.read_outcome(ref.load_labels, label, n_frames=300))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+        monkeypatch.setattr(fileio.csv, "reader", refuse)
+        assert (ref.read_outcome(read_predictions, pred),
+                ref.read_outcome(load_labels, label, n_frames=300)) == expected
+
+    @pytest.mark.parametrize("data, expected, through_csv", [
+        (b'frame,label\n"1",0\n2,5\n', [0, 5], True),
+        (b"frame,label\r\n1,0\r\n2,5\r\n", [0, 5], True),
+        (b"frame,label\n 1,0\n2,5\n", [0, 5], True),
+        (b"frame,label\n1,0\n2,1_0\n", "line 3: label 10 outside", True),
+        (b"frame,label\n+1,0\n2,+5\n", [0, 5], False),
+    ], ids=["quoted-field", "crlf", "space", "underscore", "plus-sign"])
+    def test_label_file_path_and_outcome(self, tmp_path, monkeypatch, data, expected, through_csv):
+        p = tmp_path / "v.csv"
+        p.write_bytes(data)
+        oracle = ref.read_outcome(ref.load_labels, p, n_frames=2)
+        calls = _count_csv_reads(monkeypatch)
+        outcome = ref.read_outcome(load_labels, p, n_frames=2)
+        assert bool(calls) == through_csv
+        assert outcome == oracle
+        if isinstance(expected, str):
+            assert expected in outcome
+        else:
+            assert load_labels(str(p), 2).labels.tolist() == expected
+
+    def test_field_past_the_csv_field_limit_is_refused_as_before(self, tmp_path):
+        p = tmp_path / "v.csv"
+        long_zero = "0." + "0" * csv.field_size_limit()
+        p.write_text(",".join(PREDICTION_HEADER) + f"\n1,0,1,0,0,0,0,0,0,{long_zero}\n")
+        with pytest.raises(DataFormatError, match="field larger than field limit"):
+            read_predictions(str(p))
+
+    def test_blank_line_shifts_the_frame_index_through_csv_reader(self, tmp_path, monkeypatch):
+        p = tmp_path / "v.csv"
+        rows = "".join(f"{f},0,1,0,0,0,0,0,0,0\n" for f in (1, 2, 3))
+        p.write_text(",".join(PREDICTION_HEADER) + "\n" + rows.replace("\n2,", "\n\n2,"))
+        calls = _count_csv_reads(monkeypatch)
+        with pytest.raises(DataFormatError, match="line 4: frame index 2, expected 3"):
+            read_predictions(str(p))
+        assert calls
 
 
 class TestImputation:

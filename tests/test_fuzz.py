@@ -3,11 +3,12 @@
 A valid TFCK checkpoint, MMFT feature file, label CSV, prediction CSV and
 manifest, each written by the package's own writer, are mutated by byte
 flips, truncation and extension. Any other exception fails the test. On
-those mutants, and on ones with one CSV field swapped, the label and
-prediction readers must also give what the row-wise readers in
-``tests/_reference.py`` give: the same arrays, or the same message. An
-experiment config with any one value swapped for an arbitrary JSON value
-reads or raises DataFormatError.
+those mutants, on ones with one CSV field swapped (also deep in a 2,000-row
+prediction file) and on ones with a blank line, CRLF line ends, a trailing
+comma or no final newline, the label and prediction readers must also give
+what the row-wise readers in ``tests/_reference.py`` give: the same arrays,
+or the same message. An experiment config with any one value swapped for an
+arbitrary JSON value reads or raises DataFormatError.
 """
 
 import numpy as np
@@ -97,9 +98,13 @@ def mutants(draw, raw: bytes) -> bytes:
     return bytes(out)
 
 
+# the last two lines are made of the bytes of a plain file, which NumPy's reader
+# parses: it must accept and refuse there what int and float do
 _FIELDS = st.integers(-3, 10).map(lambda v: str(v).encode()) | st.sampled_from(
     [b"", b"x", b" 3", b'"4"', b"0.5", b"nan", b"inf", b"1e400", b"99999999999999999999",
-     b"9223372036854775808", b"-9223372036854775809", b"+3", b"1_0"])
+     b"9223372036854775808", b"-9223372036854775809", b"+3", b"1_0",
+     b"1.0", b"1e0", b"007", b"-0", b"-9223372036854775808",
+     b"5.", b".5", b".", b"1e", b"1E+05", b"1e-400"])
 
 
 @st.composite
@@ -110,6 +115,24 @@ def field_swaps(draw, raw: bytes) -> bytes:
     fields = lines[draw(st.integers(0, len(lines) - 1))]
     fields[draw(st.integers(0, len(fields) - 1))] = draw(_FIELDS)
     return b"\n".join(b",".join(fields) for fields in lines)
+
+
+@st.composite
+def line_changes(draw, raw: bytes) -> bytes:
+    """``raw`` with a blank line inserted, its first k line ends made CRLF, a
+    comma appended to one line or its final newline dropped."""
+    kind = draw(st.sampled_from(["blank", "crlf", "comma", "unterminated"]))
+    if kind == "crlf":
+        return raw.replace(b"\n", b"\r\n", draw(st.integers(1, raw.count(b"\n"))))
+    if kind == "unterminated":
+        return raw[:-1]
+    lines = raw.split(b"\n")
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "blank":
+        lines.insert(at, b"")
+    else:
+        lines[at] += b","
+    return b"\n".join(lines)
 
 
 @pytest.mark.parametrize("fmt", list(READERS))
@@ -131,8 +154,27 @@ def test_mutant_loads_or_raises_data_format_error(valid_files, fmt, data):
 def test_mutant_reads_as_the_row_wise_reader_reads_it(valid_files, fmt, data):
     root, files = valid_files
     path = root / f"{fmt}.differential"
-    path.write_bytes(data.draw(mutants(files[fmt]) | field_swaps(files[fmt])))
+    raw = files[fmt]
+    path.write_bytes(data.draw(mutants(raw) | field_swaps(raw) | line_changes(raw)))
     assert ref.read_outcome(READERS[fmt], path) == ref.read_outcome(ORACLES[fmt], path)
+
+
+@pytest.fixture(scope="module")
+def long_predictions(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz-long") / "long.csv"
+    rng = np.random.default_rng(1)
+    write_predictions(PredictionTrack.from_probs("v", rng.dirichlet(np.ones(8), 2000)), str(path))
+    return path, path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_field_swap_deep_in_a_long_file_reads_as_the_row_wise_reader_reads_it(
+        long_predictions, data):
+    path, raw = long_predictions
+    mutant = path.with_suffix(".mutant")
+    mutant.write_bytes(data.draw(field_swaps(raw)))
+    assert ref.read_outcome(read_predictions, mutant) == ref.read_outcome(ref.read_predictions, mutant)
 
 
 def _valid_config_doc():

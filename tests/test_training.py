@@ -595,13 +595,6 @@ class TestExperimentConfig:
         with pytest.raises(DataFormatError, match="seed must be >= 0, got -5"):
             ExperimentConfig.from_json(doc)
 
-    def test_negative_seed_argument_rejected_before_writing(self, tmp_path):
-        cfg = tiny_experiment(tmp_path, "lstm")
-        with pytest.raises(DataFormatError, match="seed must be >= 0, got -1"):
-            train(cfg, seed=-1)
-        assert not (tmp_path / "run" / "resolved_config.json").exists()
-        assert cfg.seed == 11  # the argument does not change the caller's config
-
     def test_empty_selection_rejected(self):
         with pytest.raises(DataFormatError, match="no visual"):
             ExperimentConfig(visual_features=[], audio_features=["hubert"]).validate()
