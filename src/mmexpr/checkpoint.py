@@ -5,7 +5,6 @@ u32, then per parameter: name length u32, UTF-8 name, rank u32, one u32 per
 dimension, and the data as raw 32-bit floats in row-major order.
 """
 
-import io
 import math
 import mmap
 import struct
@@ -32,13 +31,6 @@ def _write_checkpoint(params: dict, fh) -> None:
         fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded,
                              arr.ndim, *arr.shape))
         fh.write(arr.reshape(-1).view(np.uint8))
-
-
-def checkpoint_bytes(params: dict) -> bytes:
-    """The checkpoint file of ``params``, as bytes."""
-    buf = io.BytesIO()
-    _write_checkpoint(params, buf)
-    return buf.getvalue()
 
 
 def save_checkpoint(params: dict, path: str) -> None:

@@ -175,7 +175,7 @@ def _score(manifest_path: str, split, pred_dir: str, out_path: str):
 
 def cmd_evaluate(args) -> int:
     report, cm = _score(args.manifest, args.split, args.predictions, args.out)
-    print(f"macro_f1 {report.macro_f1:.5f} over {cm.total} frames; report at {args.out}")
+    print(f"macro_f1 {report.macro_f1:.5f} over {cm.sum()} frames; report at {args.out}")
     return 0
 
 
@@ -199,6 +199,9 @@ class EnsembleSpec(JsonConfig):
 def cmd_ensemble(args) -> int:
     spec = EnsembleSpec.from_json(read_json(args.spec), "spec")
     member_dirs = [resolve_beside(args.spec, m) for m in spec.members]
+    for i, d in enumerate(member_dirs):  # one model listed twice would vote twice
+        if os.path.realpath(d) in map(os.path.realpath, member_dirs[:i]):
+            raise DataFormatError(f"ensemble spec lists member {spec.members[i]!r} twice")
 
     def csv_ids(d):
         return sorted(os.path.splitext(f)[0] for f in os.listdir(d) if f.endswith(".csv"))

@@ -15,33 +15,22 @@ from .errors import ShapeError
 
 
 @dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # (8, 8) int64, rows = true class, cols = predicted
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass
 class MetricReport:
     per_class_f1: list
     macro_f1: float
     support: list
 
-    def to_json(self, confusion: ConfusionMatrix | None = None) -> dict:
-        doc = {
+    def to_json(self, confusion: np.ndarray) -> dict:
+        return {
             "macro_f1": self.macro_f1,
             "per_class_f1": list(self.per_class_f1),
             "support": [int(s) for s in self.support],
+            "confusion": confusion.tolist(),
         }
-        if confusion is not None:
-            doc["confusion"] = confusion.counts.tolist()
-        return doc
 
 
-def confusion(labels, predictions, mask=None) -> ConfusionMatrix:
-    """Tally (true, predicted) pairs over masked-in frames."""
+def confusion(labels, predictions, mask=None) -> np.ndarray:
+    """The (8, 8) int64 tally of (true, predicted) pairs over masked-in frames."""
     labels = np.asarray(labels)
     predictions = np.asarray(predictions)
     if labels.shape != predictions.shape:
@@ -61,12 +50,11 @@ def confusion(labels, predictions, mask=None) -> ConfusionMatrix:
         if predictions.min() < 0 or predictions.max() >= NUM_CLASSES:
             raise ValueError("confusion: prediction outside 0..7")
         np.add.at(counts, (labels.astype(np.int64), predictions.astype(np.int64)), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
-def macro_f1(cm: ConfusionMatrix) -> MetricReport:
+def macro_f1(counts: np.ndarray) -> MetricReport:
     """Per-class precision/recall/F1 from the tally; macro = sum of F1 over 8."""
-    counts = cm.counts
     tp = np.diag(counts).astype(np.float64)
     predicted = counts.sum(axis=0).astype(np.float64)
     actual = counts.sum(axis=1).astype(np.float64)

@@ -102,9 +102,9 @@ class ModelConfig(JsonConfig):
         return self
 
 
-def xavier(rng, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
+def xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape or (fan_in, fan_out)).astype(DTYPE)
+    return rng.uniform(-limit, limit, (fan_in, fan_out)).astype(DTYPE)
 
 
 def parameter(params: dict, name: str, data) -> Tensor:
@@ -125,7 +125,6 @@ class FusionLayer:
 
     def __init__(self, input_dim: int, d_model: int, rng, params: dict):
         self.input_dim = input_dim
-        self.d_model = d_model
         self.weight = parameter(params, "fusion.weight", xavier(rng, input_dim, d_model))
         self.bias = parameter(params, "fusion.bias", np.zeros(d_model, DTYPE))
 
@@ -144,12 +143,10 @@ class LstmEncoder:
     """
 
     def __init__(self, input_dim: int, settings: LstmSettings, rng, params: dict):
-        self.input_dim = input_dim
         self.hidden = settings.hidden
-        self.num_layers = settings.layers
         self.weights = []
         in_dim = input_dim
-        for li in range(self.num_layers):
+        for li in range(settings.layers):
             w_in = parameter(params, f"lstm{li}.input_weight", xavier(rng, in_dim, 4 * self.hidden))
             w_state = parameter(params, f"lstm{li}.state_weight",
                                 xavier(rng, self.hidden, 4 * self.hidden))
@@ -369,7 +366,6 @@ class ExpressionModel:
     def __init__(self, config: ModelConfig, input_dim: int, rng):
         config.validate()
         self.config = config
-        self.input_dim = input_dim
         self.params: dict = {}
         self.fusion = FusionLayer(input_dim, config.d_model, rng, self.params)
         if config.encoder == "lstm":

@@ -11,18 +11,20 @@ from .tensor import DTYPE, all_finite
 # touches (param, grad, m, v, scratch) stay in L2 across the update's passes.
 BLOCK = 1 << 16
 
+# Adam's fixed hyperparameters; only the learning rate is configurable
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers plus hyperparameters.
+    """The learning rate and the per-parameter first/second moment buffers.
 
     ``step`` increases by exactly one per ``adam_step`` call.
     """
 
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -58,12 +60,12 @@ def adam_step(params: dict, grads, state: AdamState) -> AdamState:
 
     state.step += 1
     t = state.step
-    b1 = DTYPE(state.beta1)
-    b2 = DTYPE(state.beta2)
+    b1 = DTYPE(BETA1)
+    b2 = DTYPE(BETA2)
     one = DTYPE(1)
-    corr1 = DTYPE(1.0 - state.beta1 ** t)
-    corr2 = DTYPE(1.0 - state.beta2 ** t)
-    coeffs = (b1, one - b1, b2, one - b2, corr2, DTYPE(state.eps), DTYPE(state.lr) / corr1)
+    corr1 = DTYPE(1.0 - BETA1 ** t)
+    corr2 = DTYPE(1.0 - BETA2 ** t)
+    coeffs = (b1, one - b1, b2, one - b2, corr2, DTYPE(EPS), DTYPE(state.lr) / corr1)
     updated, nonfinite = set(), set()
     for p, g in grads:
         name = names.get(id(p))

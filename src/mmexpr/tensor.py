@@ -21,6 +21,7 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError
 
 DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5  # added to each row's variance before the square root
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -187,8 +188,8 @@ class Graph:
     def dropout(self, x, rate: float, mask):
         return self.apply("dropout", (x,), rate=rate, mask=mask)
 
-    def layer_norm(self, x, gain, shift, eps: float = 1e-5, passes: int = 1):
-        return self.apply("layer_norm", (x, gain, shift), eps=eps, passes=passes)
+    def layer_norm(self, x, gain, shift, passes: int = 1):
+        return self.apply("layer_norm", (x, gain, shift), passes=passes)
 
     def reshape(self, x, shape):
         return self.apply("reshape", (x,), shape=shape)
@@ -438,7 +439,7 @@ def _op_slice(inputs, attrs):
     return x.data[start:stop], bw
 
 
-def _sigmoid(x, out=None):
+def _sigmoid(x, out):
     """Logistic function as tanh(x / 2) / 2 + 1/2: one transcendental and no
     overflow for any finite or infinite input."""
     out = np.multiply(x, DTYPE(0.5), out=out)
@@ -518,7 +519,6 @@ def _op_dropout(inputs, attrs):
 
 def _op_layer_norm(inputs, attrs):
     x, gain, shift = _arity(inputs, 3, "layer_norm")
-    eps = float(attrs.get("eps", 1e-5))
     d = x.shape[-1]
     if gain.shape != (d,) or shift.shape != (d,):
         raise ShapeError(
@@ -531,7 +531,7 @@ def _op_layer_norm(inputs, attrs):
     normed = np.subtract(xd, mu)
     out = np.multiply(normed, normed)
     inv = out.mean(axis=-1, keepdims=True)
-    inv += DTYPE(eps)
+    inv += DTYPE(LAYER_NORM_EPS)
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     normed *= inv
@@ -609,9 +609,9 @@ def _op_lstm_seq(inputs, attrs):
     """LSTM over T frames: z_t = pre_t + h_{t-1} W, gates i, f, o = sigmoid and
     g = tanh of z_t's quarters, c_t = f c_{t-1} + i g, h_t = o tanh(c_t).
 
-    The final cell state is written to ``attrs["cell_out"]`` when given. The
-    backward pass runs BPTT once over the kept gates and forms the recurrent
-    weight's gradient as one (H, T) @ (T, 4H) product.
+    The final cell state is written to ``attrs["cell_out"]``. The backward pass
+    runs BPTT once over the kept gates and forms the recurrent weight's
+    gradient as one (H, T) @ (T, 4H) product.
     """
     pre, weight, h0, c0 = _arity(inputs, 4, "lstm_seq")
     h_dim = weight.shape[0] if weight.data.ndim == 2 else 0
@@ -642,9 +642,7 @@ def _op_lstm_seq(inputs, attrs):
         c += a[0] * a[2]
         np.tanh(c, out=tanh_c)
         np.multiply(a[3], tanh_c, out=hidden[t + 1])
-    cell_out = attrs.get("cell_out")
-    if cell_out is not None:
-        cell_out[...] = cells[-1:]
+    attrs["cell_out"][...] = cells[-1:]
     needs = tuple(t.requires_grad for t in inputs)
 
     def bw(g):

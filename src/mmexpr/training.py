@@ -229,23 +229,20 @@ class TrainResult:
 
 
 def _training_batches(dataset, config, order_rng):
-    """Yield per-step lists of (video id, segment) pairs; an LSTM step holds
-    whole videos, each video's segments in order."""
-    model_cfg = config.model
-    if model_cfg.encoder == "transformer":
-        segments = [(vid, seg) for vid in dataset.train_ids
-                    for seg in dataset.videos[vid].segments(model_cfg.seg_len, model_cfg.stride)]
-        order = order_rng.permutation(len(segments))
+    """Yield per-step lists of (video id, segment) pairs. Steps take the
+    shuffled units in chunks: a unit is one segment for the transformer and
+    one whole video, its segments in order, for the LSTM."""
+    cfg = config.model
+    units = [[(vid, seg) for seg in dataset.videos[vid].segments(cfg.seg_len, cfg.stride)]
+             for vid in dataset.train_ids]
+    if cfg.encoder == "transformer":
+        units = [[pair] for video in units for pair in video]
         size = config.training.batch_segments
-        for i in range(0, len(order), size):
-            yield [segments[j] for j in order[i:i + size]]
     else:
-        ids = list(dataset.train_ids)
-        order = order_rng.permutation(len(ids))
         size = config.training.batch_videos
-        for i in range(0, len(order), size):
-            yield [(ids[j], seg) for j in order[i:i + size]
-                   for seg in dataset.videos[ids[j]].segments(model_cfg.seg_len, model_cfg.stride)]
+    order = order_rng.permutation(len(units))
+    for i in range(0, len(order), size):
+        yield [pair for j in order[i:i + size] for pair in units[j]]
 
 
 def _train_step(model, batch, adam, alpha, dropout_rng, where):
@@ -286,7 +283,7 @@ def _train_step(model, batch, adam, alpha, dropout_rng, where):
     return value, int(mask.sum())
 
 
-def train(config: ExperimentConfig, manifest: Manifest | None = None, log_fn=None) -> TrainResult:
+def train(config: ExperimentConfig, log_fn=None) -> TrainResult:
     """Run the full training loop and retain the best-validation checkpoint.
 
     Writes resolved_config.json, train_log.jsonl (one record per epoch with
@@ -294,9 +291,7 @@ def train(config: ExperimentConfig, manifest: Manifest | None = None, log_fn=Non
     into the config's output directory.
     """
     config.validate()
-    if manifest is None:
-        manifest = load_manifest(config.manifest)
-    dataset = load_dataset(manifest, config)
+    dataset = load_dataset(load_manifest(config.manifest), config)
     if not dataset.val_ids:
         raise DataFormatError("val split is empty; point it at the train videos "
                               "if no holdout exists")
@@ -305,8 +300,6 @@ def train(config: ExperimentConfig, manifest: Manifest | None = None, log_fn=Non
     os.makedirs(out_dir, exist_ok=True)
     resolved = config.to_json()
     resolved["fused_input_dim"] = dataset.input_dim
-    resolved["feature_order"] = {"visual": list(config.visual_features),
-                                 "audio": list(config.audio_features)}
     write_json(os.path.join(out_dir, "resolved_config.json"), resolved)
 
     streams = np.random.SeedSequence(config.seed).spawn(3)

@@ -6,7 +6,8 @@ second, independent route for gradient checks, loss values, metrics, and
 vote tallies. The row-wise CSV writers and readers at the end are the
 prediction and label file formats as first written, one row at a time with
 the ``csv`` module; the package's bulk versions must match their bytes,
-arrays and error messages.
+arrays and error messages. The training-batch order and the checkpoint
+bytes of the package's first versions close the file.
 """
 
 import csv
@@ -16,9 +17,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from mmexpr.checkpoint import _write_checkpoint
 from mmexpr.data import INVALID_LABEL, NUM_CLASSES, LabelTrack
 from mmexpr.ensemble import PREDICTION_HEADER, PredictionTrack
 from mmexpr.errors import DataFormatError
+from mmexpr.optim import BETA1, BETA2, EPS
 
 
 # -- elementwise / layer math (float64) ----------------------------------------
@@ -357,15 +360,16 @@ def adam_step_whole_array(params, grads, state):
 
     The plain formula the blocked ``optim.adam_step`` must match bit for bit.
     ``params`` maps name -> float32 ndarray; ``state`` is an ``AdamState``
-    whose ``step``, ``m`` and ``v`` are advanced here.
+    whose ``step``, ``m`` and ``v`` are advanced here. The betas and eps are
+    ``optim``'s constants.
     """
     f32 = np.float32
     state.step += 1
     t = state.step
-    b1, b2, one = f32(state.beta1), f32(state.beta2), f32(1)
-    corr1 = f32(1.0 - state.beta1 ** t)
-    corr2 = f32(1.0 - state.beta2 ** t)
-    lr, eps = f32(state.lr), f32(state.eps)
+    b1, b2, one = f32(BETA1), f32(BETA2), f32(1)
+    corr1 = f32(1.0 - BETA1 ** t)
+    corr2 = f32(1.0 - BETA2 ** t)
+    lr, eps = f32(state.lr), f32(EPS)
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=f32)
         if name not in state.m:
@@ -592,3 +596,33 @@ def read_outcome(read, path, **kwargs):
         return str(exc)
     return {k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
             for k, v in vars(track).items()}
+
+
+# -- training-batch order and checkpoint bytes as first written -----------------------
+
+def training_batches_two_branch(dataset, config, order_rng):
+    """Per-step lists of (video id, segment) pairs, one loop per encoder: the
+    transformer permutes and chunks all segments, the LSTM permutes and chunks
+    videos and takes each chosen video's segments in order."""
+    model_cfg = config.model
+    if model_cfg.encoder == "transformer":
+        segments = [(vid, seg) for vid in dataset.train_ids
+                    for seg in dataset.videos[vid].segments(model_cfg.seg_len, model_cfg.stride)]
+        order = order_rng.permutation(len(segments))
+        size = config.training.batch_segments
+        for i in range(0, len(order), size):
+            yield [segments[j] for j in order[i:i + size]]
+    else:
+        ids = list(dataset.train_ids)
+        order = order_rng.permutation(len(ids))
+        size = config.training.batch_videos
+        for i in range(0, len(order), size):
+            yield [(ids[j], seg) for j in order[i:i + size]
+                   for seg in dataset.videos[ids[j]].segments(model_cfg.seg_len, model_cfg.stride)]
+
+
+def checkpoint_bytes(params: dict) -> bytes:
+    """The checkpoint file of ``params``, as bytes."""
+    buf = io.BytesIO()
+    _write_checkpoint(params, buf)
+    return buf.getvalue()

@@ -12,7 +12,7 @@ import pytest
 
 import mmexpr
 from mmexpr import data
-from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
+from mmexpr.checkpoint import load_checkpoint, save_checkpoint
 from mmexpr.cli import main
 from mmexpr.data import (
     FeatureTrack,
@@ -28,6 +28,8 @@ from mmexpr.ensemble import PredictionTrack, write_predictions
 from mmexpr.errors import DataFormatError
 from mmexpr.fileio import read_json, write_json
 from mmexpr.training import ExperimentConfig
+
+from tests import _reference as ref
 
 
 def run_cli(*argv):
@@ -449,6 +451,26 @@ class TestEnsembleCommand:
         write_json(str(spec_path), {"members": ["only"]})
         assert run_cli("ensemble", "--spec", spec_path, "--out", tmp_path / "f") == 2
 
+    @pytest.mark.parametrize("members, repeated", [
+        (["preds/a", "./preds/a", "preds/b"], "./preds/a"),  # doubles one model's votes
+        (["preds/a", "preds/b/../a/"], "preds/b/../a/"),  # two names, one model
+        (["preds/b", "{root}/preds/b"], "{root}/preds/b"),
+    ], ids=["dot-prefix", "parent-step", "absolute"])
+    def test_member_listed_twice_exits_2_before_writing(self, synth_dir, tmp_path, capsys,
+                                                        members, repeated):
+        members = [m.format(root=tmp_path) for m in members]
+        repeated = repeated.format(root=tmp_path)
+        manifest = load_manifest(str(synth_dir / "manifest.json"))
+        labels = {e.video_id: load_labels(e.label_file, e.n_frames).labels for e in manifest.videos}
+        rng = np.random.default_rng(3)
+        for name in ("a", "b"):
+            self.make_member(labels, tmp_path / "preds" / name, slice(0, None, 5), rng)
+        spec_path = tmp_path / "ensemble.json"
+        write_json(str(spec_path), {"members": members})
+        assert run_cli("ensemble", "--spec", spec_path, "--out", tmp_path / "fused") == 2
+        assert f"ensemble spec lists member {repeated!r} twice" in capsys.readouterr().err
+        assert not (tmp_path / "fused").exists()
+
     @pytest.mark.parametrize("spec, message", [
         ([1], "spec: expected an object, got [1]"),
         ({"members": [1, 2]}, "spec.members[0]: expected a string, got 1"),
@@ -649,8 +671,9 @@ class TestConfigChecks:
     def test_predict_rejects_malformed_checkpoint_naming_it(self, synth_dir, trained_run,
                                                             tmp_path, capsys, edit, message):
         arrays = load_checkpoint(str(trained_run / "best.ckpt"))
-        entries, added = edit(checkpoint_bytes({"fusion.bias": arrays.pop("fusion.bias")})[12:])
-        raw = checkpoint_bytes(arrays)
+        bias = ref.checkpoint_bytes({"fusion.bias": arrays.pop("fusion.bias")})
+        entries, added = edit(bias[12:])
+        raw = ref.checkpoint_bytes(arrays)
         path = tmp_path / "edited.ckpt"
         path.write_bytes(raw[:8] + struct.pack("<I", len(arrays) + added) + entries + raw[12:])
         assert run_cli("predict", "--checkpoint", path,

@@ -17,7 +17,7 @@ import pytest
 from mmexpr import (AdamState, DataFormatError, Graph, NonFiniteError, ShapeError, Tensor,
                     adam_step, backward)
 from mmexpr import tensor
-from mmexpr.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
+from mmexpr.checkpoint import load_checkpoint, save_checkpoint
 from mmexpr.models import ExpressionModel, LstmSettings, ModelConfig, TransformerSettings
 from mmexpr.optim import BLOCK
 from mmexpr.training import rdrop_loss
@@ -737,7 +737,7 @@ class TestAdam:
         np.testing.assert_allclose(seen, expected, rtol=1e-5)
 
     def test_step_counter_and_shape_check(self):
-        state = AdamState()
+        state = AdamState(lr=1e-4)
         p = Tensor(np.zeros(3), requires_grad=True)
         adam_step({"p": p}, {"p": np.ones(3, np.float32)}, state)
         assert state.step == 1
@@ -807,12 +807,12 @@ class TestAdam:
 
     def test_multi_block_update_starts_no_thread(self):
         p = Tensor(np.ones(3 * BLOCK + 1), requires_grad=True)
-        adam_step({"p": p}, {"p": np.ones(3 * BLOCK + 1, np.float32)}, AdamState())
+        adam_step({"p": p}, {"p": np.ones(3 * BLOCK + 1, np.float32)}, AdamState(lr=1e-4))
         assert not [t.name for t in threading.enumerate() if t.name.startswith("adam")]
 
     def test_update_marks_parameters_checked_and_skips_their_scan(self, monkeypatch):
         p = Tensor(np.ones((2, 2)), requires_grad=True, name="w")
-        adam_step({"w": p}, {"w": np.ones((2, 2), np.float32)}, AdamState())
+        adam_step({"w": p}, {"w": np.ones((2, 2), np.float32)}, AdamState(lr=1e-4))
         assert p.checked is p.data
         scanned = []
         real = tensor.all_finite
@@ -826,7 +826,7 @@ class TestAdam:
 
     def test_nan_assigned_after_update_rejected_at_next_apply(self):
         p = Tensor(np.ones((2, 2)), requires_grad=True, name="w")
-        adam_step({"w": p}, {"w": np.ones((2, 2), np.float32)}, AdamState())
+        adam_step({"w": p}, {"w": np.ones((2, 2), np.float32)}, AdamState(lr=1e-4))
         x = Tensor(np.ones((3, 2)))
         Graph().matmul(x, p)
         p.data = np.full((2, 2), np.nan, np.float32)
@@ -910,7 +910,7 @@ class TestCheckpoint:
 
     def test_same_params_same_bytes(self):
         params = {"a": np.ones((2, 2), np.float32)}
-        assert checkpoint_bytes(params) == checkpoint_bytes(params)
+        assert ref.checkpoint_bytes(params) == ref.checkpoint_bytes(params)
 
     def test_streamed_file_holds_the_checkpoint_bytes(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -919,7 +919,7 @@ class TestCheckpoint:
                   "empty": np.zeros((0, 3), np.float32), "scalar": np.float32(1.5)}
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, str(path))
-        assert path.read_bytes() == checkpoint_bytes(params)
+        assert path.read_bytes() == ref.checkpoint_bytes(params)
 
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -953,7 +953,7 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_payload_shorter_than_dims_rejected(self, tmp_path):
-        raw = checkpoint_bytes({"w": np.ones((8, 8), np.float32)})
+        raw = ref.checkpoint_bytes({"w": np.ones((8, 8), np.float32)})
         # rewrite the first dim from 8 to 9: the header now asks for 72 floats
         dims_at = 4 + 8 + 4 + 1 + 4
         path = tmp_path / "dims.ckpt"
@@ -962,7 +962,7 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_non_utf8_name_rejected(self, tmp_path):
-        raw = checkpoint_bytes({"w": np.ones(2, np.float32)})
+        raw = ref.checkpoint_bytes({"w": np.ones(2, np.float32)})
         name_at = 4 + 8 + 4
         path = tmp_path / "name.ckpt"
         path.write_bytes(raw[:name_at] + b"\xff" + raw[name_at + 1:])
@@ -970,7 +970,7 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_repeated_name_rejected(self, tmp_path):
-        raw = checkpoint_bytes({"w": np.ones(2, np.float32)})
+        raw = ref.checkpoint_bytes({"w": np.ones(2, np.float32)})
         path = tmp_path / "twice.ckpt"
         # the header counts two parameters and the one entry follows twice
         path.write_bytes(raw[:8] + (2).to_bytes(4, "little") + raw[12:] + raw[12:])
@@ -991,6 +991,6 @@ class TestCheckpoint:
     def test_truncation_rejected(self, tmp_path):
         params = {"w": np.ones((8, 8), np.float32)}
         path = tmp_path / "short.ckpt"
-        path.write_bytes(checkpoint_bytes(params)[:-10])
+        path.write_bytes(ref.checkpoint_bytes(params)[:-10])
         with pytest.raises(ValueError):
             load_checkpoint(str(path))

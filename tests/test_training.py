@@ -10,6 +10,7 @@ import pytest
 from mmexpr import Graph, NumericError, Tensor, backward, training
 from mmexpr.data import VideoData, load_manifest, read_feature_file
 from mmexpr.errors import DataFormatError
+from mmexpr.fileio import write_json
 from mmexpr.models import ExpressionModel, LstmSettings, ModelConfig, TransformerSettings
 from mmexpr.optim import BLOCK, AdamState, adam_step, collect_grads, zero_grads
 from mmexpr.training import (
@@ -277,7 +278,7 @@ class TestTrainLoop:
         assert len(record["per_class_f1"]) == 8
         resolved = json.load(open(tmp_path / "run" / "resolved_config.json"))
         assert resolved["seed"] == cfg.seed
-        assert resolved["feature_order"]["visual"] == ["synthvis"]
+        assert resolved["features"]["visual"] == ["synthvis"]
 
     def test_best_checkpoint_tracks_best_epoch(self, tmp_path):
         cfg = tiny_experiment(tmp_path, "lstm", sigma=0.05, epochs=5, lr=2e-3)
@@ -289,8 +290,9 @@ class TestTrainLoop:
         cfg = tiny_experiment(tmp_path, "lstm", epochs=1)
         manifest = load_manifest(cfg.manifest)
         manifest.splits["train"] = []
+        write_json(cfg.manifest, manifest.to_json())
         with pytest.raises(DataFormatError, match="train split"):
-            train(cfg, manifest=manifest)
+            train(cfg)
 
     def test_exploding_run_aborts_with_coordinates(self, tmp_path):
         cfg = tiny_experiment(tmp_path, "transformer", epochs=2, lr=1e25)
@@ -369,6 +371,25 @@ class TestTrainLoop:
         with pytest.raises(NumericError,
                            match=r"epoch 1 batch 0: adam_step: .* parameter '[\w.]+'"):
             train(cfg)
+
+
+class TestTrainingBatches:
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+    def test_same_steps_as_the_two_branch_loop(self, tmp_path, encoder, size):
+        # 7 videos of 7 segments (the last one short): batch sizes 3 and 8
+        # leave a tail for both encoders; two epochs draw from one stream
+        cfg = tiny_experiment(tmp_path, encoder, videos=7, frames=50, seg=8)
+        cfg.training.batch_segments = cfg.training.batch_videos = size
+        dataset = load_dataset(load_manifest(cfg.manifest), cfg)
+
+        def steps(batches, seed):
+            rng = np.random.default_rng(seed)
+            return [[(vid, seg.index) for vid, seg in batch]
+                    for _ in range(2) for batch in batches(dataset, cfg, rng)]
+        for seed in (0, 1, 2):
+            assert (steps(training._training_batches, seed)
+                    == steps(ref.training_batches_two_branch, seed))
 
 
 def step_graph(model, segments, seed):
