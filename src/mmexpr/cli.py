@@ -202,6 +202,8 @@ def cmd_ensemble(args) -> int:
     for i, d in enumerate(member_dirs):  # one model listed twice would vote twice
         if os.path.realpath(d) in map(os.path.realpath, member_dirs[:i]):
             raise DataFormatError(f"ensemble spec lists member {spec.members[i]!r} twice")
+        if os.path.realpath(d) == os.path.realpath(args.out):  # fused files would replace its own
+            raise DataFormatError(f"--out {args.out} is ensemble member {spec.members[i]!r}")
 
     def csv_ids(d):
         return sorted(os.path.splitext(f)[0] for f in os.listdir(d) if f.endswith(".csv"))

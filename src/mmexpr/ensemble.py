@@ -68,10 +68,21 @@ def vote(tracks: list) -> PredictionTrack:
         if t.n_frames != first.n_frames:
             raise ShapeError(f"video {first.video_id!r}: member frame counts differ: "
                              f"{first.n_frames} vs {t.n_frames}")
-    stacked = np.stack([t.probs for t in tracks])      # (members, n, 8)
     # summing each member column in sorted order makes the mean (and therefore
-    # every tie-break) bitwise invariant to member ordering
-    mean_probs = np.sort(stacked, axis=0).sum(axis=0) / len(tracks)  # (n, 8)
+    # every tie-break) bitwise invariant to member ordering; an odd-even
+    # transposition network sorts the member slabs elementwise
+    slabs = [t.probs for t in tracks]
+    m = len(slabs)
+    for r in range(m):
+        for i in range(r % 2, m - 1, 2):
+            low = np.minimum(slabs[i], slabs[i + 1])
+            slabs[i + 1] = np.maximum(slabs[i], slabs[i + 1])
+            slabs[i] = low
+    # the sum starts from +0.0, as add.reduce does, so an all -0.0 column gives +0.0
+    total = slabs[0] + 0.0
+    for s in slabs[1:]:
+        total += s
+    mean_probs = total / m  # (n, 8)
     n = first.n_frames
     tally = np.zeros((n, NUM_CLASSES), np.int64)
     rows = np.arange(n)
@@ -87,17 +98,151 @@ def vote(tracks: list) -> PredictionTrack:
 
 # -- prediction CSV files -----------------------------------------------------------
 
-_PREDICTION_ROW = "%d,%d," + ",".join(["%.9g"] * NUM_CLASSES) + "\n"
 _PREDICTION_TYPES = (int, int) + (float,) * NUM_CLASSES
 # a dense file holds frame k on the k-th record after its header
 _PREDICTION_RULES = ((lambda record, frame, *_: frame != record, "frame index {1}, expected {0}"),)
 
+# correctly rounded powers of ten, 1e-300 .. 1e308 (10.0 ** k is not for every k)
+_P10_LOW = -300
+_P10 = np.array([float(f"1e{k}") for k in range(_P10_LOW, 309)])
+
+# One value's "%.9g" text sits in 32 fixed slots, NUL where a slot is empty:
+#   0 sign | 1-2 "0." | 3-5 leading zeros | 8-23 digits 1-8, each followed by a
+#   point slot | 24 digit 9 | 25 "e" | 26 exponent sign | 27-29 exponent
+# Slots 6-7 and 30-31 stay empty, so the digits fill whole 8-byte words. Every
+# slot but a digit's or an exponent's is fixed by the value's class: its sign,
+# its form (a fixed-point exponent -4..8, a scientific exponent's sign and
+# width, or zero) and its count of significant digits once trailing zeros go.
+_G9_WIDTH = 32
+_ZERO_FORM = 17
+_G9_FORMS = 18
+
+
+def _g9_classes():
+    """The fixed bytes of each of the 2 x 18 x 9 classes, as (classes, 4) int64
+    words, and the mask of digit slots each prints (0xFF) as (4, classes) words."""
+    template = np.zeros((2, _G9_FORMS, 9, _G9_WIDTH), np.uint8)
+    keep = np.zeros_like(template)
+    template[1, :, :, 0] = ord("-")
+    digit_at = [8, 10, 12, 14, 16, 18, 20, 22, 24]
+    for nsig in range(1, 10):
+        t, k = template[:, :, nsig - 1], keep[:, :, nsig - 1]
+        for form in range(_ZERO_FORM):
+            exp = form - 4  # fixed point for exponents -4..8
+            if exp < 0:
+                t[:, form, 1:3] = ord("0"), ord(".")
+                t[:, form, 3:3 - exp - 1] = ord("0")
+                point, shown = -1, nsig
+            elif form < 13:
+                point, shown = exp, max(nsig, exp + 1)
+            else:  # 13..16: scientific, exponent < 0 or > 0, 2 or 3 digits
+                point, shown = 0, nsig
+                t[:, form, 25:27] = ord("e"), ord("-" if form < 15 else "+")
+            if 0 <= point < nsig - 1:
+                t[:, form, digit_at[point] + 1] = ord(".")
+            k[:, form, digit_at[:shown]] = 0xFF
+        t[:, _ZERO_FORM, 1] = ord("0")
+    return (template.reshape(-1, _G9_WIDTH).view(np.int64),
+            keep.reshape(-1, _G9_WIDTH).view(np.int64).T.copy())
+
+
+def _decimal_digits(count: int, width: int) -> np.ndarray:
+    """(count, width) decimal digits of 0 .. count - 1, most significant first."""
+    return np.arange(count)[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10
+
+
+def _g9_digits():
+    """Words of digit text: entry k < 10,000 is k's four digits on the even bytes
+    of a word; entry 10,000 + d is the one digit d on its first byte. Also the
+    significant digits each entry brings, counted from the first of the nine."""
+    four = _decimal_digits(10000, 4)
+    text = np.zeros((10010, 8), np.uint8)
+    text[:10000, 0::2] = four + ord("0")
+    text[10000:, 0] = np.arange(ord("0"), ord("9") + 1)
+    sig = np.zeros(10010, np.int64)
+    sig[:10000] = ((four != 0) * np.arange(1, 5)).max(axis=1)
+    sig[10001:] = 9
+    return text.view(np.int64).ravel(), sig
+
+
+_G9_TEMPLATE, _G9_KEEP = _g9_classes()
+_G9_TEXT, _G9_SIG = _g9_digits()
+# the second group's digits count from the fifth
+_G9_SIG_LATER = np.where(_G9_SIG[:10000] > 0, _G9_SIG[:10000] + 4, 0)
+# form by decimal exponent, for exponents -330 .. 330
+_FORM_LOW = -330
+_FORM = np.arange(_FORM_LOW, 331)
+_FORM = np.where((_FORM >= -4) & (_FORM < 9), _FORM + 4,
+                 13 + 2 * (_FORM > 0) + (abs(_FORM) >= 100))
+# an exponent's three digits; a two-digit one leaves its first slot empty
+_EXPONENT = (_decimal_digits(1000, 3) + ord("0")).astype(np.uint8)
+_EXPONENT[:100, 0] = 0
+
+
+def _format_g9(x: np.ndarray) -> np.ndarray:
+    """``"%.9g" % v`` of each float64 in ``x``, as a (x.size, 32) uint8 matrix of
+    ASCII with NUL in the empty slots.
+
+    The 9 significant digits are ``rint`` of |v| scaled into [1e8, 1e9). That
+    scaling is off by less than 2.3e-7, so a value whose scaled fraction lies
+    within 1e-6 of one half, one whose digits round up to 10, and one outside
+    [1e-290, 1e290) (subnormals included) or not finite, are formatted by
+    Python instead.
+    """
+    v = np.asarray(x, np.float64).ravel()
+    a = np.abs(v)
+    zero = a == 0
+    direct = (a >= 1e-290) & (a < 1e290)
+    a = np.where(direct, a, 1.0)
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    scaled = a * _P10[8 - _P10_LOW - exp]
+    sig = np.rint(scaled)
+    direct &= np.abs(scaled - sig) < 0.5 - 1e-6
+    # a log10 that rounds up to the next power of ten scales a value just below
+    # it to just below 1e8, which rounds to the same text; a value whose digits
+    # carry to 10 (0.9999999996 scales to 999999999.6) is left to the fallback
+    direct &= (sig >= 1e8) & (sig < 1e9)
+    sig = sig.astype(np.int64)
+    # digits 1-4, 5-8 and 9, as indices into the digit-text words
+    first = sig // 100000
+    rest = sig - 100000 * first
+    second = rest // 10
+    last = rest - 10 * second + 10000
+    nsig = np.maximum(np.maximum(_G9_SIG[first], _G9_SIG_LATER[second]), _G9_SIG[last])
+    form = np.where(zero, _ZERO_FORM, _FORM[exp - _FORM_LOW])
+    cls = (form + _G9_FORMS * np.signbit(v)) * 9 + nsig - 1
+    words = np.take(_G9_TEMPLATE, cls, axis=0)
+    for w, group in enumerate((first, second, last), start=1):
+        words[:, w] |= _G9_TEXT[group] & _G9_KEEP[w][cls]
+    out = words.view(np.uint8)
+    sci = np.flatnonzero((form >= 13) & (form < _ZERO_FORM))
+    out[sci, 27:30] = _EXPONENT[np.abs(exp[sci])]
+    slow = np.flatnonzero(~(direct | zero))
+    if slow.size:
+        text = ["%.9g" % f for f in v[slow].tolist()]
+        out[slow] = np.array(text, f"S{_G9_WIDTH}").view(np.uint8).reshape(-1, _G9_WIDTH)
+    return out
+
 
 def write_predictions(track: PredictionTrack, path: str) -> None:
-    """CSV with 1-based frame index; probabilities keep 9 significant digits."""
-    rows = zip(range(1, track.n_frames + 1), track.labels.tolist(), *track.probs.T.tolist())
-    text = ",".join(PREDICTION_HEADER) + "\n" + "".join(map(_PREDICTION_ROW.__mod__, rows))
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """CSV with 1-based frame index; probabilities keep 9 significant digits.
+
+    Each row is laid out in one uint8 matrix row, NUL in the empty slots, and
+    the NULs are dropped when the matrix becomes the file's bytes.
+    """
+    n = track.n_frames
+    width = len(str(n))
+    rows = np.empty((n, width + 3 + NUM_CLASSES * _G9_WIDTH), np.uint8)
+    frame = _decimal_digits(n + 1, width)[1:]
+    rows[:, :width] = np.where(frame.cumsum(axis=1) > 0, frame + ord("0"), 0)  # no leading 0
+    rows[:, width] = rows[:, width + 2] = ord(",")
+    rows[:, width + 1] = track.labels + ord("0")
+    values = rows[:, width + 3:].reshape(n, NUM_CLASSES, _G9_WIDTH)
+    values[:] = _format_g9(track.probs).reshape(n, NUM_CLASSES, _G9_WIDTH)
+    values[:, :, -1] = ord(",")  # each value's last slot is empty
+    values[:, -1, -1] = ord("\n")
+    header = (",".join(PREDICTION_HEADER) + "\n").encode("utf-8")
+    atomic_write_bytes(path, header + rows.tobytes().translate(None, b"\0"))
 
 
 def read_predictions(path: str, video_id: str | None = None) -> PredictionTrack:

@@ -338,6 +338,12 @@ def brute_force_vote(member_labels, member_probs):
     return best
 
 
+def vote_mean(member_probs):
+    """Member-mean probabilities, each class column summed in sorted order."""
+    stacked = np.stack([np.asarray(p, dtype=np.float64) for p in member_probs])
+    return np.sort(stacked, axis=0).sum(axis=0) / len(stacked)
+
+
 # -- scalar Adam reference ----------------------------------------------------------
 
 def adam_scalar(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -471,6 +471,23 @@ class TestEnsembleCommand:
         assert f"ensemble spec lists member {repeated!r} twice" in capsys.readouterr().err
         assert not (tmp_path / "fused").exists()
 
+    @pytest.mark.parametrize("out", ["preds/a", "preds/c/../a/", "link"],
+                             ids=["same-path", "parent-step", "symlink"])
+    def test_out_naming_a_member_exits_2_before_writing(self, synth_dir, tmp_path, capsys, out):
+        manifest = load_manifest(str(synth_dir / "manifest.json"))
+        labels = {e.video_id: load_labels(e.label_file, e.n_frames).labels for e in manifest.videos}
+        rng = np.random.default_rng(4)
+        for name in ("a", "b", "c"):
+            self.make_member(labels, tmp_path / "preds" / name, slice(0, None, 5), rng)
+        os.symlink(tmp_path / "preds" / "a", tmp_path / "link")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "preds" / "a").iterdir()}
+        spec_path = tmp_path / "ensemble.json"
+        write_json(str(spec_path), {"members": ["preds/a", "preds/b", "preds/c"]})
+        out_dir = tmp_path / out
+        assert run_cli("ensemble", "--spec", spec_path, "--out", out_dir) == 2
+        assert f"--out {out_dir} is ensemble member 'preds/a'" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "preds" / "a").iterdir()} == before
+
     @pytest.mark.parametrize("spec, message", [
         ([1], "spec: expected an object, got [1]"),
         ({"members": [1, 2]}, "spec.members[0]: expected a string, got 1"),

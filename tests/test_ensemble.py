@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mmexpr.ensemble import (
     PREDICTION_HEADER,
     PredictionTrack,
+    _format_g9,
     read_predictions,
     vote,
     write_predictions,
@@ -68,6 +69,31 @@ class TestVote:
         fused = vote(members)
         for perm in itertools.permutations(members):
             again = vote(list(perm))
+            assert again.labels.tolist() == fused.labels.tolist()
+            assert again.probs.tobytes() == fused.probs.tobytes()
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_mean_has_the_sorted_sum_bits_in_any_member_order(self, m):
+        rng = np.random.default_rng(m)
+        n = 30
+        probs = rng.dirichlet(np.ones(8), size=(m, n))
+        repeat = rng.random((m, n)) < 0.3  # ties: these rows repeat member 0's
+        probs[repeat] = np.broadcast_to(probs[0], probs.shape)[repeat]
+        zero = rng.random((m, n, 8)) < 0.2
+        zero[:, :, 0] = False
+        zero[:, :, 5] = True
+        probs[zero] = 0.0
+        probs[:, :, 0] += 1.0 - probs.sum(axis=2)
+        probs[zero & (rng.random((m, n, 8)) < 0.5)] = -0.0
+        probs[:, :, 5] = -0.0  # a column that is -0.0 in every member
+        members = [PredictionTrack("v", rng.integers(0, 8, n), p) for p in probs]
+        fused = vote(members)
+        want = ref.vote_mean(probs)
+        np.testing.assert_array_equal(fused.probs.view(np.int64), want.view(np.int64))
+        assert (fused.probs[:, 5].view(np.int64) == 0).all()  # +0.0
+        for perm in itertools.permutations(members):
+            again = vote(list(perm))
+            assert again.probs.tobytes() == fused.probs.tobytes()
             assert again.labels.tolist() == fused.labels.tolist()
 
     def test_extra_copy_of_majority_never_flips(self):
@@ -237,6 +263,55 @@ def prediction_tracks(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_written_bytes_equal_the_row_wise_writer(tmp_path, track):
     path = tmp_path / "v.csv"
+    write_predictions(track, str(path))
+    assert path.read_bytes() == ref.prediction_csv_bytes(track)
+
+
+def g9_text(values):
+    return [row.tobytes().replace(b"\0", b"").decode()
+            for row in _format_g9(np.asarray(values, np.float64))]
+
+
+def g9_sweep():
+    """Zeros, the smallest subnormal and normal, every power of two, the doubles
+    1 ulp either side of every power of ten, random 9-digit decimals, the
+    doubles nearest their decimal midpoints and exact binary midpoints; each
+    with both signs."""
+    rng = np.random.default_rng(24)
+    pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    sig = rng.integers(10 ** 8, 10 ** 9, 3000)
+    exp = rng.integers(-300, 300, 3000)
+    values = np.concatenate([
+        [0.0, 5e-324, 2.2250738585072014e-308],
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        pow10, np.nextafter(pow10, np.inf), np.nextafter(pow10, 0.0),
+        [float(f"{s}e{e}") for s, e in zip(sig.tolist(), exp.tolist())],
+        [float(f"{s}5e{e}") for s, e in zip(sig.tolist(), exp.tolist())],
+        sig + 0.5, (10 * sig + 5) * 10.0 ** rng.integers(0, 6, sig.size),  # exact ties
+    ])
+    return np.concatenate([values, -values])
+
+
+def test_formatter_matches_percent_g_on_the_sweep():
+    values = g9_sweep()
+    assert g9_text(values) == ["%.9g" % v for v in values.tolist()]
+
+
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_formatter_matches_percent_g_on_any_finite_float(values):
+    assert g9_text(values) == ["%.9g" % v for v in values]
+
+
+def test_long_track_bytes_equal_the_row_wise_writer(tmp_path):
+    # 100,000 rows: frame indices up to 6 digits; one-hot rows mixed in
+    rng = np.random.default_rng(25)
+    probs = rng.dirichlet(np.full(8, 0.3), size=100_000)
+    hot = rng.random(len(probs)) < 0.1
+    probs[hot] = np.eye(8)[rng.integers(0, 8, hot.sum())]
+    track = PredictionTrack.from_probs("long", probs)
+    path = tmp_path / "long.csv"
     write_predictions(track, str(path))
     assert path.read_bytes() == ref.prediction_csv_bytes(track)
 
