@@ -6,7 +6,7 @@ dimension, and the data as raw 32-bit floats in row-major order.
 """
 
 import math
-import mmap
+import os
 import struct
 
 import numpy as np
@@ -42,59 +42,46 @@ def save_checkpoint(params: dict, path: str) -> None:
 def load_checkpoint(path: str) -> dict:
     """Read a checkpoint into an ordered name -> float32 ndarray dict.
 
-    Each parameter's bytes are read straight into its own array, once its
-    declared size has been checked against the bytes left in the file. The
-    headers are parsed from a read-only map of the file; only the pages they
-    sit on are touched, so the load holds one copy of the parameters.
+    The file is read front to back through one handle. Each declared size is
+    checked against the bytes left before it is read or allocated, and each
+    parameter's bytes are read straight into its own array, so the load holds
+    one copy of the parameters.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        left = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> np.ndarray:
+            """The next ``n`` bytes, allocated only once the file is known to hold them."""
+            nonlocal left
+            if n > left or fh.readinto(buf := np.empty(n, np.uint8)) != n:
+                raise DataFormatError(
+                    f"{path}: truncated checkpoint: {what} needs {n} bytes, {left} left")
+            left -= n
+            return buf
+
+        magic = read(4, "magic").tobytes()
         if magic != MAGIC:
             raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-            return _read_params(path, fh, mapped)
-
-
-def _read_params(path: str, fh, view) -> dict:
-    """The parameters of the open checkpoint ``fh``, whose bytes ``view`` maps."""
-    try:
-        version, count = struct.unpack_from("<II", view, 4)
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported format version {version}")
-        offset = 12
         params = {}
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", view, offset)
-            offset += 4
+            (name_len,) = struct.unpack("<I", read(4, "name length"))
             try:
-                name = view[offset:offset + name_len].decode("utf-8")
+                name = read(name_len, "name").tobytes().decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataFormatError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
-            offset += name_len
-            (rank,) = struct.unpack_from("<I", view, offset)
-            offset += 4
-            dims = struct.unpack_from(f"<{rank}I", view, offset)
-            offset += 4 * rank
+            (rank,) = struct.unpack("<I", read(4, f"parameter {name!r} rank"))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank, f"parameter {name!r} dims"))
             if name in params:
                 raise DataFormatError(f"{path}: parameter {name!r} appears twice")
-            n = math.prod(dims)
-            left = len(view) - offset
-            if 4 * n <= left:  # no allocation beyond what the file holds
-                data = np.empty(n, dtype="<f4")
-                fh.seek(offset)
-                left = fh.readinto(data)
-            if 4 * n > left:
-                raise DataFormatError(
-                    f"{path}: truncated checkpoint: parameter {name!r} of shape {dims} "
-                    f"needs {4 * n} bytes, {left} left")
-            offset += 4 * n
+            data = read(4 * math.prod(dims), f"parameter {name!r} of shape {dims}")
             try:
-                params[name] = data.reshape(dims)
+                params[name] = data.view("<f4").reshape(dims)
             except ValueError as exc:  # numpy refuses the shape: too many dims or too big
                 raise DataFormatError(f"{path}: parameter {name!r} has an invalid shape "
                                       f"{dims} ({exc})") from exc
-    except struct.error as exc:
-        raise DataFormatError(f"{path}: truncated checkpoint ({exc})") from exc
-    if offset != len(view):
-        raise DataFormatError(f"{path}: {len(view) - offset} trailing bytes")
+    if left:
+        raise DataFormatError(f"{path}: {left} trailing bytes")
     return params

@@ -1,8 +1,9 @@
 """Command-line entry point: prepare, synth, train, predict, evaluate, ensemble.
 
 Exit codes: 0 success, 1 usage error, 2 data validation error, 3 numeric
-failure. Every command writes a resolved-config copy into its output
-directory, and all file outputs are atomic (temp file + rename).
+failure. Every command but ``evaluate``, which writes only its report, writes a
+resolved-config copy into its output directory, and all file outputs are
+atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -125,7 +126,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config_path = args.config or resolve_beside(args.checkpoint, "resolved_config.json")
+    run_config = resolve_beside(args.checkpoint, "resolved_config.json")
+    config_path = args.config or run_config
+    written = os.path.realpath(os.path.join(args.out, "resolved_config.json"))
+    if written in (os.path.realpath(config_path), os.path.realpath(run_config)):
+        raise DataFormatError(f"--out {args.out} would replace the run config {written}")
     config = ExperimentConfig.from_json(read_json(config_path))
     manifest = load_manifest(args.manifest)
     ids = manifest.split_ids(args.split)
@@ -148,34 +153,28 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _score(manifest_path: str, split, pred_dir: str, out_path: str):
-    """Score the prediction files in ``pred_dir`` against the manifest's labels.
-
-    Scores the split when one is given, else every manifest video with a
-    prediction file in ``pred_dir``; writes the report to ``out_path``.
-    """
-    manifest = load_manifest(manifest_path)
-    if split:
-        ids = manifest.split_ids(split)
+def cmd_evaluate(args) -> int:
+    """Score the prediction files in ``--predictions`` against the manifest's
+    labels: the split's videos when one is given, else every manifest video
+    with a prediction file there."""
+    manifest = load_manifest(args.manifest)
+    if args.split:
+        ids = manifest.split_ids(args.split)
     else:
         ids = [v.video_id for v in manifest.videos
-               if os.path.exists(os.path.join(pred_dir, f"{v.video_id}.csv"))]
+               if os.path.exists(os.path.join(args.predictions, f"{v.video_id}.csv"))]
         if not ids:
-            raise DataFormatError(f"no prediction files found in {pred_dir}")
+            raise DataFormatError(f"no prediction files found in {args.predictions}")
     labels, predictions = {}, {}
     for vid in ids:
         entry = manifest.video(vid)
         labels[vid] = load_labels(entry.label_file, video_id=vid, n_frames=entry.n_frames).labels
-        path = os.path.join(pred_dir, f"{vid}.csv")
+        path = os.path.join(args.predictions, f"{vid}.csv")
         predictions[vid] = read_predictions(path, video_id=vid).labels
-    report, cm = evaluate_tracks(labels, predictions)
-    write_json(out_path, report.to_json(cm))
-    return report, cm
-
-
-def cmd_evaluate(args) -> int:
-    report, cm = _score(args.manifest, args.split, args.predictions, args.out)
-    print(f"macro_f1 {report.macro_f1:.5f} over {cm.sum()} frames; report at {args.out}")
+    report = evaluate_tracks(labels, predictions)
+    write_json(args.out, report.to_json())
+    print(f"macro_f1 {report.macro_f1:.5f} over {report.confusion.sum()} frames; "
+          f"report at {args.out}")
     return 0
 
 
@@ -225,11 +224,6 @@ def cmd_ensemble(args) -> int:
         "strategy": spec.strategy, "tie_break": spec.tie_break,
     })
     print(f"fused {len(ids)} videos from {len(member_dirs)} members into {args.out}")
-
-    if args.manifest:
-        report_path = os.path.join(args.out, "report.json")
-        report, _ = _score(args.manifest, args.split, args.out, report_path)
-        print(f"ensemble macro_f1 {report.macro_f1:.5f}; report at {report_path}")
     return 0
 
 
@@ -280,8 +274,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ensemble", help="fuse prediction directories by vote")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest", help="evaluate the fused predictions against labels")
-    p.add_argument("--split")
     p.set_defaults(fn=cmd_ensemble)
     return parser
 

@@ -19,13 +19,14 @@ class MetricReport:
     per_class_f1: list
     macro_f1: float
     support: list
+    confusion: np.ndarray  # the (8, 8) tally the scores come from
 
-    def to_json(self, confusion: np.ndarray) -> dict:
+    def to_json(self) -> dict:
         return {
             "macro_f1": self.macro_f1,
             "per_class_f1": list(self.per_class_f1),
             "support": [int(s) for s in self.support],
-            "confusion": confusion.tolist(),
+            "confusion": self.confusion.tolist(),
         }
 
 
@@ -66,11 +67,12 @@ def macro_f1(counts: np.ndarray) -> MetricReport:
         scores.append(2.0 * precision * recall / denom if denom else 0.0)
     return MetricReport(per_class_f1=scores,
                         macro_f1=sum(scores) / NUM_CLASSES,
-                        support=[int(s) for s in actual])
+                        support=[int(s) for s in actual],
+                        confusion=counts)
 
 
-def evaluate_tracks(labels_by_video: dict, predictions_by_video: dict):
-    """Score predictions against labels across videos; returns (report, confusion)."""
+def evaluate_tracks(labels_by_video: dict, predictions_by_video: dict) -> MetricReport:
+    """Score predictions against labels across videos."""
     all_labels = []
     all_preds = []
     for vid, labels in labels_by_video.items():
@@ -86,5 +88,4 @@ def evaluate_tracks(labels_by_video: dict, predictions_by_video: dict):
         all_preds.append(preds)
     labels = np.concatenate(all_labels) if all_labels else np.zeros(0, np.int64)
     preds = np.concatenate(all_preds) if all_preds else np.zeros(0, np.int64)
-    cm = confusion(labels, preds)
-    return macro_f1(cm), cm
+    return macro_f1(confusion(labels, preds))

@@ -459,7 +459,8 @@ def _op_relu(inputs, attrs):
     return np.maximum(xd, 0), bw
 
 
-def _softmax_data(xd):
+def softmax_rows(xd):
+    """The softmax of each row of the array ``xd``, in its dtype."""
     shifted = xd - xd.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -467,7 +468,7 @@ def _softmax_data(xd):
 
 def _op_softmax(inputs, attrs):
     (x,) = _arity(inputs, 1, "softmax")
-    out = _softmax_data(x.data)
+    out = softmax_rows(x.data)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)

@@ -43,7 +43,7 @@ from .models import ExpressionModel, ModelConfig
 # collect_grads and zero_grads are not called here any more, but bench/tracing.py
 # wraps them by their name in this module
 from .optim import AdamState, adam_step, collect_grads, zero_grads  # noqa: F401
-from .tensor import DTYPE, Graph, Tensor, backward
+from .tensor import DTYPE, Graph, Tensor, backward, softmax_rows
 
 
 @dataclass
@@ -204,11 +204,7 @@ def predict_video(model: ExpressionModel, video: VideoData):
         for seg, part in zip(stack, np.split(logits.data, np.cumsum(windows)[:-1])):
             logit_sum[seg.start - 1:seg.end] += part
             hits[seg.start - 1:seg.end] += 1
-    mean_logits = logit_sum / hits[:, None]
-    shifted = mean_logits - mean_logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    return PredictionTrack.from_probs(video.video_id, probs)
+    return PredictionTrack.from_probs(video.video_id, softmax_rows(logit_sum / hits[:, None]))
 
 
 def evaluate_split(model: ExpressionModel, dataset: LoadedDataset, ids):
@@ -313,7 +309,6 @@ def train(config: ExperimentConfig, log_fn=None) -> TrainResult:
 
     log_path = os.path.join(out_dir, "train_log.jsonl")
     best_path = os.path.join(out_dir, "best.ckpt")
-    log_lines = []
     records = []
     best_f1 = -1.0
 
@@ -329,7 +324,7 @@ def train(config: ExperimentConfig, log_fn=None) -> TrainResult:
                 loss_sum += value * n_valid
                 valid_sum += n_valid
 
-        report, _ = evaluate_split(model, dataset, dataset.val_ids)
+        report = evaluate_split(model, dataset, dataset.val_ids)
         train_loss = loss_sum / valid_sum if valid_sum else 0.0
         wall_ms = int((time.perf_counter() - started) * 1000)
         record = {
@@ -340,8 +335,8 @@ def train(config: ExperimentConfig, log_fn=None) -> TrainResult:
             "wall_ms": wall_ms,
         }
         records.append(record)
-        log_lines.append(json.dumps(record, sort_keys=True))
-        atomic_write_text(log_path, "\n".join(log_lines) + "\n")
+        atomic_write_text(log_path, "".join(json.dumps(r, sort_keys=True) + "\n"
+                                            for r in records))
         if report.macro_f1 > best_f1:
             best_f1 = report.macro_f1
             save_checkpoint(model.parameters(), best_path)

@@ -13,7 +13,7 @@ import pytest
 import mmexpr
 from mmexpr import data
 from mmexpr.checkpoint import load_checkpoint, save_checkpoint
-from mmexpr.cli import main
+from mmexpr.cli import build_parser, main
 from mmexpr.data import (
     FeatureTrack,
     Manifest,
@@ -432,8 +432,10 @@ class TestEnsembleCommand:
                                     "strategy": "majority_vote",
                                     "tie_break": "mean_probability"})
         fused_dir = tmp_path / "fused"
-        assert run_cli("ensemble", "--spec", spec_path, "--out", fused_dir,
-                       "--manifest", synth_dir / "manifest.json") == 0
+        assert run_cli("ensemble", "--spec", spec_path, "--out", fused_dir) == 0
+        assert run_cli("evaluate", "--predictions", fused_dir,
+                       "--manifest", synth_dir / "manifest.json",
+                       "--out", fused_dir / "report.json") == 0
         fused_score = read_json(str(fused_dir / "report.json"))["macro_f1"]
         assert fused_score == 1.0
         member_scores = []
@@ -488,6 +490,53 @@ class TestEnsembleCommand:
         assert f"--out {out_dir} is ensemble member 'preds/a'" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in (tmp_path / "preds" / "a").iterdir()} == before
 
+    @pytest.mark.parametrize("out, config", [
+        ("run", None),  # the config beside the checkpoint, read by default
+        ("cfg", "cfg"),  # the config given with --config
+        ("run/./", "cfg"),  # the checkpoint's run config, another spelling
+        ("link", None),
+    ], ids=["default-config", "given-config", "run-config", "symlink"])
+    def test_predict_out_holding_a_run_config_exits_2_before_writing(
+            self, synth_dir, trained_run, tmp_path, capsys, out, config):
+        for d in ("run", "cfg"):
+            os.makedirs(tmp_path / d)
+            (tmp_path / d / "resolved_config.json").write_bytes(
+                (trained_run / "resolved_config.json").read_bytes())
+        (tmp_path / "run" / "best.ckpt").write_bytes((trained_run / "best.ckpt").read_bytes())
+        os.symlink(tmp_path / "run", tmp_path / "link")
+        before = {d: sorted(p.name for p in (tmp_path / d).iterdir()) for d in ("run", "cfg")}
+        argv = ["predict", "--checkpoint", tmp_path / "run" / "best.ckpt",
+                "--manifest", synth_dir / "manifest.json", "--split", "val"]
+        if config:
+            argv += ["--config", tmp_path / config / "resolved_config.json"]
+        assert run_cli(*argv, "--out", tmp_path / out) == 2
+        assert f"--out {tmp_path / out} would replace the run config" in capsys.readouterr().err
+        assert {d: sorted(p.name for p in (tmp_path / d).iterdir())
+                for d in ("run", "cfg")} == before
+        for d in ("run", "cfg"):
+            assert ((tmp_path / d / "resolved_config.json").read_bytes()
+                    == (trained_run / "resolved_config.json").read_bytes())
+        assert run_cli(*argv, "--out", tmp_path / "preds") == 0
+
+    @pytest.mark.parametrize("videos, message", [
+        ((["vid000", "vid001"], ["vid000"]), "holds videos ['vid000'], expected"),
+        (([], []), "member directories contain no prediction files"),
+    ], ids=["different-videos", "no-files"])
+    def test_members_without_the_same_prediction_files_exit_2_before_writing(
+            self, synth_dir, tmp_path, capsys, videos, message):
+        manifest = load_manifest(str(synth_dir / "manifest.json"))
+        labels = {e.video_id: load_labels(e.label_file, e.n_frames).labels for e in manifest.videos}
+        rng = np.random.default_rng(5)
+        for name, ids in zip(("a", "b"), videos):
+            os.makedirs(tmp_path / name)
+            self.make_member({vid: labels[vid] for vid in ids}, tmp_path / name,
+                             slice(0, None, 5), rng)
+        spec_path = tmp_path / "ensemble.json"
+        write_json(str(spec_path), {"members": ["a", "b"]})
+        assert run_cli("ensemble", "--spec", spec_path, "--out", tmp_path / "fused") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fused").exists()
+
     @pytest.mark.parametrize("spec, message", [
         ([1], "spec: expected an object, got [1]"),
         ({"members": [1, 2]}, "spec.members[0]: expected a string, got 1"),
@@ -498,6 +547,21 @@ class TestEnsembleCommand:
         assert run_cli("ensemble", "--spec", spec_path, "--out", tmp_path / "f") == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+def test_each_command_takes_its_documented_options():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    options = {name: {opt for action in p._actions for opt in action.option_strings}
+               - {"-h", "--help"} for name, p in commands.items()}
+    assert options == {
+        "prepare": {"--manifest", "--out", "--config"},
+        "synth": {"--out", "--videos", "--frames", "--classes", "--visual-dim",
+                  "--audio-dim", "--sigma", "--seed"},
+        "train": {"--config", "--manifest", "--out", "--seed", "--encoder"},
+        "predict": {"--checkpoint", "--manifest", "--split", "--out", "--config"},
+        "evaluate": {"--predictions", "--manifest", "--split", "--out"},
+        "ensemble": {"--spec", "--out"},
+    }
 
 
 class TestExitCodes:
@@ -706,6 +770,36 @@ class TestConfigChecks:
         arrays["fusion.weight"] = np.zeros((13, 64), np.float32)  # the config's sets give 12
         assert self._predict(synth_dir, trained_run, tmp_path, arrays) == 2
         assert "input dim 12 != layer dim 13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["model"].update(encoder="lstm"),
+         "checkpoint mismatch: missing ['lstm0.bias', 'lstm0.input_weight', "
+         "'lstm0.state_weight'], unexpected ['trm0.attn.key_bias'"),
+        (lambda doc: doc["model"]["transformer"].update(ffn_dim=96),
+         "parameter 'trm0.ffn.in_weight': checkpoint shape (64, 128) != model shape (64, 96)"),
+    ], ids=["other-encoder", "other-ffn-dim"])
+    def test_predict_with_another_architectures_config_names_the_parameter(
+            self, synth_dir, trained_run, tmp_path, capsys, edit, message):
+        doc = read_json(str(trained_run / "resolved_config.json"))
+        edit(doc)
+        write_json(str(tmp_path / "config.json"), doc)
+        assert run_cli("predict", "--checkpoint", trained_run / "best.ckpt",
+                       "--config", tmp_path / "config.json",
+                       "--manifest", synth_dir / "manifest.json",
+                       "--split", "val", "--out", tmp_path / "preds") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "preds").exists()
+
+    def test_predict_on_an_empty_split_exits_2_before_writing(self, synth_dir, trained_run,
+                                                              tmp_path, capsys):
+        doc = read_json(str(synth_dir / "manifest.json"))
+        doc["splits"]["test"] = []
+        write_json(str(tmp_path / "manifest.json"), doc)
+        assert run_cli("predict", "--checkpoint", trained_run / "best.ckpt",
+                       "--manifest", tmp_path / "manifest.json",
+                       "--split", "test", "--out", tmp_path / "preds") == 2
+        assert "split 'test' is empty" in capsys.readouterr().err
+        assert not (tmp_path / "preds").exists()
 
     def test_prepare_rejects_config_that_is_not_an_object(self, synth_dir, tmp_path, capsys):
         (tmp_path / "list.json").write_text("[1]\n")

@@ -105,7 +105,8 @@ class TestEvaluateTracks:
     def test_across_videos(self):
         labels = {"a": np.array([0, 1, -1]), "b": np.array([2, 2])}
         preds = {"a": np.array([0, 1, 5]), "b": np.array([2, 3])}
-        report, cm = evaluate_tracks(labels, preds)
+        report = evaluate_tracks(labels, preds)
+        cm = report.confusion
         assert cm.sum() == 4  # the -1 frame is excluded
         assert report.support == [1, 1, 2, 0, 0, 0, 0, 0]
 
@@ -114,8 +115,8 @@ class TestEvaluateTracks:
             evaluate_tracks({"a": np.array([0])}, {})
 
     def test_report_json_shape(self):
-        report, cm = evaluate_tracks({"a": np.array([0, 1])}, {"a": np.array([0, 1])})
-        doc = report.to_json(cm)
+        report = evaluate_tracks({"a": np.array([0, 1])}, {"a": np.array([0, 1])})
+        doc = report.to_json()
         assert set(doc) == {"macro_f1", "per_class_f1", "support", "confusion"}
         assert len(doc["per_class_f1"]) == 8
         assert len(doc["confusion"]) == 8

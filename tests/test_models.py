@@ -482,6 +482,18 @@ class TestExpressionModel:
         l1, l2, _ = model.two_pass_logits(g, feats, None, rng)
         assert np.abs(l1.data - l2.data).max() > 1e-6
 
+    @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+    def test_zero_dropout_draws_no_masks(self, encoder):
+        model = ExpressionModel(tiny_config(encoder, dropout=0.0, head_dropout=0.0), 5,
+                                np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        feats = np.random.default_rng(7).normal(size=(6, 5)).astype(np.float32)
+        g = Graph()
+        model.two_pass_logits(g, feats, None, rng)
+        assert rng.bit_generator.state == before
+        assert [n for n in g.nodes if n.kind == "dropout"] == []
+
     def test_checkpoint_roundtrip_through_state(self):
         cfg = tiny_config("lstm")
         model = ExpressionModel(cfg, 5, np.random.default_rng(7))

@@ -1,6 +1,7 @@
 """Tensor core: forward semantics, autodiff vs finite differences, Adam, checkpoints."""
 
 import gc
+import io
 import itertools
 import os
 import struct
@@ -16,7 +17,7 @@ import pytest
 
 from mmexpr import (AdamState, DataFormatError, Graph, NonFiniteError, ShapeError, Tensor,
                     adam_step, backward)
-from mmexpr import tensor
+from mmexpr import checkpoint, tensor
 from mmexpr.checkpoint import load_checkpoint, save_checkpoint
 from mmexpr.models import ExpressionModel, LstmSettings, ModelConfig, TransformerSettings
 from mmexpr.optim import BLOCK
@@ -986,6 +987,21 @@ class TestCheckpoint:
         path = tmp_path / "huge.ckpt"
         path.write_bytes(raw)
         with pytest.raises(DataFormatError, match=r"huge\.ckpt: parameter 'w' has an invalid shape"):
+            load_checkpoint(str(path))
+
+    def test_file_shrinking_while_read_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "shrinks.ckpt"
+        save_checkpoint({"w": np.ones((8, 8), np.float32)}, str(path))
+
+        class Shrinking(io.FileIO):
+            """Reads come up short at the parameter data, as if the file were
+            cut after its size was taken."""
+
+            def readinto(self, buf):
+                return super().readinto(buf) if len(buf) < 256 else 10
+
+        monkeypatch.setattr(checkpoint, "open", lambda p, mode: Shrinking(p), raising=False)
+        with pytest.raises(DataFormatError, match=r"shrinks\.ckpt: truncated checkpoint"):
             load_checkpoint(str(path))
 
     def test_truncation_rejected(self, tmp_path):

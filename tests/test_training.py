@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mmexpr import Graph, NumericError, Tensor, backward, training
-from mmexpr.data import VideoData, load_manifest, read_feature_file
+from mmexpr.data import LabelTrack, VideoData, load_manifest, read_feature_file, save_labels
 from mmexpr.errors import DataFormatError
 from mmexpr.fileio import write_json
 from mmexpr.models import ExpressionModel, LstmSettings, ModelConfig, TransformerSettings
@@ -279,6 +279,33 @@ class TestTrainLoop:
         resolved = json.load(open(tmp_path / "run" / "resolved_config.json"))
         assert resolved["seed"] == cfg.seed
         assert resolved["features"]["visual"] == ["synthvis"]
+
+    def test_all_masked_batch_is_skipped_by_the_loss_and_the_optimizer(self, tmp_path,
+                                                                        monkeypatch):
+        cfg = tiny_experiment(tmp_path, "lstm", epochs=1)  # one video per step
+        manifest = load_manifest(cfg.manifest)
+        masked = manifest.video("vid001")
+        save_labels(LabelTrack("vid001", np.full(masked.n_frames, -1)), masked.label_file)
+        steps, states = [], []
+        real_step, real_adam = training._train_step, training.adam_step
+
+        def recorded_step(model, batch, *args):
+            steps.append((batch[0][0], real_step(model, batch, *args)))
+            return steps[-1][1]
+
+        def recorded_adam(params, grads, state):
+            states.append(state)
+            return real_adam(params, grads, state)
+
+        monkeypatch.setattr(training, "_train_step", recorded_step)
+        monkeypatch.setattr(training, "adam_step", recorded_adam)
+        record = train(cfg).records[0]
+        assert [vid for vid, out in steps if out is None] == ["vid001"]
+        kept = [out for _, out in steps if out is not None]
+        assert len(kept) == 3
+        assert record["train_loss"] == (sum(value * n for value, n in kept)
+                                        / sum(n for _, n in kept))
+        assert states[-1].step == 3
 
     def test_best_checkpoint_tracks_best_epoch(self, tmp_path):
         cfg = tiny_experiment(tmp_path, "lstm", sigma=0.05, epochs=5, lr=2e-3)
