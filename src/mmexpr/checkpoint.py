@@ -6,13 +6,12 @@ dimension, and the data as raw 32-bit floats in row-major order.
 """
 
 import math
-import os
 import struct
 
 import numpy as np
 
 from .errors import DataFormatError
-from .fileio import atomic_writer
+from .fileio import SizedReader, atomic_writer
 from .tensor import Tensor
 
 MAGIC = b"TFCK"
@@ -40,48 +39,27 @@ def save_checkpoint(params: dict, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Read a checkpoint into an ordered name -> float32 ndarray dict.
-
-    The file is read front to back through one handle. Each declared size is
-    checked against the bytes left before it is read or allocated, and each
-    parameter's bytes are read straight into its own array, so the load holds
-    one copy of the parameters.
-    """
+    """Read a checkpoint into an ordered name -> float32 ndarray dict through
+    ``SizedReader``, each parameter's bytes straight into its own array, so
+    the load holds one copy of the parameters."""
     with open(path, "rb") as fh:
-        left = os.fstat(fh.fileno()).st_size
-
-        def read(n: int, what: str) -> np.ndarray:
-            """The next ``n`` bytes, allocated only once the file is known to hold them."""
-            nonlocal left
-            if n > left or fh.readinto(buf := np.empty(n, np.uint8)) != n:
-                raise DataFormatError(
-                    f"{path}: truncated checkpoint: {what} needs {n} bytes, {left} left")
-            left -= n
-            return buf
-
-        magic = read(4, "magic").tobytes()
-        if magic != MAGIC:
-            raise DataFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version, count = struct.unpack("<II", read(8, "header"))
+        file = SizedReader(fh, path, "checkpoint", MAGIC)
+        version, count = file.unpack("<II", "header")
         if version != FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported format version {version}")
         params = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", read(4, "name length"))
-            try:
-                name = read(name_len, "name").tobytes().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataFormatError(f"{path}: parameter name is not UTF-8 ({exc})") from exc
-            (rank,) = struct.unpack("<I", read(4, f"parameter {name!r} rank"))
-            dims = struct.unpack(f"<{rank}I", read(4 * rank, f"parameter {name!r} dims"))
+            (name_len,) = file.unpack("<I", "name length")
+            name = file.text(name_len, "parameter name")
+            (rank,) = file.unpack("<I", f"parameter {name!r} rank")
+            dims = file.unpack(f"<{rank}I", f"parameter {name!r} dims")
             if name in params:
                 raise DataFormatError(f"{path}: parameter {name!r} appears twice")
-            data = read(4 * math.prod(dims), f"parameter {name!r} of shape {dims}")
+            data = file.read(4 * math.prod(dims), f"parameter {name!r} of shape {dims}")
             try:
                 params[name] = data.view("<f4").reshape(dims)
             except ValueError as exc:  # numpy refuses the shape: too many dims or too big
                 raise DataFormatError(f"{path}: parameter {name!r} has an invalid shape "
                                       f"{dims} ({exc})") from exc
-    if left:
-        raise DataFormatError(f"{path}: {left} trailing bytes")
+        file.end()
     return params

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .fileio import CsvTable, JsonConfig, atomic_write_bytes, read_json, resolve_beside
+from .fileio import CsvTable, JsonConfig, SizedReader, atomic_write_bytes, read_json, resolve_beside
 from .tensor import all_finite
 
 NUM_CLASSES = 8
@@ -208,42 +208,19 @@ def write_feature_file(track: FeatureTrack, path: str) -> None:
 
 
 def read_feature_file(path: str, video_id: str | None = None) -> FeatureTrack:
-    """Read a feature file, checking its header against the file's size before
-    anything is sized from it; the floats are read straight into the matrix."""
+    """Read a feature file through ``SizedReader``, so that nothing is sized
+    from its header before the file is known to hold it; the floats are read
+    straight into the matrix."""
     with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        head = fh.read(12)
-        if head[:4] != FEATURE_MAGIC:
-            raise DataFormatError(f"{path}: bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}")
-        if len(head) < 12:
-            raise DataFormatError(f"{path}: truncated feature file: {len(head)} bytes, "
-                                  f"the header needs 12")
-        version, name_len = struct.unpack_from("<II", head, 4)
+        file = SizedReader(fh, path, "feature file", FEATURE_MAGIC)
+        version, name_len = file.unpack("<II", "version and name length")
         if version != FEATURE_VERSION:
             raise DataFormatError(f"{path}: unsupported feature file version {version}")
-        offset = 12 + name_len
-        if offset + 8 > file_size:
-            raise DataFormatError(f"{path}: truncated feature file: the header needs "
-                                  f"{offset + 8} bytes, the file has {file_size}")
-        try:
-            name = fh.read(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: feature set name is not UTF-8 ({exc})") from exc
-        n, dim = struct.unpack("<II", fh.read(8))
-        offset += 8
-        bitmap_len = (n + 7) // 8
-        size = bitmap_len + 4 * n * dim
-        if offset + size > file_size:
-            raise DataFormatError(f"{path}: truncated feature file: {n} frames of dim {dim} "
-                                  f"need {size} bytes, {file_size - offset} left")
-        if offset + size < file_size:
-            raise DataFormatError(f"{path}: {file_size - offset - size} trailing bytes")
-        bitmap = np.frombuffer(fh.read(bitmap_len), dtype=np.uint8)
-        matrix = np.empty((n, dim), dtype="<f4")
-        got = len(bitmap) + fh.readinto(matrix)
-        if got < size:  # the file shrank since its size was taken
-            raise DataFormatError(f"{path}: truncated feature file: {n} frames of dim {dim} "
-                                  f"need {size} bytes, {got} left")
+        name = file.text(name_len, "feature set name")
+        n, dim = file.unpack("<II", "frame count and dim")
+        bitmap = file.read((n + 7) // 8, f"the presence bitmap of {n} frames")
+        matrix = file.read(4 * n * dim, f"{n} frames of dim {dim}").view("<f4").reshape(n, dim)
+        file.end()
     present = np.unpackbits(bitmap, bitorder="little", count=n).astype(bool)
     matrix[~present] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,6 +8,7 @@ Fused probabilities are the member mean.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -102,9 +103,8 @@ _PREDICTION_TYPES = (int, int) + (float,) * NUM_CLASSES
 # a dense file holds frame k on the k-th record after its header
 _PREDICTION_RULES = ((lambda record, frame, *_: frame != record, "frame index {1}, expected {0}"),)
 
-# correctly rounded powers of ten, 1e-300 .. 1e308 (10.0 ** k is not for every k)
-_P10_LOW = -300
-_P10 = np.array([float(f"1e{k}") for k in range(_P10_LOW, 309)])
+_P10_LOW = -300  # the powers of ten tabled: 1e-300 .. 1e308
+_FORM_LOW = -330  # the decimal exponents tabled: -330 .. 330
 
 # One value's "%.9g" text sits in 32 fixed slots, NUL where a slot is empty:
 #   0 sign | 1-2 "0." | 3-5 leading zeros | 8-23 digits 1-8, each followed by a
@@ -118,9 +118,23 @@ _ZERO_FORM = 17
 _G9_FORMS = 18
 
 
-def _g9_classes():
-    """The fixed bytes of each of the 2 x 18 x 9 classes, as (classes, 4) int64
-    words, and the mask of digit slots each prints (0xFF) as (4, classes) words."""
+def _decimal_digits(count: int, width: int) -> np.ndarray:
+    """(count, width) decimal digits of 0 .. count - 1, most significant first."""
+    return np.arange(count)[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10
+
+
+@functools.cache
+def _g9_tables() -> tuple:
+    """The formatter's tables, built on its first call rather than at import:
+    the correctly rounded powers of ten (``10.0 ** k`` is not for every k);
+    the fixed bytes of each of the 2 x 18 x 9 classes as (classes, 4) int64
+    words, and the digit slots each prints (0xFF) as (4, classes) words; the
+    digit text words (entry k < 10,000 is k's four digits on the even bytes,
+    entry 10,000 + d the digit d on the first byte) with the significant
+    digits each brings, counted from the first of the nine and, for the
+    second group, from the fifth; the form of each tabled decimal exponent;
+    and each exponent's three digits, a two-digit one's first slot empty."""
+    p10 = np.array([float(f"1e{k}") for k in range(_P10_LOW, 309)])
     template = np.zeros((2, _G9_FORMS, 9, _G9_WIDTH), np.uint8)
     keep = np.zeros_like(template)
     template[1, :, :, 0] = ord("-")
@@ -142,19 +156,6 @@ def _g9_classes():
                 t[:, form, digit_at[point] + 1] = ord(".")
             k[:, form, digit_at[:shown]] = 0xFF
         t[:, _ZERO_FORM, 1] = ord("0")
-    return (template.reshape(-1, _G9_WIDTH).view(np.int64),
-            keep.reshape(-1, _G9_WIDTH).view(np.int64).T.copy())
-
-
-def _decimal_digits(count: int, width: int) -> np.ndarray:
-    """(count, width) decimal digits of 0 .. count - 1, most significant first."""
-    return np.arange(count)[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10
-
-
-def _g9_digits():
-    """Words of digit text: entry k < 10,000 is k's four digits on the even bytes
-    of a word; entry 10,000 + d is the one digit d on its first byte. Also the
-    significant digits each entry brings, counted from the first of the nine."""
     four = _decimal_digits(10000, 4)
     text = np.zeros((10010, 8), np.uint8)
     text[:10000, 0::2] = four + ord("0")
@@ -162,21 +163,13 @@ def _g9_digits():
     sig = np.zeros(10010, np.int64)
     sig[:10000] = ((four != 0) * np.arange(1, 5)).max(axis=1)
     sig[10001:] = 9
-    return text.view(np.int64).ravel(), sig
-
-
-_G9_TEMPLATE, _G9_KEEP = _g9_classes()
-_G9_TEXT, _G9_SIG = _g9_digits()
-# the second group's digits count from the fifth
-_G9_SIG_LATER = np.where(_G9_SIG[:10000] > 0, _G9_SIG[:10000] + 4, 0)
-# form by decimal exponent, for exponents -330 .. 330
-_FORM_LOW = -330
-_FORM = np.arange(_FORM_LOW, 331)
-_FORM = np.where((_FORM >= -4) & (_FORM < 9), _FORM + 4,
-                 13 + 2 * (_FORM > 0) + (abs(_FORM) >= 100))
-# an exponent's three digits; a two-digit one leaves its first slot empty
-_EXPONENT = (_decimal_digits(1000, 3) + ord("0")).astype(np.uint8)
-_EXPONENT[:100, 0] = 0
+    exps = np.arange(_FORM_LOW, 331)
+    forms = np.where((exps >= -4) & (exps < 9), exps + 4, 13 + 2 * (exps > 0) + (abs(exps) >= 100))
+    exponent = (_decimal_digits(1000, 3) + ord("0")).astype(np.uint8)
+    exponent[:100, 0] = 0
+    return (p10, template.reshape(-1, _G9_WIDTH).view(np.int64),
+            keep.reshape(-1, _G9_WIDTH).view(np.int64).T.copy(), text.view(np.int64).ravel(),
+            sig, np.where(sig[:10000] > 0, sig[:10000] + 4, 0), forms, exponent)
 
 
 def _format_g9(x: np.ndarray) -> np.ndarray:
@@ -189,13 +182,14 @@ def _format_g9(x: np.ndarray) -> np.ndarray:
     [1e-290, 1e290) (subnormals included) or not finite, are formatted by
     Python instead.
     """
+    p10, template, keep, digit_text, digit_sig, later_sig, forms, exponent = _g9_tables()
     v = np.asarray(x, np.float64).ravel()
     a = np.abs(v)
     zero = a == 0
     direct = (a >= 1e-290) & (a < 1e290)
     a = np.where(direct, a, 1.0)
     exp = np.floor(np.log10(a)).astype(np.int64)
-    scaled = a * _P10[8 - _P10_LOW - exp]
+    scaled = a * p10[8 - _P10_LOW - exp]
     sig = np.rint(scaled)
     direct &= np.abs(scaled - sig) < 0.5 - 1e-6
     # a log10 that rounds up to the next power of ten scales a value just below
@@ -208,15 +202,15 @@ def _format_g9(x: np.ndarray) -> np.ndarray:
     rest = sig - 100000 * first
     second = rest // 10
     last = rest - 10 * second + 10000
-    nsig = np.maximum(np.maximum(_G9_SIG[first], _G9_SIG_LATER[second]), _G9_SIG[last])
-    form = np.where(zero, _ZERO_FORM, _FORM[exp - _FORM_LOW])
+    nsig = np.maximum(np.maximum(digit_sig[first], later_sig[second]), digit_sig[last])
+    form = np.where(zero, _ZERO_FORM, forms[exp - _FORM_LOW])
     cls = (form + _G9_FORMS * np.signbit(v)) * 9 + nsig - 1
-    words = np.take(_G9_TEMPLATE, cls, axis=0)
+    words = np.take(template, cls, axis=0)
     for w, group in enumerate((first, second, last), start=1):
-        words[:, w] |= _G9_TEXT[group] & _G9_KEEP[w][cls]
+        words[:, w] |= digit_text[group] & keep[w][cls]
     out = words.view(np.uint8)
     sci = np.flatnonzero((form >= 13) & (form < _ZERO_FORM))
-    out[sci, 27:30] = _EXPONENT[np.abs(exp[sci])]
+    out[sci, 27:30] = exponent[np.abs(exp[sci])]
     slow = np.flatnonzero(~(direct | zero))
     if slow.size:
         text = ["%.9g" % f for f in v[slow].tolist()]

@@ -1,5 +1,6 @@
-"""Atomic file writes, streamed or whole; the JSON reader and ``CsvTable``,
-whose faults name the file, ``CsvTable`` checking a CSV format's ordered rule
+"""Atomic file writes, streamed or whole; ``SizedReader``, the one bounded
+reader of both binary formats; the JSON reader and ``CsvTable``, whose faults
+name the file, ``CsvTable`` checking a CSV format's ordered rule
 table over whole columns; ``resolve_beside`` for a path written in a file;
 and ``JsonConfig``, the one codec between a JSON document and a dataclass,
 through which the experiment config, the ensemble spec and the dataset
@@ -12,6 +13,7 @@ import functools
 import io
 import json
 import os
+import struct
 import tempfile
 import types
 import warnings
@@ -54,6 +56,43 @@ def atomic_write_text(path, text: str) -> None:
 def write_json(path, obj) -> None:
     """Serialize with sorted keys so identical inputs give identical bytes."""
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+class SizedReader:
+    """The binary file ``fh`` the caller opened from ``path``, read front to back
+    after its ``magic`` (a file too short for it has a bad one). Each read is
+    checked against the bytes left, counted from the file's size, before
+    anything is allocated; a short read (the file was cut after its size was
+    taken) and, at ``end``, trailing bytes are refused too. Each fault is a
+    ``DataFormatError`` naming the file and, for a truncation, ``kind``."""
+
+    def __init__(self, fh, path, kind: str, magic: bytes):
+        self.fh, self.path, self.kind = fh, path, kind
+        self.left = os.fstat(fh.fileno()).st_size
+        got = self.read(min(len(magic), self.left), "magic").tobytes()
+        if got != magic:
+            raise DataFormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
+
+    def read(self, n: int, what: str) -> np.ndarray:
+        """The next ``n`` bytes, as a fresh uint8 array."""
+        if n > self.left or self.fh.readinto(buf := np.empty(n, np.uint8)) != n:
+            raise DataFormatError(f"{self.path}: truncated {self.kind}: {what} needs {n} bytes, "
+                                  f"{self.left} left")
+        self.left -= n
+        return buf
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.read(n, what).tobytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{self.path}: {what} is not UTF-8 ({exc})") from exc
+
+    def end(self) -> None:
+        if self.left:
+            raise DataFormatError(f"{self.path}: {self.left} trailing bytes")
 
 
 def read_json(path):

@@ -107,10 +107,19 @@ def xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, (fan_in, fan_out)).astype(DTYPE)
 
 
-def parameter(params: dict, name: str, data) -> Tensor:
-    """A trainable tensor, added to ``params`` (whose order the checkpoint keeps)."""
-    params[name] = Tensor(data, requires_grad=True, name=name)
-    return params[name]
+def parameter(params: dict, name: str, shape: tuple, rng, make=None) -> Tensor:
+    """A trainable tensor of ``shape``, added to ``params`` (whose order the
+    checkpoint keeps): ``make(rng, *shape)``, a draw from the init stream, or
+    zeros without ``make``. With ``rng`` None nothing is drawn or allocated,
+    and the tensor holds a read-only stand-in until ``load_state`` fills it."""
+    if rng is None:
+        tensor = Tensor(DTYPE(0), requires_grad=True, name=name)
+        tensor.data = np.broadcast_to(tensor.data, shape)
+    else:
+        tensor = Tensor(np.zeros(shape, DTYPE) if make is None else make(rng, *shape),
+                        requires_grad=True, name=name)
+    params[name] = tensor
+    return tensor
 
 
 def drop(g: Graph, x: Tensor, rate: float, masks) -> Tensor:
@@ -125,8 +134,8 @@ class FusionLayer:
 
     def __init__(self, input_dim: int, d_model: int, rng, params: dict):
         self.input_dim = input_dim
-        self.weight = parameter(params, "fusion.weight", xavier(rng, input_dim, d_model))
-        self.bias = parameter(params, "fusion.bias", np.zeros(d_model, DTYPE))
+        self.weight = parameter(params, "fusion.weight", (input_dim, d_model), rng, xavier)
+        self.bias = parameter(params, "fusion.bias", (d_model,), rng)
 
     def apply(self, g: Graph, fused_inputs: Tensor) -> Tensor:
         if fused_inputs.shape[-1] != self.input_dim:
@@ -146,13 +155,13 @@ class LstmEncoder:
         self.hidden = settings.hidden
         self.weights = []
         in_dim = input_dim
+        gates = 4 * self.hidden
         for li in range(settings.layers):
-            w_in = parameter(params, f"lstm{li}.input_weight", xavier(rng, in_dim, 4 * self.hidden))
-            w_state = parameter(params, f"lstm{li}.state_weight",
-                                xavier(rng, self.hidden, 4 * self.hidden))
-            bias_init = np.zeros(4 * self.hidden, DTYPE)
-            bias_init[self.hidden:2 * self.hidden] = 1.0  # open forget gates at start
-            self.weights.append((w_in, w_state, parameter(params, f"lstm{li}.bias", bias_init)))
+            self.weights.append((
+                parameter(params, f"lstm{li}.input_weight", (in_dim, gates), rng, xavier),
+                parameter(params, f"lstm{li}.state_weight", (self.hidden, gates), rng, xavier),
+                parameter(params, f"lstm{li}.bias", (gates,), rng,  # forget gates start open
+                          lambda rng, n: (np.arange(n) // self.hidden == 1).astype(DTYPE))))
             in_dim = self.hidden
 
     def forward(self, g: Graph, x: Tensor, state=None, masks=None, passes: int = 1,
@@ -169,11 +178,7 @@ class LstmEncoder:
         frames = x
         new_state = []
         for li, (w_in, w_state, bias) in enumerate(self.weights):
-            if state is None:
-                h = Tensor(np.zeros((1, self.hidden), DTYPE))
-                c = Tensor(np.zeros((1, self.hidden), DTYPE))
-            else:
-                h, c = state[li]
+            h, c = state[li] if state is not None else (Tensor(np.zeros((1, self.hidden), DTYPE)),) * 2
             pre = g.affine(frames, w_in, bias)  # input projection for all frames at once
             frames, c = g.lstm_seq(pre, w_state, h, c)
             new_state.append((Tensor(frames.data[-1:]), c))
@@ -217,28 +222,27 @@ class TransformerEncoder:
         # residual branches start small (1/sqrt(2 * layers)) so stacked post-norm
         # layers keep usable gradients without a warmup schedule
         shrink = DTYPE(1.0 / math.sqrt(2.0 * settings.layers))
+
+        def shrunk(rng, *shape):
+            return xavier(rng, *shape) * shrink
+
+        d, ffn = d_model, settings.ffn_dim
         self.layers = []
         for li in range(settings.layers):
             layer = {}
             for role in ("query", "key", "value", "out"):
-                scale = shrink if role == "out" else DTYPE(1)
-                layer[role + "_w"] = parameter(params, f"trm{li}.attn.{role}_weight",
-                                               xavier(rng, d_model, d_model) * scale)
-                layer[role + "_b"] = parameter(params, f"trm{li}.attn.{role}_bias",
-                                               np.zeros(d_model, DTYPE))
-            layer["ffn_in_w"] = parameter(params, f"trm{li}.ffn.in_weight",
-                                          xavier(rng, d_model, settings.ffn_dim))
-            layer["ffn_in_b"] = parameter(params, f"trm{li}.ffn.in_bias",
-                                          np.zeros(settings.ffn_dim, DTYPE))
-            layer["ffn_out_w"] = parameter(params, f"trm{li}.ffn.out_weight",
-                                           xavier(rng, settings.ffn_dim, d_model) * shrink)
-            layer["ffn_out_b"] = parameter(params, f"trm{li}.ffn.out_bias",
-                                           np.zeros(d_model, DTYPE))
+                layer[role + "_w"] = parameter(params, f"trm{li}.attn.{role}_weight", (d, d), rng,
+                                               shrunk if role == "out" else xavier)
+                layer[role + "_b"] = parameter(params, f"trm{li}.attn.{role}_bias", (d,), rng)
+            layer["ffn_in_w"] = parameter(params, f"trm{li}.ffn.in_weight", (d, ffn), rng, xavier)
+            layer["ffn_in_b"] = parameter(params, f"trm{li}.ffn.in_bias", (ffn,), rng)
+            layer["ffn_out_w"] = parameter(params, f"trm{li}.ffn.out_weight", (ffn, d), rng,
+                                           shrunk)
+            layer["ffn_out_b"] = parameter(params, f"trm{li}.ffn.out_bias", (d,), rng)
             for norm in ("norm1", "norm2"):
-                layer[norm + "_gain"] = parameter(params, f"trm{li}.{norm}.gain",
-                                                  np.ones(d_model, DTYPE))
-                layer[norm + "_shift"] = parameter(params, f"trm{li}.{norm}.shift",
-                                                   np.zeros(d_model, DTYPE))
+                layer[norm + "_gain"] = parameter(params, f"trm{li}.{norm}.gain", (d,), rng,
+                                                  lambda rng, n: np.ones(n, DTYPE))
+                layer[norm + "_shift"] = parameter(params, f"trm{li}.{norm}.shift", (d,), rng)
             self.layers.append(layer)
 
     def dropout_sites(self, window: int) -> list:
@@ -339,11 +343,11 @@ class ClassificationHead:
         in_dim = input_dim
         for i, size in enumerate(hidden_sizes):
             self.stages.append((
-                parameter(params, f"head.hidden{i}.weight", xavier(rng, in_dim, size)),
-                parameter(params, f"head.hidden{i}.bias", np.zeros(size, DTYPE))))
+                parameter(params, f"head.hidden{i}.weight", (in_dim, size), rng, xavier),
+                parameter(params, f"head.hidden{i}.bias", (size,), rng)))
             in_dim = size
-        self.out_w = parameter(params, "head.out.weight", xavier(rng, in_dim, classes))
-        self.out_b = parameter(params, "head.out.bias", np.zeros(classes, DTYPE))
+        self.out_w = parameter(params, "head.out.weight", (in_dim, classes), rng, xavier)
+        self.out_b = parameter(params, "head.out.bias", (classes,), rng)
 
     def dropout_sites(self, rows: int) -> list:
         """(shape, rate) of each dropout mask one pass over ``rows`` frames takes."""
@@ -401,11 +405,12 @@ class ExpressionModel:
 
     @classmethod
     def from_state(cls, config: ModelConfig, arrays: dict) -> "ExpressionModel":
-        """A model with the checkpoint ``arrays``, its input dim read from ``fusion.weight``."""
+        """A model holding the checkpoint ``arrays`` themselves, its input dim read
+        from ``fusion.weight``: nothing is drawn, and no array is copied."""
         weight = arrays.get("fusion.weight")
         if weight is None or weight.ndim != 2:
             raise ShapeError("checkpoint has no 2-D 'fusion.weight' to take the input dim from")
-        return cls(config, weight.shape[0], np.random.default_rng(0)).load_state(arrays)
+        return cls(config, weight.shape[0], None).load_state(arrays)
 
     # -- forward passes --
 

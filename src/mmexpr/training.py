@@ -183,7 +183,7 @@ def predict_video(model: ExpressionModel, video: VideoData):
     rows, one ``eval_logits`` call each; the encoder state starts at None and
     each stack's state seeds the next. Overlapping windows (transformer with
     stride < length) are merged by averaging logits per frame before the
-    softmax.
+    softmax. A non-finite value raises ``NumericError`` naming the video.
     """
     cfg = model.config
     n = video.n_frames
@@ -199,8 +199,11 @@ def predict_video(model: ExpressionModel, video: VideoData):
     state = None
     for stack in stacks:
         windows = [len(seg.features) for seg in stack]
-        logits, state = model.eval_logits(
-            Graph(record=False), np.concatenate([seg.features for seg in stack]), state, windows)
+        try:
+            logits, state = model.eval_logits(Graph(record=False), np.concatenate(
+                [seg.features for seg in stack]), state, windows)
+        except NonFiniteError as exc:
+            raise NumericError(f"non-finite value at video {video.video_id}: {exc}") from exc
         for seg, part in zip(stack, np.split(logits.data, np.cumsum(windows)[:-1])):
             logit_sum[seg.start - 1:seg.end] += part
             hits[seg.start - 1:seg.end] += 1
@@ -324,7 +327,10 @@ def train(config: ExperimentConfig, log_fn=None) -> TrainResult:
                 loss_sum += value * n_valid
                 valid_sum += n_valid
 
-        report = evaluate_split(model, dataset, dataset.val_ids)
+        try:
+            report = evaluate_split(model, dataset, dataset.val_ids)
+        except NumericError as exc:  # predict_video's "non-finite value at video V: ..."
+            raise NumericError(str(exc).replace("at ", f"at epoch {epoch} validation ", 1)) from exc
         train_loss = loss_sum / valid_sum if valid_sum else 0.0
         wall_ms = int((time.perf_counter() - started) * 1000)
         record = {

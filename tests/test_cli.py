@@ -639,6 +639,34 @@ class TestExitCodes:
         assert "epoch 1 batch 0: adam_step" in capsys.readouterr().err
 
 
+    def test_non_finite_validation_is_3_naming_epoch_and_video(self, tmp_path, capsys):
+        # one step at lr 1e30 leaves finite weights near 1e30; validation's
+        # first affine then overflows
+        assert run_cli("synth", "--out", tmp_path, "--videos", 4, "--frames", 60) == 0
+        doc = read_json(str(tmp_path / "config.json"))
+        doc["model"].update(encoder="lstm", d_model=32, lstm={"hidden": 16, "layers": 1},
+                            segment={"l": 16, "p": 16})
+        doc["training"].update(lr=1e30, batch_videos=4)
+        write_json(str(tmp_path / "lstm.json"), doc)
+        capsys.readouterr()
+        assert run_cli("train", "--config", tmp_path / "lstm.json") == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: non-finite value at epoch 1 validation video vid000: affine: ")
+
+    def test_forward_overflow_in_predict_is_3_naming_the_video(self, synth_dir, trained_run,
+                                                               tmp_path, capsys):
+        arrays = load_checkpoint(str(trained_run / "best.ckpt"))
+        arrays["fusion.weight"][:] = 1e30  # finite, but the attention scores overflow
+        save_checkpoint(arrays, str(tmp_path / "big.ckpt"))
+        assert run_cli("predict", "--checkpoint", tmp_path / "big.ckpt",
+                       "--config", trained_run / "resolved_config.json",
+                       "--manifest", synth_dir / "manifest.json",
+                       "--split", "val", "--out", tmp_path / "preds") == 3
+        vid = load_manifest(str(synth_dir / "manifest.json")).split_ids("val")[0]
+        assert capsys.readouterr().err.startswith(
+            f"numeric failure: non-finite value at video {vid}: ")
+
+
 def _set(path, value):
     """A config edit that sets the dotted ``path`` of the document to ``value``."""
     def edit(doc):

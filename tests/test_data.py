@@ -1,7 +1,9 @@
 """Data pipeline: label parsing, feature files, repair, assembly, segmentation."""
 
 import csv
+import io
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmexpr import fileio
+from mmexpr import data, fileio
+from mmexpr.checkpoint import load_checkpoint, save_checkpoint
 from mmexpr.data import (
     FeatureSpec,
     FeatureTrack,
@@ -499,6 +502,84 @@ class TestFeatureFiles:
             read_feature_file(str(p))
         assert str(caught.value).startswith(f"{p}: ")
         assert "truncated" not in str(caught.value)
+
+
+    @pytest.mark.parametrize("raw", [b"", b"MM", b"MMF", b"XXXX"])
+    @pytest.mark.parametrize("reader", [read_feature_file, load_checkpoint],
+                             ids=["features", "checkpoint"])
+    def test_file_shorter_than_its_header_with_a_wrong_magic_says_bad_magic(self, tmp_path,
+                                                                            reader, raw):
+        p = tmp_path / "short.bin"
+        p.write_bytes(raw)
+        with pytest.raises(DataFormatError, match=f"^{p}: bad magic {raw!r}, expected"):
+            reader(str(p))
+
+    def test_trailing_bytes_reported_before_a_non_finite_row(self, tmp_path):
+        track = make_track([True] * 4, dim=4)
+        track.matrix[2, 1] = np.nan
+        p = tmp_path / "x.mmft"
+        p.write_bytes(feature_file_bytes(track) + b"\0" * 3)
+        with pytest.raises(DataFormatError, match=r"x\.mmft: 3 trailing bytes$"):
+            read_feature_file(str(p))
+        p.write_bytes(feature_file_bytes(track))
+        with pytest.raises(DataFormatError, match="non-finite value in present frame 3"):
+            read_feature_file(str(p))
+
+    def test_file_shrinking_while_read_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "shrinks.mmft"
+        write_feature_file(make_track([True] * 8, dim=16), str(path))
+
+        class Shrinking(io.FileIO):
+            """Reads come up short at the matrix, as if the file were cut after
+            its size was taken."""
+
+            def readinto(self, buf):
+                return super().readinto(buf) if memoryview(buf).nbytes < 256 else 10
+
+        monkeypatch.setattr(data, "open", lambda p, mode: Shrinking(p), raising=False)
+        with pytest.raises(DataFormatError, match=r"shrinks\.mmft: truncated feature file"):
+            read_feature_file(str(path))
+
+
+def _checkpoint_file(path):
+    save_checkpoint({"fusion.weight": np.ones((3, 2), np.float32),
+                     "fusion.bias": np.ones(2, np.float32)}, path)
+
+
+# (format, size field, byte offset, the value the valid file holds there)
+SIZE_FIELDS = [
+    ("features", "name length", 8, 3), ("features", "n_frames", 15, 6),
+    ("features", "dim", 19, 3), ("checkpoint", "count", 8, 2),
+    ("checkpoint", "name length", 12, len("fusion.weight")), ("checkpoint", "rank", 29, 2),
+    ("checkpoint", "dim", 33, 3),
+]
+
+
+@pytest.mark.parametrize("fmt, field, at, value", SIZE_FIELDS,
+                         ids=[f"{fmt}-{field}" for fmt, field, *_ in SIZE_FIELDS])
+def test_no_allocation_is_sized_by_a_header_field_the_file_cannot_fill(tmp_path, fmt, field,
+                                                                       at, value):
+    """A size field of 0xFFFFFFFF is refused, naming the file, before anything
+    near that size is allocated."""
+    path = tmp_path / f"huge.{fmt}"
+    if fmt == "features":
+        write_feature_file(make_track([True] * 6, dim=3), str(path))
+        reader = read_feature_file
+    else:
+        _checkpoint_file(str(path))
+        reader = load_checkpoint
+    raw = path.read_bytes()
+    assert struct.unpack_from("<I", raw, at) == (value,)
+    path.write_bytes(raw[:at] + struct.pack("<I", 2**32 - 1) + raw[at + 4:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError) as caught:
+            reader(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value).startswith(f"{path}: ")
+    assert peak < len(raw) + 64 * 1024, peak
 
 
 class TestManifest:

@@ -1,12 +1,16 @@
 """Ensembling: vote semantics, tie-breaking, and prediction file round-trips."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mmexpr
 from mmexpr.ensemble import (
     PREDICTION_HEADER,
     PredictionTrack,
@@ -18,6 +22,8 @@ from mmexpr.ensemble import (
 from mmexpr.errors import DataFormatError, ShapeError
 
 from tests import _reference as ref
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(mmexpr.__file__)))
 
 
 def prob_row(label, weight=0.65):
@@ -358,3 +364,16 @@ def test_reader_matches_the_row_wise_reader(tmp_path, data, expected):
         assert expected in outcome
     else:
         assert read_predictions(str(path)).n_frames == expected
+
+
+def test_import_builds_no_formatter_table():
+    """The ``%.9g`` tables are built on the first write, not at import, so a
+    process that writes no prediction file does not hold them."""
+    code = ("import numpy as np, mmexpr.ensemble as e\n"
+            "print(sorted(k for k, v in vars(e).items() if isinstance(v, np.ndarray)),\n"
+            "      e._g9_tables.cache_info().currsize)\n")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]", "0"]

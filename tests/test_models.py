@@ -1,12 +1,13 @@
 """Models: fusion semantics, LSTM carryover, transformer independence, head."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mmexpr import Graph, Tensor, backward
-from mmexpr.checkpoint import load_checkpoint
+from mmexpr import Graph, Tensor, backward, models
+from mmexpr.checkpoint import load_checkpoint, save_checkpoint
 from mmexpr.data import segment_video
 from mmexpr.models import (
     ClassificationHead,
@@ -493,6 +494,44 @@ class TestExpressionModel:
         model.two_pass_logits(g, feats, None, rng)
         assert rng.bit_generator.state == before
         assert [n for n in g.nodes if n.kind == "dropout"] == []
+
+    @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+    def test_from_state_draws_nothing_and_holds_the_loaded_arrays(self, encoder, tmp_path,
+                                                                   monkeypatch):
+        cfg = tiny_config(encoder)
+        model = ExpressionModel(cfg, 5, np.random.default_rng(7))
+        save_checkpoint(model.parameters(), str(tmp_path / "m.ckpt"))
+        arrays = load_checkpoint(str(tmp_path / "m.ckpt"))
+
+        def no_draw(*args):
+            raise AssertionError("from_state drew an init")
+
+        monkeypatch.setattr(models, "xavier", no_draw)
+        clone = ExpressionModel.from_state(cfg, arrays)
+        assert list(clone.parameters()) == list(arrays)
+        for name, p in clone.parameters().items():
+            assert np.shares_memory(p.data, arrays[name]), name
+            assert p.checked is p.data
+        feats = np.random.default_rng(8).normal(size=(6, 5)).astype(np.float32)
+        a = model.eval_logits(Graph(record=False), feats)[0].data
+        b = clone.eval_logits(Graph(record=False), feats)[0].data
+        assert a.tobytes() == b.tobytes()
+
+    def test_from_state_allocates_no_second_parameter_set(self, tmp_path):
+        cfg = tiny_config("transformer")
+        cfg.d_model, cfg.transformer.ffn_dim = 256, 512
+        save_checkpoint(ExpressionModel(cfg, 64, np.random.default_rng(1)).parameters(),
+                        str(tmp_path / "m.ckpt"))
+        arrays = load_checkpoint(str(tmp_path / "m.ckpt"))
+        nbytes = sum(a.nbytes for a in arrays.values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ExpressionModel.from_state(cfg, arrays)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * nbytes, (peak, nbytes)
 
     def test_checkpoint_roundtrip_through_state(self):
         cfg = tiny_config("lstm")
