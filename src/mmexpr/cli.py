@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data validation error, 3 numeric
 failure. Every command but ``evaluate``, which writes only its report, writes a
 resolved-config copy into its output directory, and all file outputs are
-atomic (temp file + rename).
+atomic (temp file + rename). Any other exception is a bug, not a fault of the
+input: ``main`` lets it through, so the interpreter prints its traceback and
+exits 1. ``ensemble`` and ``evaluate`` spread their videos over worker
+processes; the bytes they write do not depend on how many.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .data import (
     write_feature_file,
 )
 from .ensemble import read_predictions, vote, write_predictions
-from .errors import DataFormatError, NumericError, ShapeError
+from .errors import DataFormatError, NonFiniteError, NumericError, ShapeError
 from .evaluation import evaluate_tracks
 from .fileio import JsonConfig, atomic_write_bytes, read_json, resolve_beside, write_json
 from .models import ExpressionModel
@@ -47,6 +50,32 @@ class _Parser(argparse.ArgumentParser):
 
 # synth_dataset's parameters after out_dir: the synth options and their defaults
 _SYNTH_ARGS = dict(list(inspect.signature(synth_dataset).parameters.items())[1:])
+
+
+def _map_videos(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, one video per job, spread over one forked
+    worker process per CPU this process may use, at most one per job.
+
+    Results come back in job order, and the first job that fails, in that
+    order, raises its own exception here. The jobs not yet handed to a worker
+    are dropped; those already running finish, so no write is cut off. A
+    worker that dies (say, killed for memory) raises ``BrokenProcessPool``
+    instead of leaving the call waiting. No worker outlives the call. With one
+    usable CPU, one job or no ``fork`` start method, the jobs run here, in
+    order, until one fails.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(jobs))
+    if workers > 1:
+        # here, not at the top: no other command starts workers
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:  # leaving joins them
+                return list(pool.map(fn, jobs))
+    return list(map(fn, jobs))
 
 
 # -- commands ---------------------------------------------------------------------
@@ -136,7 +165,10 @@ def cmd_predict(args) -> int:
     ids = manifest.split_ids(args.split)
     if not ids:
         raise DataFormatError(f"split {args.split!r} is empty")
-    model = ExpressionModel.from_state(config.model, load_checkpoint(args.checkpoint))
+    try:
+        model = ExpressionModel.from_state(config.model, load_checkpoint(args.checkpoint))
+    except NonFiniteError as exc:  # a NaN or infinity stored in the file
+        raise DataFormatError(f"{args.checkpoint}: {exc}") from exc
     specs = feature_specs(config.registry_extra)
     for vid in ids:
         video = load_video(manifest.video(vid), specs, config.feature_names())
@@ -153,6 +185,16 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _video_labels(job) -> tuple:
+    """One video's true and predicted labels: a job of ``cmd_evaluate``. They
+    come back as int8, which holds -1..7, so an eighth of the bytes cross from
+    a worker and wait in the parent."""
+    entry, path = job
+    truth = load_labels(entry.label_file, video_id=entry.video_id, n_frames=entry.n_frames)
+    return (truth.labels.astype(np.int8),
+            read_predictions(path, video_id=entry.video_id).labels.astype(np.int8))
+
+
 def cmd_evaluate(args) -> int:
     """Score the prediction files in ``--predictions`` against the manifest's
     labels: the split's videos when one is given, else every manifest video
@@ -165,13 +207,9 @@ def cmd_evaluate(args) -> int:
                if os.path.exists(os.path.join(args.predictions, f"{v.video_id}.csv"))]
         if not ids:
             raise DataFormatError(f"no prediction files found in {args.predictions}")
-    labels, predictions = {}, {}
-    for vid in ids:
-        entry = manifest.video(vid)
-        labels[vid] = load_labels(entry.label_file, video_id=vid, n_frames=entry.n_frames).labels
-        path = os.path.join(args.predictions, f"{vid}.csv")
-        predictions[vid] = read_predictions(path, video_id=vid).labels
-    report = evaluate_tracks(labels, predictions)
+    jobs = [(manifest.video(vid), os.path.join(args.predictions, f"{vid}.csv")) for vid in ids]
+    truth, predicted = zip(*_map_videos(_video_labels, jobs))
+    report = evaluate_tracks(dict(zip(ids, truth)), dict(zip(ids, predicted)))
     write_json(args.out, report.to_json())
     print(f"macro_f1 {report.macro_f1:.5f} over {report.confusion.sum()} frames; "
           f"report at {args.out}")
@@ -195,6 +233,13 @@ class EnsembleSpec(JsonConfig):
         return self
 
 
+def _fuse_video(job) -> None:
+    """Vote one video's member files into its fused file: a job of ``cmd_ensemble``.
+    The worker writes the file itself, so no fused track comes back."""
+    vid, member_paths, out = job
+    write_predictions(vote([read_predictions(p, video_id=vid) for p in member_paths]), out)
+
+
 def cmd_ensemble(args) -> int:
     spec = EnsembleSpec.from_json(read_json(args.spec), "spec")
     member_dirs = [resolve_beside(args.spec, m) for m in spec.members]
@@ -215,10 +260,8 @@ def cmd_ensemble(args) -> int:
     if not ids:
         raise DataFormatError("member directories contain no prediction files")
 
-    for vid in ids:
-        tracks = [read_predictions(os.path.join(d, f"{vid}.csv"), video_id=vid)
-                  for d in member_dirs]
-        write_predictions(vote(tracks), os.path.join(args.out, f"{vid}.csv"))
+    _map_videos(_fuse_video, [(vid, [os.path.join(d, f"{vid}.csv") for d in member_dirs],
+                               os.path.join(args.out, f"{vid}.csv")) for vid in ids])
     write_json(os.path.join(args.out, "resolved_config.json"), {
         "command": "ensemble", "members": [os.path.abspath(d) for d in member_dirs],
         "strategy": spec.strategy, "tie_break": spec.tie_break,
@@ -288,7 +331,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataFormatError, ShapeError, ValueError, KeyError, OSError) as exc:
+    except (DataFormatError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -378,7 +378,7 @@ class Manifest(JsonConfig):
         try:
             return self._by_id[video_id]
         except KeyError:
-            raise KeyError(f"video {video_id!r} not in manifest") from None
+            raise DataFormatError(f"video {video_id!r} not in manifest") from None
 
     def split_ids(self, split: str) -> list:
         if split not in self.splits:

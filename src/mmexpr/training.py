@@ -372,11 +372,13 @@ def synth_dataset(out_dir: str, videos: int = 20, frames: int = 200, classes: in
     for name, size in (("videos", videos), ("frames", frames), ("visual_dim", visual_dim),
                        ("audio_dim", audio_dim)):
         if size < 1:
-            raise ValueError(f"synth: {name} must be >= 1, got {size}")
+            raise DataFormatError(f"synth: {name} must be >= 1, got {size}")
+    if seed < 0:
+        raise DataFormatError(f"synth: seed must be >= 0, got {seed}")
     if not 1 <= classes <= NUM_CLASSES:
-        raise ValueError(f"synth: classes must be in 1..{NUM_CLASSES}, got {classes}")
+        raise DataFormatError(f"synth: classes must be in 1..{NUM_CLASSES}, got {classes}")
     if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"synth: sigma must be a finite number >= 0, got {sigma}")
+        raise DataFormatError(f"synth: sigma must be a finite number >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     visual_means = rng.normal(0.0, 1.0, (classes, visual_dim))
     audio_means = rng.normal(0.0, 1.0, (classes, audio_dim))

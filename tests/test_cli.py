@@ -2,16 +2,19 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import mmexpr
-from mmexpr import data
+from mmexpr import cli, data
 from mmexpr.checkpoint import load_checkpoint, save_checkpoint
 from mmexpr.cli import build_parser, main
 from mmexpr.data import (
@@ -24,8 +27,9 @@ from mmexpr.data import (
     read_feature_file,
     write_feature_file,
 )
-from mmexpr.ensemble import PredictionTrack, write_predictions
+from mmexpr.ensemble import PredictionTrack, read_predictions, vote, write_predictions
 from mmexpr.errors import DataFormatError
+from mmexpr.evaluation import evaluate_tracks
 from mmexpr.fileio import read_json, write_json
 from mmexpr.training import ExperimentConfig
 
@@ -94,6 +98,7 @@ class TestSynth:
         ("--classes", 9, "classes"), ("--classes", 0, "classes"), ("--frames", 0, "frames"),
         ("--videos", 0, "videos"), ("--visual-dim", 0, "visual_dim"),
         ("--audio-dim", 0, "audio_dim"), ("--sigma", "nan", "sigma"), ("--sigma", -1, "sigma"),
+        ("--seed", -1, "seed"),
     ])
     def test_out_of_range_argument_exits_2_before_writing(self, tmp_path, capsys, option,
                                                           value, name):
@@ -699,6 +704,152 @@ BAD_CONFIGS = [
     pytest.param(_set("features.visual", ["synthvis", "synthvis"]),
                  "features.visual lists 'synthvis' twice", id="visual-set-twice"),
 ]
+
+
+class TestVideoWorkers:
+    """``ensemble`` and ``evaluate`` spread their videos over one worker process
+    per usable CPU. The usable CPUs are patched, so the pool also runs on a
+    one-core machine."""
+
+    CPUS = {"one-cpu": {0}, "three-cpus": {0, 1, 2}}
+
+    @staticmethod
+    def use_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+    @staticmethod
+    def make_members(synth_dir, root):
+        """The ensemble spec of three members with independent random predictions
+        for every synth video, so votes split and ties need the tie-break."""
+        ids = [e.video_id for e in load_manifest(str(synth_dir / "manifest.json")).videos]
+        dirs = [root / f"m{k}" for k in range(3)]
+        rng = np.random.default_rng(4)
+        for d in dirs:
+            os.makedirs(d)
+            for vid in ids:
+                probs = rng.dirichlet(np.ones(8), 64)
+                write_predictions(PredictionTrack.from_probs(vid, probs), str(d / f"{vid}.csv"))
+        spec = root / "ensemble.json"
+        write_json(str(spec), {"members": [str(d) for d in dirs]})
+        return spec, dirs, ids
+
+    def test_same_bytes_on_any_cpu_count_as_the_per_video_loop(self, synth_dir, tmp_path,
+                                                                monkeypatch):
+        spec, dirs, ids = self.make_members(synth_dir, tmp_path)
+        manifest = synth_dir / "manifest.json"
+        written = {}
+        for name, cpus in self.CPUS.items():
+            self.use_cpus(monkeypatch, cpus)
+            out = tmp_path / name
+            assert run_cli("ensemble", "--spec", spec, "--out", out) == 0
+            assert run_cli("evaluate", "--predictions", out, "--manifest", manifest,
+                           "--out", out / "report.json") == 0
+            assert run_cli("evaluate", "--predictions", out, "--manifest", manifest,
+                           "--split", "val", "--out", out / "val.json") == 0
+            assert multiprocessing.active_children() == []
+            written[name] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+        # the loop both commands ran in one process before they had workers
+        expected = tmp_path / "expected"
+        for vid in ids:
+            tracks = [read_predictions(str(d / f"{vid}.csv"), video_id=vid) for d in dirs]
+            write_predictions(vote(tracks), str(expected / f"{vid}.csv"))
+        write_json(str(expected / "resolved_config.json"), {
+            "command": "ensemble", "members": [str(d) for d in dirs],
+            "strategy": "majority_vote", "tie_break": "mean_probability"})
+        entries = load_manifest(str(manifest)).videos
+        truth = {e.video_id: load_labels(e.label_file, e.n_frames).labels for e in entries}
+        fused = {vid: read_predictions(str(expected / f"{vid}.csv")).labels for vid in ids}
+        write_json(str(expected / "report.json"), evaluate_tracks(truth, fused).to_json())
+        val = load_manifest(str(manifest)).split_ids("val")
+        write_json(str(expected / "val.json"), evaluate_tracks(
+            {vid: truth[vid] for vid in val}, {vid: fused[vid] for vid in val}).to_json())
+        assert len(written["one-cpu"]) == len(ids) + 3
+        assert written["one-cpu"] == written["three-cpus"]
+        assert written["one-cpu"] == {f: (expected / f).read_bytes()
+                                      for f in sorted(os.listdir(expected))}
+
+    @pytest.mark.parametrize("command", ["ensemble", "evaluate"])
+    def test_the_first_faulty_video_is_reported_on_any_cpu_count(self, synth_dir, tmp_path,
+                                                                 monkeypatch, capsys, command):
+        spec, dirs, ids = self.make_members(synth_dir, tmp_path)
+        faulty = []
+        for vid, row in ((ids[2], "1,0,nan,0,0,0,0,0,0,0"), (ids[5], "1,0,-1,1,1,0,0,0,0,0")):
+            path = dirs[1] / f"{vid}.csv"
+            lines = path.read_text().splitlines()
+            lines[1] = row
+            path.write_text("\n".join(lines) + "\n")
+            faulty.append(path)
+
+        def earlier_fault_later(path, video_id=None):  # so the later fault is raised first
+            if path == str(faulty[0]):
+                time.sleep(0.3)
+            return read_predictions(path, video_id)
+
+        monkeypatch.setattr(cli, "read_predictions", earlier_fault_later)
+        capsys.readouterr()
+        for name, cpus in self.CPUS.items():
+            self.use_cpus(monkeypatch, cpus)
+            out = tmp_path / name
+            if command == "ensemble":
+                code = run_cli("ensemble", "--spec", spec, "--out", out)
+            else:
+                code = run_cli("evaluate", "--predictions", dirs[1],
+                               "--manifest", synth_dir / "manifest.json", "--out", out / "r.json")
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {faulty[0]}: non-finite probability\n"
+            left = os.listdir(out) if out.exists() else []
+            assert "resolved_config.json" not in left and "r.json" not in left
+            assert not [f for f in left if f.startswith(".tmp-")]  # no write was cut off
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command, name, error", [
+        ("ensemble", "vote", ValueError), ("evaluate", "load_labels", ValueError),
+        ("evaluate", "evaluate_tracks", KeyError)])
+    @pytest.mark.parametrize("cpus", ["one-cpu", "three-cpus"])
+    def test_a_stray_error_is_raised_not_read_as_a_data_error(self, synth_dir, tmp_path,
+                                                              monkeypatch, command, name, error,
+                                                              cpus):
+        spec, dirs, _ = self.make_members(synth_dir, tmp_path)
+        self.use_cpus(monkeypatch, self.CPUS[cpus])
+
+        def stray(*args, **kwargs):
+            raise error("stray")
+
+        monkeypatch.setattr(cli, name, stray)  # forked workers inherit the patch
+        argv = (["ensemble", "--spec", spec, "--out", tmp_path / "out"] if command == "ensemble"
+                else ["evaluate", "--predictions", dirs[0],
+                      "--manifest", synth_dir / "manifest.json", "--out", tmp_path / "r.json"])
+        with pytest.raises(error, match="stray") as caught:
+            run_cli(*argv)
+        assert type(caught.value) is error
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
+        assert not (tmp_path / "r.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_raises_instead_of_hanging(self, synth_dir, tmp_path, monkeypatch):
+        spec, _, _ = self.make_members(synth_dir, tmp_path)
+        self.use_cpus(monkeypatch, self.CPUS["three-cpus"])
+        parent = os.getpid()  # a worker exits as if killed for memory; this process never does
+        monkeypatch.setattr(cli, "vote", lambda tracks: os.getpid() == parent or os._exit(9))
+        with pytest.raises(BrokenProcessPool):
+            run_cli("ensemble", "--spec", spec, "--out", tmp_path / "out")
+        assert not (tmp_path / "out" / "resolved_config.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_a_stray_error_exits_1_with_its_traceback(self, synth_dir, tmp_path):
+        spec, _, _ = self.make_members(synth_dir, tmp_path)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mmexpr.__file__)))
+        script = ("import sys\nfrom mmexpr import cli\n"
+                  "def stray(tracks):\n    raise ValueError('stray')\n"
+                  "cli.vote = stray\nsys.exit(cli.main(sys.argv[1:]))\n")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script, "ensemble", "--spec", str(spec),
+                                 "--out", str(tmp_path / "out")],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert "Traceback" in result.stderr
+        assert result.stderr.rstrip().endswith("ValueError: stray")
 
 
 class TestConfigChecks:

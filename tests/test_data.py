@@ -601,6 +601,13 @@ class TestManifest:
         assert manifest.split_ids("train") == ["a"]
         assert manifest.video("a").label_file.startswith(str(tmp_path))
 
+    def test_unknown_video_id_is_a_data_error(self, tmp_path):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "videos": [{"id": "a", "n_frames": 1, "label_file": "a.csv", "features": {}}]}))
+        with pytest.raises(DataFormatError, match="video 'ghost' not in manifest"):
+            load_manifest(str(mpath)).video("ghost")
+
     def test_unknown_split_video_rejected(self, tmp_path):
         mpath = tmp_path / "manifest.json"
         mpath.write_text(json.dumps({

@@ -26,3 +26,15 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
                             env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_no_module_imports_multiprocessing():
+    """Only ``ensemble`` and ``evaluate`` import it, when they start workers, so
+    importing mmexpr (as the benchmark does for every workload) costs nothing more."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    script = "".join(f"import {m}\n" for m in MODULES) + (
+        "import sys\nprint(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

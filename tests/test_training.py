@@ -184,6 +184,13 @@ class TestSynthDataset:
         for rel in rel_files:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("argument", [{"videos": 0}, {"classes": 9}, {"sigma": -1.0},
+                                          {"seed": -1}])
+    def test_argument_out_of_range_is_a_data_error(self, tmp_path, argument):
+        with pytest.raises(DataFormatError, match="synth: "):
+            synth_dataset(str(tmp_path / "s"), **argument)
+        assert not (tmp_path / "s").exists()
+
     def test_huge_noise_is_chance_level(self, tmp_path):
         manifest_path = synth_dataset(str(tmp_path), videos=6, frames=100,
                                       visual_dim=8, audio_dim=4, sigma=200.0, seed=5)
