@@ -61,8 +61,7 @@ def _map_videos(fn, jobs: list) -> list:
     are dropped; those already running finish, so no write is cut off. A
     worker that dies (say, killed for memory) raises ``BrokenProcessPool``
     instead of leaving the call waiting. No worker outlives the call. With one
-    usable CPU, one job or no ``fork`` start method, the jobs run here, in
-    order, until one fails.
+    usable CPU or one job, the jobs run here, in order, until one fails.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(jobs))
@@ -71,10 +70,10 @@ def _map_videos(fn, jobs: list) -> list:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:  # leaving joins them
-                return list(pool.map(fn, jobs))
+        # sched_getaffinity exists only where fork does (Linux, the BSDs)
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:  # leaving joins them
+            return list(pool.map(fn, jobs))
     return list(map(fn, jobs))
 
 
@@ -208,8 +207,9 @@ def cmd_evaluate(args) -> int:
         if not ids:
             raise DataFormatError(f"no prediction files found in {args.predictions}")
     jobs = [(manifest.video(vid), os.path.join(args.predictions, f"{vid}.csv")) for vid in ids]
-    truth, predicted = zip(*_map_videos(_video_labels, jobs))
-    report = evaluate_tracks(dict(zip(ids, truth)), dict(zip(ids, predicted)))
+    labels = _map_videos(_video_labels, jobs)  # an empty split scores 0 frames
+    report = evaluate_tracks({vid: truth for vid, (truth, _) in zip(ids, labels)},
+                             {vid: predicted for vid, (_, predicted) in zip(ids, labels)})
     write_json(args.out, report.to_json())
     print(f"macro_f1 {report.macro_f1:.5f} over {report.confusion.sum()} frames; "
           f"report at {args.out}")

@@ -768,6 +768,20 @@ class TestVideoWorkers:
         assert written["one-cpu"] == {f: (expected / f).read_bytes()
                                       for f in sorted(os.listdir(expected))}
 
+    @pytest.mark.parametrize("cpus", ["one-cpu", "three-cpus"])
+    def test_evaluate_on_an_empty_split_writes_a_0_frame_report(self, synth_dir, tmp_path,
+                                                                 monkeypatch, cpus):
+        doc = read_json(str(synth_dir / "manifest.json"))
+        doc["splits"]["test"] = []
+        write_json(str(tmp_path / "manifest.json"), doc)
+        self.use_cpus(monkeypatch, self.CPUS[cpus])
+        assert run_cli("evaluate", "--predictions", tmp_path, "--manifest",
+                       tmp_path / "manifest.json", "--split", "test",
+                       "--out", tmp_path / "r.json") == 0
+        write_json(str(tmp_path / "expected.json"), evaluate_tracks({}, {}).to_json())
+        assert (tmp_path / "r.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("command", ["ensemble", "evaluate"])
     def test_the_first_faulty_video_is_reported_on_any_cpu_count(self, synth_dir, tmp_path,
                                                                  monkeypatch, capsys, command):
